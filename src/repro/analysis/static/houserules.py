@@ -46,8 +46,8 @@ CLI path:
     Every ``DeviceFailed``-handling code path — a function named
     ``on_device_failed`` or one that constructs/emits a
     ``DeviceFailed`` event — must re-assert walk conservation: call
-    something whose name mentions ``conservation`` (e.g. the engine's
-    ``_assert_cluster_conservation`` or the sanitizer's
+    something whose name mentions ``conservation`` (e.g. ``core.cluster``'s
+    ``assert_cluster_conservation`` or the sanitizer's
     ``_check_conservation``).  Failure recovery moves whole walk
     populations between shards; a path that mutates them without
     re-checking the global count is exactly where walks get silently
@@ -297,7 +297,7 @@ class _FileVisitor(ast.NodeVisitor):
             RULE_FAILURE_CONSERVATION,
             f"'{name}' handles DeviceFailed but never re-asserts walk "
             "conservation; call a *conservation* check (e.g. "
-            "_assert_cluster_conservation) or waive with "
+            "assert_cluster_conservation) or waive with "
             "'# lint: allow-device-failure-conservation'",
         )
 

@@ -1,13 +1,13 @@
-"""Multi-device sharded engine with peer-to-peer walk migration.
+"""What only a multi-device run has: walk migration, elasticity, failure.
 
-:class:`MultiDeviceEngine` runs the LightTraffic pipeline on ``N``
-simulated devices.  The range-partitioned graph is sharded contiguously
-across the devices (:func:`repro.gpu.cluster.assign_partitions`), and each
-shard owns the full single-device substrate: its own
-:class:`~repro.gpu.timeline.Timeline` (compute/load/evict streams), graph
-pool, host/device walk pools, scheduler (restricted to owned partitions)
-and reshuffler.  The stages in :mod:`repro.core.stages` are reused
-verbatim — one :class:`~repro.core.stages.StageContext` per shard.
+The scheduling loop itself is :meth:`repro.core.engine.LightTrafficEngine.run`
+— it shards the range-partitioned graph contiguously across
+``config.devices`` simulated devices
+(:func:`repro.gpu.cluster.assign_partitions`), gives every shard the full
+single-device substrate (one :class:`~repro.core.stages.StageContext` per
+shard) and sweeps the shards.  This module holds the collaborators that
+loop brings in when ``devices > 1``; at one device none of them is
+constructed and the module is not even imported.
 
 What changes versus ``N`` independent engines is the walk frontier: a walk
 stepping into another shard's partition range cannot be reshuffled locally.
@@ -29,121 +29,60 @@ moves them over a :class:`~repro.gpu.cluster.PeerChannel`:
 
 Elastic, heterogeneous, failable
 --------------------------------
-The cluster is no longer assumed homogeneous, reliable or statically
-assigned:
+The cluster is not assumed homogeneous, reliable or statically assigned:
 
 * **Heterogeneity** — per-device :class:`~repro.gpu.cluster.ClusterDeviceSpec`
-  scales each shard's kernel model, pool budgets and link bandwidth; the
-  initial assignment weights partition bytes by each device's
-  bottleneck capability (``ClusterDeviceSpec.assignment_weight``,
-  gated by ``EngineConfig.heterogeneous_assignment``).
+  scales each shard's kernel model, pool budgets and link bandwidth (in
+  the engine's shard builder); the initial assignment weights partition
+  bytes by each device's bottleneck capability
+  (``ClusterDeviceSpec.assignment_weight``, gated by
+  ``EngineConfig.heterogeneous_assignment``).
 * **Topology** — migrations are routed by the cluster's
   :class:`~repro.gpu.cluster.Topology` (all-pairs, ring or switch); a
   route may relay over multiple channel hops, each serializing on its
   own stream.
 * **Failure** — a :class:`~repro.core.config.FailureSchedule` kills
-  devices at sweep boundaries; the dead shard's pending walks are
-  drained and re-seeded onto survivors (``DeviceFailed`` /
-  ``DeviceRecoveredWalks``), ownership is reassigned through the same
-  byte-balanced :func:`~repro.gpu.cluster.assign_partitions`, and walk
-  conservation is re-asserted immediately.
+  devices at sweep boundaries (:func:`fail_device`); the dead shard's
+  pending walks are drained and re-seeded onto survivors
+  (``DeviceFailed`` / ``DeviceRecoveredWalks``), ownership is reassigned
+  through the same byte-balanced
+  :func:`~repro.gpu.cluster.assign_partitions`, and walk conservation is
+  re-asserted immediately.
 * **Elasticity** — a :class:`ClusterController` rides the metrics bus,
   detects compute-normalized pending-walk skew and hands partitions off
   between shards mid-run (``ShardRebalanced``), re-migrating their
   pending walks over the ordinary peer channels so the sanitizer's
   migration-conservation rule covers the rebalance path unchanged.
 
-With ``devices=1`` no cluster state is active (no owned mask, no router)
-and the iteration loop degenerates to exactly the single-device engine —
-:mod:`tests.test_engine_parity` pins bit-identical :class:`RunStats`;
-homogeneous no-failure multi-device runs are pinned the same way against
+Homogeneous no-failure multi-device runs are pinned bit-identical against
 ``tests/data/cluster_golden.json``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as dataclass_replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.engine import LightTrafficEngine
+from repro.core.engine import LightTrafficEngine, Shard
 from repro.core.events import (
     DeviceFailed,
     DeviceRecoveredWalks,
     EventBus,
     IterationStarted,
     KernelDispatched,
-    RunCompleted,
     ShardRebalanced,
     WalksDelivered,
     WalksMigrated,
-    WalksSeeded,
 )
-from repro.core.scheduler import Scheduler
-from repro.core.stages import (
-    ComputeDispatcher,
-    GraphServer,
-    PreemptiveDispatcher,
-    StageContext,
-    WalkLoader,
-)
-from repro.core.stats import (
-    CAT_RESHUFFLE,
-    CAT_WALK_MIGRATE,
-    RunStats,
-    StatsCollector,
-)
-from repro.core.trace import TraceSubscriber
-from repro.gpu.cluster import (
-    DeviceCluster,
-    PeerChannel,
-    PeerLinkSpec,
-    assign_partitions,
-    homogeneous_specs,
-    peer_link_by_name,
-    topology_by_name,
-)
-from repro.gpu.kernels import DIRECT_WRITE, KernelModel
-from repro.gpu.memory import BlockPool
-from repro.gpu.timeline import TimeBreakdown, Timeline
-from repro.walks.pool import DeviceWalkPool, HostWalkPool
-from repro.walks.reshuffle import (
-    DirectWriteReshuffler,
-    TwoLevelReshuffler,
-    group_by_partition,
-)
+from repro.core.stages import StageContext
+from repro.core.stats import CAT_RESHUFFLE, CAT_WALK_MIGRATE
+from repro.gpu.cluster import DeviceCluster, PeerChannel, assign_partitions
 from repro.walks.state import WalkArrays
 
-if TYPE_CHECKING:
-    from repro.algorithms.base import RandomWalkAlgorithm
-    from repro.core.config import EngineConfig
-    from repro.graph.csr import CSRGraph
-
-
-class _Shard:
-    """One device's context plus its pipeline stage instances."""
-
-    __slots__ = (
-        "ctx",
-        "graph_server",
-        "loader",
-        "compute",
-        "preemptive",
-        "alive",
-    )
-
-    def __init__(self, ctx: StageContext) -> None:
-        self.ctx = ctx
-        self.graph_server = GraphServer(ctx)
-        self.loader = WalkLoader(ctx)
-        self.compute = ComputeDispatcher(ctx)
-        self.preemptive = PreemptiveDispatcher(ctx, self.compute)
-        self.alive = True
-
-    @property
-    def pending(self) -> int:
-        return self.ctx.host.total_walks + self.ctx.device.cached_walks
+#: The engine under its multi-device name: ``config.devices`` alone decides
+#: how many shards the one loop sweeps.
+MultiDeviceEngine = LightTrafficEngine
 
 
 def _transit(
@@ -182,7 +121,7 @@ class WalkMigrator:
     evict stream is charged once, modeled on the first hop's link.
     """
 
-    def __init__(self, cluster: DeviceCluster, shards: List[_Shard]) -> None:
+    def __init__(self, cluster: DeviceCluster, shards: List[Shard]) -> None:
         self.cluster = cluster
         self.shards = shards
 
@@ -291,18 +230,18 @@ class ClusterController:
     def __init__(
         self,
         cluster: DeviceCluster,
-        shards: List[_Shard],
+        shards: List[Shard],
         threshold: float,
         cooldown: int,
         heterogeneous: bool,
-        conservation_check: Callable[[], None],
+        expected_walks: int,
     ) -> None:
         self.cluster = cluster
         self.shards = shards
         self.threshold = threshold
         self.cooldown = cooldown
         self.heterogeneous = heterogeneous
-        self._assert_conservation = conservation_check
+        self.expected_walks = expected_walks
         #: bus-sampled pending walks per device (IterationStarted).
         self._pending: Dict[int, int] = {}
         #: walks computed per device since the last rebalance.
@@ -331,7 +270,9 @@ class ClusterController:
             if not shard.alive:
                 continue
             device = shard.ctx.device_id
-            sample = min(self._pending.get(device, 0), shard.pending)
+            sample = min(
+                self._pending.get(device, 0), shard.ctx.pending_walks
+            )
             loads[device] = (
                 sample / self.cluster.spec(device).assignment_weight
             )
@@ -430,522 +371,113 @@ class ClusterController:
             )
         )
         self.rebalances += 1
-        self._assert_conservation()
+        assert_cluster_conservation(shards, self.expected_walks)
         return True
 
 
-class MultiDeviceEngine(LightTrafficEngine):
-    """The LightTraffic engine sharded across ``config.devices`` devices."""
+def assert_cluster_conservation(shards: List[Shard], expected: int) -> None:
+    """Re-assert walk conservation after a cluster mutation.
 
-    def _build_shard(
-        self,
-        device_id: int,
-        cluster: DeviceCluster,
-        rng: Any,
-        num_walks: int,
-        bus: EventBus,
-        backend: Any = None,
-    ) -> _Shard:
-        """One device's substrate; mirrors the single-device context."""
-        cfg = self.config
-        num_partitions = self.partitioned.num_partitions
-        batch_cap = cfg.resolved_batch_walks()
-        capacity = cfg.walk_pool_walks
-        if capacity is None:
-            capacity = max(num_walks, batch_cap)
-        reshuffler_cls = (
-            DirectWriteReshuffler
-            if cfg.reshuffle_mode == DIRECT_WRITE
-            else TwoLevelReshuffler
-        )
-        multi = cluster.num_devices > 1
-        # Heterogeneity: scale this shard's cost model and memory budgets
-        # by its capability spec.  The == 1.0 guards keep the homogeneous
-        # path on the exact shared objects/ints (bit-identity).
-        spec = cluster.spec(device_id)
-        kernel_model = self.kernel_model
-        if spec.compute_scale != 1.0:
-            device = dataclass_replace(
-                cfg.device,
-                name=f"{cfg.device.name}-{spec.name}",
-                clock_hz=cfg.device.clock_hz * spec.compute_scale,
-                mem_bandwidth=cfg.device.mem_bandwidth * spec.compute_scale,
-            )
-            kernel_model = KernelModel(device, cfg.calibration)
-        if spec.memory_scale != 1.0:
-            capacity = max(batch_cap, int(capacity * spec.memory_scale))
-        pool_partitions = cfg.graph_pool_partitions
-        if spec.memory_scale != 1.0:
-            pool_partitions = max(
-                1, int(cfg.graph_pool_partitions * spec.memory_scale)
-            )
-        # link_scale covers the device's whole I/O complex: the host
-        # interconnect carrying graph/walk DMA as well as the peer links
-        # (which DeviceCluster.channel scales on its own).
-        pcie = self.pcie
-        ship_link = self.ship_link
-        if spec.link_scale != 1.0:
-            pcie = dataclass_replace(
-                self.pcie,
-                name=f"{self.pcie.name}x{spec.link_scale:g}",
-                bandwidth=self.pcie.bandwidth * spec.link_scale,
-                latency_seconds=self.pcie.latency_seconds / spec.link_scale,
-            )
-            ship_link = dataclass_replace(
-                self.ship_link,
-                name=f"{self.ship_link.name}x{spec.link_scale:g}",
-                bandwidth=self.ship_link.bandwidth * spec.link_scale,
-                latency_seconds=(
-                    self.ship_link.latency_seconds / spec.link_scale
-                ),
-            )
-        ctx = StageContext(
-            config=cfg,
-            graph=self.graph,
-            algorithm=self.algorithm,
-            pgraph=self.partitioned,
-            rng=rng,
-            scheduler=Scheduler(
-                num_partitions,
-                cfg.selective,
-                cfg.preemptive,
-                eviction_policy=cfg.eviction_policy,
-                owned=cluster.owned_mask(device_id) if multi else None,
-            ),
-            host=HostWalkPool(num_partitions, batch_cap),
-            device=DeviceWalkPool(num_partitions, batch_cap, capacity),
-            graph_pool=BlockPool(
-                pool_partitions,
-                name=f"graph-pool-d{device_id}",
-                track_recency=(cfg.eviction_policy == "lru"),
-            ),
-            timeline=Timeline(record_ops=cfg.record_ops),
-            bus=bus,
-            reshuffler=reshuffler_cls(
-                kernel_model, num_partitions, backend=backend
-            ),
-            kernel_model=kernel_model,
-            pcie=pcie,
-            ship_link=ship_link,
-            bytes_per_walk=self.algorithm.bytes_per_walk,
-            adaptive=self.adaptive,
-            device_id=device_id,
-            cluster=cluster,
-            backend=backend,
-        )
-        return _Shard(ctx)
-
-    def _seed_shards(
-        self,
-        shards: List[_Shard],
-        cluster: DeviceCluster,
-        rng: Any,
-        num_walks: int,
-    ) -> None:
-        """Seed every walk into the host pool of its start partition's owner."""
-        starts = self.algorithm.start_vertices(self.graph, num_walks, rng)
-        walks = WalkArrays.fresh(starts)
-        self.algorithm.on_start(walks, self.graph)
-        backend = shards[0].ctx.backend
-        if backend is not None:
-            # All shards share one backend; precompute once from the full
-            # seeded state before the walks are split across devices.
-            backend.on_walks_seeded(walks)
-        start_parts = self.partitioned.find_partitions(walks.vertices)
-        groups = group_by_partition(walks, start_parts)
-        for part, group in groups.items():
-            shards[cluster.owner(part)].ctx.host.append_walks(part, group)
-        shards[0].ctx.bus.emit(
-            WalksSeeded(walks=num_walks, partitions=len(groups))
+    Failure recovery and elastic rebalance both move walks between
+    pools outside the audited kernel/migration flow; every such
+    mutation ends with this check so a lost or duplicated walk
+    surfaces at the mutation that caused it, not at run end.
+    """
+    pending = sum(shard.ctx.pending_walks for shard in shards)
+    finished = sum(shard.ctx.finished for shard in shards)
+    if pending + finished != expected:
+        raise RuntimeError(
+            f"walk conservation violated after cluster mutation: "
+            f"{pending} pending + {finished} finished != {expected}"
         )
 
-    # ------------------------------------------------------------------
-    def _assert_cluster_conservation(
-        self, shards: List[_Shard], expected: int
-    ) -> None:
-        """Re-assert walk conservation after a cluster mutation.
 
-        Failure recovery and elastic rebalance both move walks between
-        pools outside the audited kernel/migration flow; every such
-        mutation ends with this check so a lost or duplicated walk
-        surfaces at the mutation that caused it, not at run end.
-        """
-        pending = sum(shard.pending for shard in shards)
-        finished = sum(shard.ctx.finished for shard in shards)
-        if pending + finished != expected:
-            raise RuntimeError(
-                f"walk conservation violated after cluster mutation: "
-                f"{pending} pending + {finished} finished != {expected}"
-            )
-
-    def _fail_device(
-        self,
-        shards: List[_Shard],
-        cluster: DeviceCluster,
-        device: int,
-        iteration: int,
-        bus: EventBus,
-        num_walks: int,
-    ) -> None:
-        """Kill one device shard and recover its walks onto survivors.
-
-        The dead shard's pending walks are drained (there are no walks
-        in flight between iterations — migration delivery is synchronous
-        within a dispatch), its partitions reassigned over the alive
-        devices through the shared byte-balanced assignment, survivors'
-        owned masks refreshed, and the walks appended to the new owners'
-        host pools.  ``DeviceFailed`` is emitted only after the cluster
-        is consistent again, so auditing subscribers always observe a
-        conserved population.
-        """
-        shard = shards[device]
-        if not shard.alive:
-            return
-        cluster.fail_device(device)
-        shard.alive = False
-        moved = cluster.owned_partitions(device)
-        drained = {
-            int(p): shard.ctx.release_partition(int(p)) for p in moved
-        }
-        pending = sum(
-            len(group) for groups in drained.values() for group in groups
-        )
-        alive_ids = cluster.alive_devices()
-        sizes = np.asarray(
-            self.partitioned.partition_sizes(), dtype=np.int64
-        )
-        # The dead device may own fewer partitions than there are
-        # survivors; spread over the least-loaded ones in that case
-        # (deterministic: load then device id).
-        if moved.size < alive_ids.size:
-            ranked = sorted(
-                (
-                    shards[int(d)].pending
-                    / cluster.spec(int(d)).assignment_weight,
-                    int(d),
-                )
-                for d in alive_ids
-            )
-            chosen = sorted(dev for __, dev in ranked[: moved.size])
-            alive_ids = np.asarray(chosen, dtype=np.int64)
-        weights = None
-        if self.config.heterogeneous_assignment and any(
-            cluster.spec(int(d)).assignment_weight != 1.0
-            for d in alive_ids
-        ):
-            weights = np.array(
-                [cluster.spec(int(d)).assignment_weight for d in alive_ids],
-                dtype=np.float64,
-            )
-        sub = assign_partitions(
-            sizes[moved], len(alive_ids), weights=weights
-        )
-        new_owners = alive_ids[sub]
-        cluster.set_owners(moved, new_owners)
-        for survivor in shards:
-            if survivor.alive:
-                survivor.ctx.scheduler.set_owned(
-                    cluster.owned_mask(survivor.ctx.device_id)
-                )
-        recovered: Dict[int, List[int]] = {}
-        for idx, p in enumerate(int(x) for x in moved):
-            dst = int(new_owners[idx])
-            walks = sum(len(group) for group in drained[p])
-            for group in drained[p]:
-                shards[dst].ctx.host.append_walks(p, group)
-            entry = recovered.setdefault(dst, [0, 0])
-            entry[0] += walks
-            entry[1] += 1
-        bus.emit(
-            DeviceFailed(
-                device=device,
-                iteration=iteration,
-                pending_walks=pending,
-                partitions=int(moved.size),
-            )
-        )
-        for dst in sorted(recovered):
-            walks, partitions = recovered[dst]
-            bus.emit(
-                DeviceRecoveredWalks(
-                    src_device=device,
-                    dst_device=dst,
-                    walks=walks,
-                    partitions=partitions,
-                )
-            )
-        self._assert_cluster_conservation(shards, num_walks)
-
-    # ------------------------------------------------------------------
-    def run(self, num_walks: int) -> RunStats:
-        """Run ``num_walks`` walks across the device shards."""
-        if num_walks < 1:
-            raise ValueError("num_walks must be >= 1")
-        cfg = self.config
-        num_devices = cfg.devices
-        peer = cfg.peer_interconnect
-        link = (
-            peer
-            if isinstance(peer, PeerLinkSpec)
-            else peer_link_by_name(str(peer))
-        )
-        sizes = np.asarray(
-            self.partitioned.partition_sizes(), dtype=np.int64
-        )
-        specs = (
-            tuple(cfg.device_specs)
-            if cfg.device_specs is not None
-            else homogeneous_specs(num_devices)
-        )
-        topology = (
-            topology_by_name(cfg.topology, num_devices)
-            if num_devices > 1
-            else None
-        )
-        weights = None
-        if cfg.heterogeneous_assignment and any(
-            spec.assignment_weight != 1.0 for spec in specs
-        ):
-            weights = np.array(
-                [spec.assignment_weight for spec in specs],
-                dtype=np.float64,
-            )
-        cluster = DeviceCluster(
-            sizes,
-            num_devices,
-            link=link,
-            record_ops=cfg.record_ops,
-            specs=specs,
-            topology=topology,
-            assignment_weights=weights,
-        )
-        bus = self.bus if self.bus is not None else EventBus()
-        rng = self._make_rng()
-        # One backend shared by every shard: the kernels are partition-
-        # local, so a single bound instance (and a single trajectory
-        # precompute) serves all devices.
-        backend = self._make_backend()
-        shards = [
-            self._build_shard(dev, cluster, rng, num_walks, bus, backend)
-            for dev in range(num_devices)
-        ]
-        if num_devices > 1:
-            migrator = WalkMigrator(cluster, shards)
-            for shard in shards:
-                shard.ctx.router = migrator
-
-        stats = RunStats(
-            system="lighttraffic",
-            algorithm=self.algorithm.name,
-            graph=self.graph.name or "graph",
-            num_walks=num_walks,
-            num_partitions=self.partitioned.num_partitions,
-            num_devices=num_devices,
-        )
-        observers = [bus.attach(StatsCollector(stats, metrics=self.metrics))]
-        if self.metrics is not None:
-            observers.append(bus.attach(self.metrics))
-        if self.trace is not None:
-            observers.append(bus.attach(TraceSubscriber(self.trace)))
-        sanitizer = None
-        if cfg.sanitize:
-            from repro.analysis import Sanitizer
-
-            sanitizer = Sanitizer()
-            for shard in shards:
-                sanitizer.bind_shard(
-                    shard.ctx.device_id,
-                    timeline=shard.ctx.timeline,
-                    graph_pool=shard.ctx.graph_pool,
-                    host=shard.ctx.host,
-                    device=shard.ctx.device,
-                    expected_walks=num_walks,
-                )
-            if num_devices > 1:
-                sanitizer.bind_cluster(cluster)
-            observers.append(bus.attach(sanitizer))
-        controller = None
-        if num_devices > 1 and cfg.rebalance_threshold is not None:
-            controller = ClusterController(
-                cluster,
-                shards,
-                threshold=cfg.rebalance_threshold,
-                cooldown=cfg.rebalance_cooldown,
-                heterogeneous=cfg.heterogeneous_assignment,
-                conservation_check=(
-                    lambda: self._assert_cluster_conservation(
-                        shards, num_walks
-                    )
-                ),
-            )
-            observers.append(bus.attach(controller))
-        pending_failures = (
-            sorted(
-                cfg.failure_schedule.failures,
-                key=lambda f: (f.at_iteration, f.device),
-            )
-            if cfg.failure_schedule is not None and num_devices > 1
-            else []
-        )
-
-        iteration = 0
-        #: fractional dispatch credits of non-uniform shards (sweep-rate
-        #: model); uniform shards never touch it.
-        credits = [0.0] * num_devices
-        try:
-            self._seed_shards(shards, cluster, rng, num_walks)
-            while any(shard.pending > 0 for shard in shards):
-                # Sweep boundary: fire any device failure whose iteration
-                # has come due before running further kernels.
-                while (
-                    pending_failures
-                    and pending_failures[0].at_iteration <= iteration + 1
-                ):
-                    failure = pending_failures.pop(0)
-                    self._fail_device(
-                        shards,
-                        cluster,
-                        failure.device,
-                        iteration,
-                        bus,
-                        num_walks,
-                    )
-                # One round-robin sweep: each shard with pending walks runs
-                # pipeline iterations in proportion to its compute rate —
-                # a 2x shard dispatches two partitions per sweep, a 0.5x
-                # shard one every other sweep (whole credits are spent,
-                # fractions carry over).  Uniform shards take the exact
-                # historical one-iteration path.  Migration may hand walks
-                # to a shard later in the sweep (processed the same sweep)
-                # or earlier (picked up next sweep); the outer loop drains
-                # until every shard is empty.
-                for shard in shards:
-                    ctx = shard.ctx
-                    if not shard.alive or shard.pending == 0:
-                        continue
-                    rate = cluster.spec(ctx.device_id).compute_scale
-                    if rate == 1.0:
-                        rounds = 1
-                    else:
-                        credits[ctx.device_id] += rate
-                        rounds = int(credits[ctx.device_id])
-                        credits[ctx.device_id] -= rounds
-                    for __ in range(rounds):
-                        if shard.pending == 0:
-                            break
-                        iteration += 1
-                        if (
-                            cfg.max_iterations is not None
-                            and iteration > cfg.max_iterations
-                        ):
-                            left = sum(s.pending for s in shards)
-                            raise RuntimeError(
-                                f"exceeded max_iterations="
-                                f"{cfg.max_iterations} with {left} walks "
-                                "left"
-                            )
-                        ctx.iteration = iteration
-                        selected = ctx.scheduler.select_partition(
-                            ctx.host, ctx.device
-                        )
-                        if selected is None:  # pragma: no cover
-                            continue
-                        bus.emit(
-                            IterationStarted(
-                                iteration,
-                                selected,
-                                ctx.partition_walks(selected),
-                                device=ctx.device_id,
-                            )
-                        )
-                        served = shard.graph_server.serve(selected)
-                        shard.preemptive.fill(exclude=selected)
-                        contents, batch_t = shard.loader.stream(selected)
-                        frontier_t = ctx.frontier_ready.get(selected, 0.0)
-                        if contents is not None:
-                            shard.compute.dispatch(
-                                selected,
-                                contents,
-                                earliest=max(
-                                    served.ready_time, batch_t, frontier_t
-                                ),
-                                zero_copy=served.zero_copy,
-                            )
-                        shard.compute.dispatch(
-                            selected,
-                            ctx.device.pop_all(selected),
-                            earliest=max(served.ready_time, frontier_t),
-                            zero_copy=served.zero_copy,
-                        )
-                        # Everything delivered so far has been consumed;
-                        # later deliveries re-arm the bound.
-                        ctx.frontier_ready.pop(selected, None)
-                if controller is not None:
-                    controller.maybe_rebalance(iteration, bus)
-
-            finished = sum(shard.ctx.finished for shard in shards)
-            if finished != num_walks:
-                raise RuntimeError(
-                    f"walk conservation violated: finished {finished} "
-                    f"of {num_walks}"
-                )
-            breakdown = TimeBreakdown()
-            total_time = 0.0
-            for shard in shards:
-                breakdown.merge(shard.ctx.timeline.breakdown)
-                total_time = max(
-                    total_time, shard.ctx.timeline.total_time()
-                )
-            for stream in cluster.all_streams():
-                total_time = max(total_time, stream.busy_until)
-            bus.emit(
-                RunCompleted(
-                    total_time=total_time,
-                    breakdown=breakdown.as_dict(),
-                    graph_pool_hits=sum(
-                        s.ctx.graph_pool.hits for s in shards
-                    ),
-                    graph_pool_misses=sum(
-                        s.ctx.graph_pool.misses for s in shards
-                    ),
-                    finished_walks=finished,
-                )
-            )
-        finally:
-            for observer in observers:
-                bus.detach(observer)
-            if sanitizer is not None:
-                sanitizer.unbind()
-                stats.sanitizer = sanitizer.summary()
-            backend.close()
-        stats.backend = cfg.backend
-        stats.measured = backend.timings().as_dict()
-        if num_devices > 1:
-            stats.device_times = {
-                str(shard.ctx.device_id): shard.ctx.timeline.total_time()
-                for shard in shards
-            }
-        if cfg.record_ops:
-            for shard in shards:
-                shard.ctx.timeline.validate()
-        self._timeline = shards[0].ctx.timeline
-        self._timelines = [shard.ctx.timeline for shard in shards]
-        self._cluster = cluster
-        self._shards = shards
-        return stats
-
-
-def run_sharded(
-    graph: "CSRGraph",
-    algorithm: "RandomWalkAlgorithm",
+def fail_device(
+    shards: List[Shard],
+    cluster: DeviceCluster,
+    device: int,
+    iteration: int,
+    bus: EventBus,
     num_walks: int,
-    config: "Optional[EngineConfig]" = None,
-    devices: Optional[int] = None,
-) -> RunStats:
-    """One-call convenience: build a multi-device engine and run it."""
-    from repro.core.config import EngineConfig
+) -> None:
+    """Kill one device shard and recover its walks onto survivors.
 
-    config = config if config is not None else EngineConfig()
-    if devices is not None:
-        config = config.with_options(devices=devices)
-    return MultiDeviceEngine(graph, algorithm, config).run(num_walks)
+    The dead shard's pending walks are drained (there are no walks
+    in flight between iterations — migration delivery is synchronous
+    within a dispatch), its partitions reassigned over the alive
+    devices through the shared byte-balanced assignment, survivors'
+    owned masks refreshed, and the walks appended to the new owners'
+    host pools.  ``DeviceFailed`` is emitted only after the cluster
+    is consistent again, so auditing subscribers always observe a
+    conserved population.
+    """
+    shard = shards[device]
+    if not shard.alive:
+        return
+    cluster.fail_device(device)
+    shard.alive = False
+    moved = cluster.owned_partitions(device)
+    drained = {int(p): shard.ctx.release_partition(int(p)) for p in moved}
+    pending = sum(
+        len(group) for groups in drained.values() for group in groups
+    )
+    alive_ids = cluster.alive_devices()
+    sizes = np.asarray(shard.ctx.pgraph.partition_sizes(), dtype=np.int64)
+    # The dead device may own fewer partitions than there are
+    # survivors; spread over the least-loaded ones in that case
+    # (deterministic: load then device id).
+    if moved.size < alive_ids.size:
+        ranked = sorted(
+            (
+                shards[int(d)].ctx.pending_walks
+                / cluster.spec(int(d)).assignment_weight,
+                int(d),
+            )
+            for d in alive_ids
+        )
+        chosen = sorted(dev for __, dev in ranked[: moved.size])
+        alive_ids = np.asarray(chosen, dtype=np.int64)
+    weights = None
+    if shard.ctx.config.heterogeneous_assignment and any(
+        cluster.spec(int(d)).assignment_weight != 1.0 for d in alive_ids
+    ):
+        weights = np.array(
+            [cluster.spec(int(d)).assignment_weight for d in alive_ids],
+            dtype=np.float64,
+        )
+    sub = assign_partitions(sizes[moved], len(alive_ids), weights=weights)
+    new_owners = alive_ids[sub]
+    cluster.set_owners(moved, new_owners)
+    for survivor in shards:
+        if survivor.alive:
+            survivor.ctx.scheduler.set_owned(
+                cluster.owned_mask(survivor.ctx.device_id)
+            )
+    recovered: Dict[int, List[int]] = {}
+    for idx, p in enumerate(int(x) for x in moved):
+        dst = int(new_owners[idx])
+        walks = sum(len(group) for group in drained[p])
+        for group in drained[p]:
+            shards[dst].ctx.host.append_walks(p, group)
+        entry = recovered.setdefault(dst, [0, 0])
+        entry[0] += walks
+        entry[1] += 1
+    bus.emit(
+        DeviceFailed(
+            device=device,
+            iteration=iteration,
+            pending_walks=pending,
+            partitions=int(moved.size),
+        )
+    )
+    for dst in sorted(recovered):
+        walks, partitions = recovered[dst]
+        bus.emit(
+            DeviceRecoveredWalks(
+                src_device=device,
+                dst_device=dst,
+                walks=walks,
+                partitions=partitions,
+            )
+        )
+    assert_cluster_conservation(shards, num_walks)

@@ -51,11 +51,11 @@ class WalksSeeded(EngineEvent):
     """All of a run's walks were seeded into host pools, pre-iteration.
 
     Emitted exactly once per run, after
-    :meth:`~repro.core.engine.LightTrafficEngine._seed_walks` (or the
-    multi-device sharded seeding) populates the host pools — the one
-    mutation of shared pipeline state that happens before the iteration
-    loop, made observable so subscribers (notably the runtime sanitizer's
-    walk-conservation check) see the run's true starting population.
+    :meth:`~repro.core.engine.LightTrafficEngine._seed_shards` populates
+    every shard's host pool — the one mutation of shared pipeline state
+    that happens before the iteration loop, made observable so subscribers
+    (notably the runtime sanitizer's walk-conservation check) see the run's
+    true starting population.
     ``partitions`` is the number of distinct start partitions.
     """
 

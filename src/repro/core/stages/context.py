@@ -18,7 +18,6 @@ from repro.core.adaptive import AdaptivePolicy
 from repro.core.config import EngineConfig
 from repro.core.events import EventBus
 from repro.core.scheduler import Scheduler
-from repro.gpu.cluster import DeviceCluster
 from repro.gpu.kernels import KernelModel
 from repro.gpu.memory import BlockPool
 from repro.gpu.pcie import PCIeSpec
@@ -51,10 +50,8 @@ class StageContext:
     adaptive: AdaptivePolicy
     #: completion time of each cached partition's last explicit load.
     graph_ready: Dict[int, float] = field(default_factory=dict)
-    #: which device shard this context belongs to (0 = single-GPU path).
+    #: which device shard this context belongs to.
     device_id: int = 0
-    #: the shard map + P2P mesh when running multi-device, else ``None``.
-    cluster: Optional[DeviceCluster] = None
     #: migration router (:class:`repro.core.cluster.WalkMigrator`) the
     #: compute stage hands cross-shard walks to; ``None`` = single device.
     router: Optional[object] = None

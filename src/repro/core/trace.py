@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
-if TYPE_CHECKING:
-    import numpy as np
-
-# Canonical serve-mode constants live with the event taxonomy; re-exported
-# here because trace consumers historically import them from this module.
-from repro.core.events import (  # noqa: F401  (re-export)
+from repro.core.events import (
     SERVED_EXPLICIT,
     SERVED_HIT,
     SERVED_ZERO_COPY,
@@ -26,6 +21,9 @@ from repro.core.events import (  # noqa: F401  (re-export)
     GraphServed,
     KernelDispatched,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass

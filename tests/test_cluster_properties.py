@@ -23,8 +23,9 @@ import numpy as np
 import pytest
 
 from repro.algorithms import UniformSampling
-from repro.core.cluster import MultiDeviceEngine, run_sharded
+from repro.core.cluster import MultiDeviceEngine
 from repro.core.config import EngineConfig
+from repro.core.engine import LightTrafficEngine, run_walks
 from repro.core.events import EventBus
 from repro.core.scheduler import Scheduler
 from repro.graph import generators
@@ -163,17 +164,34 @@ def test_same_seed_same_stats(property_graph, devices):
     assert first.device_times == second.device_times
 
 
-def test_run_sharded_convenience(property_graph):
-    stats = run_sharded(
+def test_run_walks_shards_by_config(property_graph):
+    stats = run_walks(
         property_graph,
         UniformSampling(length=4),
         200,
-        config=cluster_config(5, 1, record_ops=False),
-        devices=2,
+        cluster_config(5, 1, record_ops=False).with_options(devices=2),
     )
     assert stats.num_devices == 2
     assert stats.sanitizer is not None
     assert stats.sanitizer["clean"], stats.sanitizer
+
+
+def test_engine_subclass_still_shards(property_graph):
+    """Regression: sharding follows ``config.devices``, not the class.
+
+    ``run`` used to hand over to the sharded loop only when ``type(self)
+    is LightTrafficEngine``, so any subclass silently ran on one device.
+    """
+
+    class Subclass(LightTrafficEngine):
+        pass
+
+    config = cluster_config(5, 2, record_ops=False)
+    engine = Subclass(property_graph, UniformSampling(length=4), config)
+    stats = engine.run(200)
+    assert stats.num_devices == 2
+    assert stats.walks_migrated > 0
+    assert stats.device_times is not None and len(stats.device_times) == 2
 
 
 class TestOwnedSchedulerTieBreaks:

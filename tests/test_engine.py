@@ -16,6 +16,8 @@ from repro.core.config import (
     EngineConfig,
 )
 from repro.core.engine import LightTrafficEngine, run_walks
+from repro.core.events import EventBus
+from repro.core.stages import ComputeDispatcher
 from repro.core.stats import (
     CAT_GRAPH_LOAD,
     CAT_WALK_EVICT,
@@ -245,6 +247,58 @@ class TestGuards:
         config = tiny_config.with_options(max_iterations=2)
         with pytest.raises(RuntimeError, match="max_iterations"):
             run_walks(small_graph, PageRank(length=40), 500, config)
+
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_guards_and_cleanup_shared_by_every_device_count(
+        self, small_graph, tiny_config, devices, monkeypatch
+    ):
+        """One loop: the pre-loop and error paths do not depend on devices."""
+        config = tiny_config.with_options(max_iterations=2, devices=devices)
+        bus = EventBus()
+        engine = LightTrafficEngine(
+            small_graph, PageRank(length=40), config, bus=bus
+        )
+        backends = []
+        make_backend = engine._make_backend
+
+        def recording_make_backend():
+            backends.append(make_backend())
+            return backends[-1]
+
+        monkeypatch.setattr(engine, "_make_backend", recording_make_backend)
+        with pytest.raises(ValueError, match="num_walks must be >= 1"):
+            engine.run(0)
+        assert not backends  # rejected before anything was built
+        with pytest.raises(
+            RuntimeError,
+            match=r"^exceeded max_iterations=2 with 500 walks left$",
+        ):
+            engine.run(500)
+        assert bus.active is False  # every observer detached
+        (backend,) = backends
+        with pytest.raises(RuntimeError, match="was closed"):
+            backend.bind(
+                small_graph, engine.partitioned, engine.algorithm, config
+            )
+
+    @pytest.mark.no_sanitize
+    @pytest.mark.parametrize("devices", [1, 2])
+    def test_lost_walks_raise_instead_of_spinning(
+        self, small_graph, tiny_config, devices, monkeypatch
+    ):
+        """Fault injection: kernels that drop their walks end the run.
+
+        The loop runs until every walk finished; walks that vanish never
+        do, so it must notice that no shard holds any and report it.
+        """
+        monkeypatch.setattr(
+            ComputeDispatcher, "dispatch", lambda self, *args, **kwargs: None
+        )
+        config = tiny_config.with_options(devices=devices)
+        with pytest.raises(
+            RuntimeError, match="walk conservation violated: finished 0 of 300"
+        ):
+            run_walks(small_graph, PageRank(length=10), 300, config)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -31,8 +31,11 @@ def build_ctx(graph, config, num_walks=96, length=4):
     """A seeded StageContext plus an event recorder, no engine loop."""
     engine = LightTrafficEngine(graph, PageRank(length=length), config)
     bus = EventBus()
-    ctx = engine._build_context(num_walks, bus)
-    engine._seed_walks(ctx, num_walks)
+    cluster = engine._build_cluster()
+    rng = engine._make_rng()
+    shard = engine._build_shard(0, cluster, rng, num_walks, bus)
+    engine._seed_shards([shard], cluster, num_walks)
+    ctx = shard.ctx
     events = []
     for event_type in (
         GraphServed, BatchLoaded, KernelDispatched,

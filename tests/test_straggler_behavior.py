@@ -12,7 +12,8 @@ import pytest
 from repro.algorithms import PersonalizedPageRank, UniformSampling
 from repro.core.config import COPY_ADAPTIVE
 from repro.core.engine import LightTrafficEngine
-from repro.core.trace import SERVED_ZERO_COPY, TraceRecorder
+from repro.core.events import SERVED_ZERO_COPY
+from repro.core.trace import TraceRecorder
 from repro.graph import generators
 
 

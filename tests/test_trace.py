@@ -6,13 +6,8 @@ import pytest
 from repro.algorithms import PageRank, PersonalizedPageRank
 from repro.core.config import COPY_EXPLICIT, COPY_ZERO
 from repro.core.engine import LightTrafficEngine
-from repro.core.trace import (
-    SERVED_EXPLICIT,
-    SERVED_HIT,
-    SERVED_ZERO_COPY,
-    IterationTrace,
-    TraceRecorder,
-)
+from repro.core.events import SERVED_EXPLICIT, SERVED_HIT, SERVED_ZERO_COPY
+from repro.core.trace import IterationTrace, TraceRecorder
 
 
 class TestRecorderUnit:
