@@ -16,8 +16,9 @@ refactor aggressively without corrupting the cost model:
   waiver syntax and one suppression baseline.
 """
 
-from repro.analysis.lint import LintViolation, lint_paths, run_lint
 from repro.analysis.static import Finding, analyze_paths
+from repro.analysis.static.findings import Finding as LintViolation
+from repro.analysis.static.runner import lint_paths, run_lint
 from repro.analysis.sanitizer import STREAM_AFFINITY, Sanitizer, format_summary
 from repro.analysis.violations import (
     ALL_RULES,

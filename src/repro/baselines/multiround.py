@@ -9,7 +9,7 @@ linearly with the number of rounds — the effect Fig 16 measures (up to
 
 Aggregation rides the event bus: every round's engine emits onto one
 shared :class:`~repro.core.events.EventBus`, and a single
-:class:`~repro.core.stats.StatsCollector` subscription accumulates the
+:class:`~repro.core.metrics.MetricsCollector` recorder accumulates the
 cross-round totals (each round contributes one ``RunCompleted``).
 """
 
@@ -23,7 +23,7 @@ from repro.core.config import EngineConfig
 from repro.core.engine import LightTrafficEngine
 from repro.core.events import EventBus
 from repro.core.metrics import MetricsCollector
-from repro.core.stats import RunStats, StatsCollector
+from repro.core.stats import RunStats
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import PartitionedGraph
 
@@ -41,7 +41,6 @@ class MultiRoundEngine:
         rounds: int = 2,
         partitioned: Optional[PartitionedGraph] = None,
         bus: Optional[EventBus] = None,
-        metrics: Optional[MetricsCollector] = None,
     ) -> None:
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
@@ -52,7 +51,6 @@ class MultiRoundEngine:
         self.config = config.with_options(walk_pool_walks=None)
         self.partitioned = partitioned
         self.bus = bus
-        self.metrics = metrics
 
     # ------------------------------------------------------------------
     def run(self, num_walks: int) -> RunStats:
@@ -67,11 +65,7 @@ class MultiRoundEngine:
             num_walks=num_walks,
         )
         bus = self.bus if self.bus is not None else EventBus()
-        observers = [
-            bus.attach(StatsCollector(aggregate, metrics=self.metrics))
-        ]
-        if self.metrics is not None:
-            observers.append(bus.attach(self.metrics))
+        recorder = bus.attach(MetricsCollector())
         round_summaries = []
         try:
             for round_index in range(self.rounds):
@@ -91,8 +85,8 @@ class MultiRoundEngine:
                 if round_stats.sanitizer is not None:
                     round_summaries.append(round_stats.sanitizer)
         finally:
-            for observer in observers:
-                bus.detach(observer)
+            bus.detach(recorder)
+        recorder.fill_stats(aggregate)
         if round_summaries:
             # Each round ran its own sanitized engine; the aggregate rolls
             # the per-round findings up so --sanitize gates on all rounds.

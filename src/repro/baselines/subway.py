@@ -44,7 +44,6 @@ from repro.core.stats import (
     CAT_SUBGRAPH,
     CAT_WALK_UPDATE,
     RunStats,
-    StatsCollector,
 )
 from repro.gpu.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.gpu.device import DeviceSpec, RTX3090
@@ -95,13 +94,11 @@ class SubwayEngine:
         algorithm: RandomWalkAlgorithm,
         config: SubwayConfig = SubwayConfig(),
         bus: Optional[EventBus] = None,
-        metrics: Optional[MetricsCollector] = None,
     ) -> None:
         self.graph = graph
         self.algorithm = algorithm
         self.config = config
         self.bus = bus
-        self.metrics = metrics
         self.kernel_model = KernelModel(config.device, config.calibration)
         if isinstance(config.interconnect, PCIeSpec):
             self.pcie = config.interconnect
@@ -153,9 +150,7 @@ class SubwayEngine:
             num_walks=num_walks,
         )
         bus = self.bus if self.bus is not None else EventBus()
-        observers = [bus.attach(StatsCollector(stats, metrics=self.metrics))]
-        if self.metrics is not None:
-            observers.append(bus.attach(self.metrics))
+        recorder = bus.attach(MetricsCollector())
         breakdown = {CAT_SUBGRAPH: 0.0, CAT_GRAPH_LOAD: 0.0, CAT_WALK_UPDATE: 0.0}
         self.records = []
         cal = cfg.calibration
@@ -263,6 +258,6 @@ class SubwayEngine:
                 )
             )
         finally:
-            for observer in observers:
-                bus.detach(observer)
+            bus.detach(recorder)
+        recorder.fill_stats(stats)
         return stats

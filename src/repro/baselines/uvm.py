@@ -44,7 +44,6 @@ from repro.core.stats import (
     CAT_GRAPH_LOAD,
     CAT_WALK_UPDATE,
     RunStats,
-    StatsCollector,
 )
 from repro.gpu.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.gpu.device import DeviceSpec, RTX3090
@@ -82,7 +81,6 @@ class UVMEngine:
         algorithm: RandomWalkAlgorithm,
         config: UVMConfig = UVMConfig(),
         bus: Optional[EventBus] = None,
-        metrics: Optional[MetricsCollector] = None,
     ) -> None:
         if config.page_bytes < 1:
             raise ValueError("page_bytes must be positive")
@@ -90,7 +88,6 @@ class UVMEngine:
         self.algorithm = algorithm
         self.config = config
         self.bus = bus
-        self.metrics = metrics
         self.kernel_model = KernelModel(config.device, config.calibration)
         if isinstance(config.interconnect, PCIeSpec):
             self.pcie = config.interconnect
@@ -135,9 +132,7 @@ class UVMEngine:
             num_walks=num_walks,
         )
         bus = self.bus if self.bus is not None else EventBus()
-        observers = [bus.attach(StatsCollector(stats, metrics=self.metrics))]
-        if self.metrics is not None:
-            observers.append(bus.attach(self.metrics))
+        recorder = bus.attach(MetricsCollector())
         migration_time = 0.0
         compute_time = 0.0
         steps_rate = self.kernel_model.steps_per_second(graph.csr_bytes)
@@ -225,8 +220,8 @@ class UVMEngine:
                 )
             )
         finally:
-            for observer in observers:
-                bus.detach(observer)
+            bus.detach(recorder)
+        recorder.fill_stats(stats)
         stats.notes = f"faults={self.faults} hits={self.page_hits}"
         return stats
 

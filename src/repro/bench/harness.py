@@ -8,7 +8,7 @@ the paper-style tables.  All runners honor ``REPRO_SCALE``.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.algorithms import PageRank, PersonalizedPageRank, UniformSampling
 from repro.algorithms.base import RandomWalkAlgorithm
@@ -40,8 +40,6 @@ from repro.core.config import (
     EngineConfig,
 )
 from repro.core.engine import LightTrafficEngine
-from repro.core.events import EventBus
-from repro.core.metrics import MetricsCollector
 from repro.core.stats import (
     CAT_GRAPH_LOAD,
     CAT_KERNEL_OTHER,
@@ -664,30 +662,26 @@ def metrics_observatory(
     algorithm: str = "pagerank",
     platform: Optional[SimPlatform] = None,
 ) -> List[dict]:
-    """Run each system with a :class:`MetricsCollector` on a shared-schema bus.
+    """Run each bus system and tabulate its ``RunStats.metrics`` snapshot.
 
     One observation layer covers every engine: the partition-based
     LightTraffic engine, the Subway and UVM baselines, and the multi-round
-    variant all publish the same event vocabulary, so a single collector
+    variant all publish the same event vocabulary, so the one recorder
     yields comparable serve-mode/preemption/eviction columns per system.
     """
     platform = platform or default_platform()
     graph = load_dataset(dataset)
     walks = standard_walks(graph)
 
-    def build(system: str) -> "Tuple[Any, MetricsCollector]":
-        bus = EventBus()
-        metrics = MetricsCollector()
+    def build(system: str) -> Any:
         if system == "lighttraffic":
-            engine = LightTrafficEngine(
+            return LightTrafficEngine(
                 graph,
                 make_algorithm(algorithm),
                 standard_config(graph, platform),
-                bus=bus,
-                metrics=metrics,
             )
-        elif system == "subway":
-            engine = SubwayEngine(
+        if system == "subway":
+            return SubwayEngine(
                 graph,
                 make_algorithm(algorithm),
                 SubwayConfig(
@@ -696,11 +690,9 @@ def metrics_observatory(
                     calibration=platform.calibration,
                     gpu_memory_bytes=platform.gpu_memory_bytes,
                 ),
-                bus=bus,
-                metrics=metrics,
             )
-        elif system == "uvm":
-            engine = UVMEngine(
+        if system == "uvm":
+            return UVMEngine(
                 graph,
                 make_algorithm(algorithm),
                 UVMConfig(
@@ -709,25 +701,19 @@ def metrics_observatory(
                     calibration=platform.calibration,
                     gpu_memory_bytes=platform.gpu_memory_bytes,
                 ),
-                bus=bus,
-                metrics=metrics,
             )
-        else:  # multiround
-            engine = MultiRoundEngine(
-                graph,
-                ALGORITHM_FACTORIES[algorithm],
-                standard_config(graph, platform),
-                rounds=2,
-                bus=bus,
-                metrics=metrics,
-            )
-        return engine, metrics
+        return MultiRoundEngine(
+            graph,
+            ALGORITHM_FACTORIES[algorithm],
+            standard_config(graph, platform),
+            rounds=2,
+        )
 
     rows = []
     for system in ("lighttraffic", "subway", "uvm", "multiround"):
-        engine, metrics = build(system)
-        stats = engine.run(walks)
-        modes = metrics.serve_mode_totals()
+        stats = build(system).run(walks)
+        metrics: Any = stats.metrics
+        modes = metrics["serve_mode_totals"]
         rows.append(
             {
                 "dataset": dataset,
@@ -735,14 +721,12 @@ def metrics_observatory(
                 "system": system,
                 "total_time": stats.total_time,
                 "throughput": stats.throughput,
-                "iterations": metrics.iterations,
+                "iterations": metrics["iterations"],
                 "served_hit": modes["hit"],
                 "served_explicit": modes["explicit"],
                 "served_zero_copy": modes["zero_copy"],
-                "preemption_pct": 100 * metrics.preemption_fraction,
-                "batches_evicted": sum(
-                    p.batches_evicted for p in metrics.partitions.values()
-                ),
+                "preemption_pct": 100 * metrics["preemption_fraction"],
+                "batches_evicted": stats.walk_batches_evicted,
             }
         )
     return rows

@@ -88,7 +88,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Tuple
 
 from repro.bench import harness, reporting
 from repro.bench.workloads import (
@@ -99,7 +99,6 @@ from repro.bench.workloads import (
     standard_walks,
 )
 from repro.core.engine import LightTrafficEngine
-from repro.core.metrics import MetricsCollector
 from repro.core.stats import RunStats
 
 if TYPE_CHECKING:
@@ -133,6 +132,81 @@ EXPERIMENTS = {
     "fig17": (harness.fig17_partition_size, ()),
     "fig18": (harness.fig18_scalability, ()),
     "metrics": (harness.metrics_observatory, ()),
+}
+
+
+class _BenchTarget(NamedTuple):
+    """What differs between the ``repro bench <target>`` sub-commands."""
+
+    help: str
+    quick_help: str
+    #: workload-size arguments as (dest, default, help), in ``--help``
+    #: order; ``run_bench`` receives each by keyword.
+    sizes: Tuple[Tuple[str, Optional[int], Optional[str]], ...]
+    #: what ``--no-check`` stops gating on (its help string).
+    gates: str
+    #: subject of the "<label> benchmark checks FAILED" line.
+    label: str
+
+
+_QUICK_WORKLOAD = (
+    "small workload for CI smoke runs (speedup floor not enforced)"
+)
+_EDGE_FACTOR = ("edge_factor", 8, None)
+_WALKS = ("walks", None, "walk count (default: workload-sized)")
+_BENCH_SCALE_HELP = "rmat scale of the benchmark workload"
+
+#: ``repro bench <target>`` runs ``repro.bench.<target>.run_bench``.
+BENCH_TARGETS = {
+    "samplers": _BenchTarget(
+        help="loop-vs-vectorized transition sampling benchmark",
+        quick_help="small sizes for CI smoke runs (speedup floor not "
+                   "enforced)",
+        sizes=(("vertices", 10_000, None), _EDGE_FACTOR),
+        gates="parity/speedup",
+        label="sampler",
+    ),
+    "devices": _BenchTarget(
+        help="multi-device sharding scaling benchmark (1/2/4 shards)",
+        quick_help=_QUICK_WORKLOAD,
+        sizes=(
+            ("scale", 12, "rmat scale of the scaling workload"),
+            _EDGE_FACTOR,
+            _WALKS,
+        ),
+        gates="conservation/speedup",
+        label="device",
+    ),
+    "elastic": _BenchTarget(
+        help="elastic-cluster benchmark: heterogeneity-aware assignment "
+             "on skewed specs + mid-run device failure with walk recovery",
+        quick_help=_QUICK_WORKLOAD,
+        sizes=(("scale", 12, _BENCH_SCALE_HELP), _EDGE_FACTOR, _WALKS),
+        gates="conservation/slowdown",
+        label="elastic",
+    ),
+    "backends": _BenchTarget(
+        help="execution-backend benchmark: real numba/multiprocess kernels "
+             "vs the simulated NumPy path, bit-identity + cost-model "
+             "cross-validation",
+        quick_help=_QUICK_WORKLOAD,
+        sizes=(("scale", 13, _BENCH_SCALE_HELP), _EDGE_FACTOR, _WALKS),
+        gates="identity/speedup",
+        label="backend",
+    ),
+    "serve": _BenchTarget(
+        help="sustained-load serving benchmark: open/closed-loop latency "
+             "percentiles + throughput with the coalescing parity gate",
+        quick_help="small workload for CI smoke runs (latency is "
+                   "structural-checked only)",
+        sizes=(
+            ("scale", 10, _BENCH_SCALE_HELP),
+            _EDGE_FACTOR,
+            ("queries", None, "query count (default: workload-sized)"),
+        ),
+        gates="parity/conservation",
+        label="serve",
+    ),
 }
 
 
@@ -267,118 +341,25 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="performance microbenchmarks with JSON output"
     )
     bench_sub = bench.add_subparsers(dest="bench_target", required=True)
-    samplers = bench_sub.add_parser(
-        "samplers",
-        help="loop-vs-vectorized transition sampling benchmark",
-    )
-    samplers.add_argument(
-        "--quick", action="store_true",
-        help="small sizes for CI smoke runs (speedup floor not enforced)",
-    )
-    samplers.add_argument("--vertices", type=int, default=10_000)
-    samplers.add_argument("--edge-factor", type=int, default=8)
-    samplers.add_argument("--seed", type=int, default=7)
-    samplers.add_argument(
-        "--out", default="BENCH_samplers.json",
-        help="results JSON path ('-' to skip the file and print only)",
-    )
-    samplers.add_argument(
-        "--no-check", action="store_true",
-        help="report without failing on parity/speedup violations",
-    )
-    devices = bench_sub.add_parser(
-        "devices",
-        help="multi-device sharding scaling benchmark (1/2/4 shards)",
-    )
-    devices.add_argument(
-        "--quick", action="store_true",
-        help="small workload for CI smoke runs (speedup floor not enforced)",
-    )
-    devices.add_argument("--scale", type=int, default=12,
-                         help="rmat scale of the scaling workload")
-    devices.add_argument("--edge-factor", type=int, default=8)
-    devices.add_argument("--walks", type=int, default=None,
-                         help="walk count (default: workload-sized)")
-    devices.add_argument("--seed", type=int, default=7)
-    devices.add_argument(
-        "--out", default="BENCH_devices.json",
-        help="results JSON path ('-' to skip the file and print only)",
-    )
-    devices.add_argument(
-        "--no-check", action="store_true",
-        help="report without failing on conservation/speedup violations",
-    )
-    elastic = bench_sub.add_parser(
-        "elastic",
-        help="elastic-cluster benchmark: heterogeneity-aware assignment "
-             "on skewed specs + mid-run device failure with walk recovery",
-    )
-    elastic.add_argument(
-        "--quick", action="store_true",
-        help="small workload for CI smoke runs (speedup floor not enforced)",
-    )
-    elastic.add_argument("--scale", type=int, default=12,
-                         help="rmat scale of the benchmark workload")
-    elastic.add_argument("--edge-factor", type=int, default=8)
-    elastic.add_argument("--walks", type=int, default=None,
-                         help="walk count (default: workload-sized)")
-    elastic.add_argument("--seed", type=int, default=7)
-    elastic.add_argument(
-        "--out", default="BENCH_elastic.json",
-        help="results JSON path ('-' to skip the file and print only)",
-    )
-    elastic.add_argument(
-        "--no-check", action="store_true",
-        help="report without failing on conservation/slowdown violations",
-    )
-    backends = bench_sub.add_parser(
-        "backends",
-        help="execution-backend benchmark: real numba/multiprocess kernels "
-             "vs the simulated NumPy path, bit-identity + cost-model "
-             "cross-validation",
-    )
-    backends.add_argument(
-        "--quick", action="store_true",
-        help="small workload for CI smoke runs (speedup floor not enforced)",
-    )
-    backends.add_argument("--scale", type=int, default=13,
-                          help="rmat scale of the benchmark workload")
-    backends.add_argument("--edge-factor", type=int, default=8)
-    backends.add_argument("--walks", type=int, default=None,
-                          help="walk count (default: workload-sized)")
-    backends.add_argument("--seed", type=int, default=7)
-    backends.add_argument(
-        "--out", default="BENCH_backends.json",
-        help="results JSON path ('-' to skip the file and print only)",
-    )
-    backends.add_argument(
-        "--no-check", action="store_true",
-        help="report without failing on identity/speedup violations",
-    )
-    bench_serve = bench_sub.add_parser(
-        "serve",
-        help="sustained-load serving benchmark: open/closed-loop latency "
-             "percentiles + throughput with the coalescing parity gate",
-    )
-    bench_serve.add_argument(
-        "--quick", action="store_true",
-        help="small workload for CI smoke runs (latency is structural-"
-             "checked only)",
-    )
-    bench_serve.add_argument("--scale", type=int, default=10,
-                             help="rmat scale of the benchmark workload")
-    bench_serve.add_argument("--edge-factor", type=int, default=8)
-    bench_serve.add_argument("--queries", type=int, default=None,
-                             help="query count (default: workload-sized)")
-    bench_serve.add_argument("--seed", type=int, default=7)
-    bench_serve.add_argument(
-        "--out", default="BENCH_serve.json",
-        help="results JSON path ('-' to skip the file and print only)",
-    )
-    bench_serve.add_argument(
-        "--no-check", action="store_true",
-        help="report without failing on parity/conservation violations",
-    )
+    for target, spec in BENCH_TARGETS.items():
+        target_parser = bench_sub.add_parser(target, help=spec.help)
+        target_parser.add_argument(
+            "--quick", action="store_true", help=spec.quick_help
+        )
+        for dest, default, size_help in spec.sizes:
+            target_parser.add_argument(
+                "--" + dest.replace("_", "-"),
+                type=int, default=default, help=size_help,
+            )
+        target_parser.add_argument("--seed", type=int, default=7)
+        target_parser.add_argument(
+            "--out", default=f"BENCH_{target}.json",
+            help="results JSON path ('-' to skip the file and print only)",
+        )
+        target_parser.add_argument(
+            "--no-check", action="store_true",
+            help=f"report without failing on {spec.gates} violations",
+        )
 
     lint = sub.add_parser(
         "lint", help="run the repo-specific static-analysis passes"
@@ -436,11 +417,7 @@ def _load_graph(args: argparse.Namespace) -> "CSRGraph":
     return load_edge_list(args.graph, preprocess=True, name=args.graph)
 
 
-def _run_system(
-    args: argparse.Namespace,
-    graph: "CSRGraph",
-    metrics: Optional[MetricsCollector] = None,
-) -> RunStats:
+def _run_system(args: argparse.Namespace, graph: "CSRGraph") -> RunStats:
     from repro.baselines import (
         FlashMobEngine,
         MultiRoundEngine,
@@ -481,18 +458,14 @@ def _run_system(
             failure_schedule=getattr(args, "failure_schedule", None),
             rebalance_threshold=getattr(args, "rebalance_threshold", None),
         )
-        return LightTrafficEngine(
-            graph, algorithm, config, metrics=metrics
-        ).run(walks)
+        return LightTrafficEngine(graph, algorithm, config).run(walks)
     if args.system == "multiround":
         config = standard_config(
             graph, platform, interconnect=args.interconnect, seed=args.seed,
             sampler=sampler, sanitize=sanitize,
         )
         factory = harness.ALGORITHM_FACTORIES[args.algorithm]
-        return MultiRoundEngine(
-            graph, factory, config, rounds=2, metrics=metrics
-        ).run(walks)
+        return MultiRoundEngine(graph, factory, config, rounds=2).run(walks)
     if args.system == "thunderrw":
         return ThunderRWEngine(graph, algorithm, cpu=platform.cpu,
                                seed=args.seed).run(walks)
@@ -508,8 +481,7 @@ def _run_system(
             seed=args.seed,
         )
         return _run_bus_baseline(
-            SubwayEngine(graph, algorithm, config, metrics=metrics),
-            walks, sanitize,
+            SubwayEngine(graph, algorithm, config), walks, sanitize
         )
     if args.system == "uvm":
         config = UVMConfig(
@@ -520,8 +492,7 @@ def _run_system(
             seed=args.seed,
         )
         return _run_bus_baseline(
-            UVMEngine(graph, algorithm, config, metrics=metrics),
-            walks, sanitize,
+            UVMEngine(graph, algorithm, config), walks, sanitize
         )
     config = NextDoorConfig(
         device=platform.device,
@@ -609,7 +580,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.core.config import FailureSchedule
     from repro.gpu.cluster import ClusterDeviceSpec
 
-    metrics: Optional[MetricsCollector] = None
     want_metrics = (
         args.metrics_json is not None or args.metrics_prom is not None
     )
@@ -619,8 +589,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             else "--metrics-prom"
         )
         return _unsupported_engine(flag, args.system, BUS_SYSTEMS)
-    if want_metrics:
-        metrics = MetricsCollector()
     if args.sanitize and args.system not in BUS_SYSTEMS:
         return _unsupported_engine("--sanitize", args.system, BUS_SYSTEMS)
     if args.devices > 1 and args.system != "lighttraffic":
@@ -688,14 +656,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     graph = _load_graph(args)
     try:
-        stats = _run_system(args, graph, metrics=metrics)
+        stats = _run_system(args, graph)
     except ValueError as exc:
         if args.sampler is not None and "sampler" in str(exc):
             print(str(exc), file=sys.stderr)
             return 2
         raise
-    if metrics is not None and args.metrics_json is not None:
-        payload = json.dumps(metrics.snapshot(), indent=2, sort_keys=True)
+    if args.metrics_json is not None:
+        payload = json.dumps(stats.metrics, indent=2, sort_keys=True)
         if args.metrics_json == "-":
             print(payload)
         else:
@@ -707,11 +675,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 2
             print(f"wrote metrics to {args.metrics_json}")
-    if metrics is not None and args.metrics_prom is not None:
+    if args.metrics_prom is not None and stats.metrics is not None:
         from repro.core.metrics import prometheus_text
 
         labels = {"system": args.system, "graph": graph.name}
-        text = prometheus_text(metrics.snapshot(), extra_labels=labels)
+        text = prometheus_text(stats.metrics, extra_labels=labels)
         if args.metrics_prom == "-":
             print(text, end="")
         else:
@@ -862,92 +830,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.bench_target == "serve":
-        from repro.bench import serve as bench_serve
+    import importlib
 
-        results = bench_serve.run_bench(
-            scale=args.scale,
-            edge_factor=args.edge_factor,
-            queries=args.queries,
-            seed=args.seed,
-            quick=args.quick,
-        )
-        print(bench_serve.format_summary(results))
-        if args.out != "-":
-            bench_serve.write_results(results, args.out)
-            print(f"wrote {args.out}")
-        if not args.no_check and not results["checks"]["all_ok"]:
-            print("serve benchmark checks FAILED", file=sys.stderr)
-            return 1
-        return 0
-    if args.bench_target == "backends":
-        from repro.bench import backends as bench_backends
-
-        results = bench_backends.run_bench(
-            scale=args.scale,
-            edge_factor=args.edge_factor,
-            walks=args.walks,
-            seed=args.seed,
-            quick=args.quick,
-        )
-        print(bench_backends.format_summary(results))
-        if args.out != "-":
-            bench_backends.write_results(results, args.out)
-            print(f"wrote {args.out}")
-        if not args.no_check and not results["checks"]["all_ok"]:
-            print("backend benchmark checks FAILED", file=sys.stderr)
-            return 1
-        return 0
-    if args.bench_target == "elastic":
-        from repro.bench import elastic as bench_elastic
-
-        results = bench_elastic.run_bench(
-            scale=args.scale,
-            edge_factor=args.edge_factor,
-            walks=args.walks,
-            seed=args.seed,
-            quick=args.quick,
-        )
-        print(bench_elastic.format_summary(results))
-        if args.out != "-":
-            bench_elastic.write_results(results, args.out)
-            print(f"wrote {args.out}")
-        if not args.no_check and not results["checks"]["all_ok"]:
-            print("elastic benchmark checks FAILED", file=sys.stderr)
-            return 1
-        return 0
-    if args.bench_target == "devices":
-        from repro.bench import devices as bench_devices
-
-        results = bench_devices.run_bench(
-            scale=args.scale,
-            edge_factor=args.edge_factor,
-            walks=args.walks,
-            seed=args.seed,
-            quick=args.quick,
-        )
-        print(bench_devices.format_summary(results))
-        if args.out != "-":
-            bench_devices.write_results(results, args.out)
-            print(f"wrote {args.out}")
-        if not args.no_check and not results["checks"]["all_ok"]:
-            print("device benchmark checks FAILED", file=sys.stderr)
-            return 1
-        return 0
-    from repro.bench import samplers as bench_samplers
-
-    results = bench_samplers.run_bench(
-        vertices=args.vertices,
-        edge_factor=args.edge_factor,
-        seed=args.seed,
-        quick=args.quick,
-    )
-    print(bench_samplers.format_summary(results))
+    spec = BENCH_TARGETS[args.bench_target]
+    bench = importlib.import_module(f"repro.bench.{args.bench_target}")
+    sizes = {dest: getattr(args, dest) for dest, _, _ in spec.sizes}
+    results = bench.run_bench(**sizes, seed=args.seed, quick=args.quick)
+    print(bench.format_summary(results))
     if args.out != "-":
-        bench_samplers.write_results(results, args.out)
+        bench.write_results(results, args.out)
         print(f"wrote {args.out}")
     if not args.no_check and not results["checks"]["all_ok"]:
-        print("sampler benchmark checks FAILED", file=sys.stderr)
+        print(f"{spec.label} benchmark checks FAILED", file=sys.stderr)
         return 1
     return 0
 

@@ -35,7 +35,7 @@ from repro.core.events import (
     WalkFinished,
 )
 from repro.core.metrics import MetricsCollector
-from repro.core.trace import TraceRecorder, TraceSubscriber
+from repro.core.trace import TraceRecorder
 from repro.core.prng import CounterRNG
 from repro.core.theory import (
     IterationModel,
@@ -64,7 +64,6 @@ __all__ = [
     "RunCompleted",
     "MetricsCollector",
     "TraceRecorder",
-    "TraceSubscriber",
     "CounterRNG",
     "IterationModel",
     "transfer_bound_throughput",

@@ -35,10 +35,10 @@ lives in :mod:`repro.core.cluster` as collaborators this loop calls.
 
 Every observable fact of a run — iterations, serve modes, loads, kernels,
 reshuffles, evictions, finishes — is emitted as a typed event on an
-:class:`~repro.core.events.EventBus`; statistics
-(:class:`~repro.core.stats.StatsCollector`), traces
-(:class:`~repro.core.trace.TraceSubscriber`) and per-partition metrics
-(:class:`~repro.core.metrics.MetricsCollector`) are plain subscribers.
+:class:`~repro.core.events.EventBus`.  The run attaches one recorder
+(:class:`~repro.core.metrics.MetricsCollector`); the returned
+:class:`~repro.core.stats.RunStats`, its ``metrics`` snapshot and the
+optional per-iteration ``trace`` are views of what that recorder saw.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ from repro.core.stages import (
     StageContext,
     WalkLoader,
 )
-from repro.core.stats import RunStats, StatsCollector
-from repro.core.trace import TraceRecorder, TraceSubscriber
+from repro.core.stats import RunStats
+from repro.core.trace import TraceRecorder
 from repro.gpu.cluster import (
     DeviceCluster,
     PeerLinkSpec,
@@ -129,7 +129,6 @@ class LightTrafficEngine:
         partitioned: Optional[PartitionedGraph] = None,
         trace: Optional[TraceRecorder] = None,
         bus: Optional[EventBus] = None,
-        metrics: Optional[MetricsCollector] = None,
     ) -> None:
         config = config if config is not None else EngineConfig()
         self.graph = graph
@@ -139,7 +138,6 @@ class LightTrafficEngine:
             algorithm.set_transition_sampler(config.sampler)
         self.trace = trace
         self.bus = bus
-        self.metrics = metrics
         self.partitioned = partitioned or partition_by_range(
             graph, config.partition_bytes
         )
@@ -373,11 +371,8 @@ class LightTrafficEngine:
             num_partitions=self.partitioned.num_partitions,
             num_devices=cfg.devices,
         )
-        observers = [bus.attach(StatsCollector(stats, metrics=self.metrics))]
-        if self.metrics is not None:
-            observers.append(bus.attach(self.metrics))
-        if self.trace is not None:
-            observers.append(bus.attach(TraceSubscriber(self.trace)))
+        recorder = MetricsCollector(self.trace)
+        observers = [bus.attach(recorder)]
         sanitizer = None
         if cfg.sanitize:
             from repro.analysis import Sanitizer
@@ -558,6 +553,7 @@ class LightTrafficEngine:
                 sanitizer.unbind()
                 stats.sanitizer = sanitizer.summary()
             backend.close()
+        recorder.fill_stats(stats)
         stats.backend = cfg.backend
         stats.measured = backend.timings().as_dict()
         if multi:

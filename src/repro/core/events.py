@@ -4,11 +4,12 @@ Every system in this repository (the LightTraffic engine, the out-of-memory
 baselines, the benchmark harness) reports what it is doing through one
 shared vocabulary of events instead of mutating counters inline.  The
 engine's main loop emits events at each phase boundary of Algorithm 2;
-observers — :class:`~repro.core.stats.StatsCollector`,
-:class:`~repro.core.trace.TraceSubscriber`,
-:class:`~repro.core.metrics.MetricsCollector`, or any user code — subscribe
-to the types they care about.  This keeps the hot loop free of observation
-logic and makes new instrumentation a subscriber away.
+observers — the run's one recorder
+(:class:`~repro.core.metrics.MetricsCollector`, whose views are the
+``RunStats`` counters, the metrics snapshot and the per-iteration trace),
+the sanitizer, or any user code — subscribe to the types they care about.
+This keeps the hot loop free of observation logic and makes new
+instrumentation a subscriber away.
 
 Delivery semantics
 ------------------

@@ -1,30 +1,39 @@
-"""Per-partition metrics histograms collected from the event bus.
+"""The bus recorder: one subscriber, three views of the same records.
 
-A :class:`MetricsCollector` attached to any engine's
-:class:`~repro.core.events.EventBus` accumulates, per partition:
+A :class:`MetricsCollector` is the only observation subscriber a run
+attaches to its :class:`~repro.core.events.EventBus`.  It accumulates,
+per partition:
 
 * how its graph data was served (hit / explicit / zero-copy counts),
 * time spent loading (graph copies + walk batches), computing (kernels)
   and evicting walk batches,
 * walks computed, walk steps executed, and walks finished,
-* how many of its computed walks were preemptive dispatches.
+* how many of its computed walks were preemptive dispatches,
 
-The :meth:`snapshot` dict is what ``RunStats.metrics`` exposes and what
-``repro run --metrics-json`` serializes, giving every system — the
-LightTraffic engine and the baselines alike — one uniform observation
-format.  :func:`prometheus_text` renders the same snapshot in the
-Prometheus text exposition format (``repro run --metrics-prom``),
-including the per-device pending-walk *time series* (one sample per
-iteration, iteration index as the sample timestamp).
+per device the iteration / step / migration / recovery counts and the
+pending-walk series, and per run the end-of-run totals ``RunCompleted``
+carries (makespan, time breakdown, graph-pool hits and misses).  What the
+user sees are views of those records: :meth:`MetricsCollector.fill_stats`
+sums them into the :class:`~repro.core.stats.RunStats` counters,
+:meth:`MetricsCollector.snapshot` is ``RunStats.metrics`` (what ``repro
+run --metrics-json`` serializes — one uniform observation format for the
+LightTraffic engine and the baselines alike), and a caller-supplied
+:class:`~repro.core.trace.TraceRecorder` receives the per-iteration
+records.  :func:`prometheus_text` renders the snapshot in the Prometheus
+text exposition format (``repro run --metrics-prom``), including the
+per-device pending-walk *time series* (one sample per iteration,
+iteration index as the sample timestamp).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.events import (
+    SERVED_EXPLICIT,
     SERVED_MODES,
+    SERVED_ZERO_COPY,
     BatchEvicted,
     BatchLoaded,
     DeviceFailed,
@@ -41,6 +50,10 @@ from repro.core.events import (
     WalksDelivered,
     WalksMigrated,
 )
+
+if TYPE_CHECKING:
+    from repro.core.stats import RunStats
+    from repro.core.trace import TraceRecorder
 
 
 @dataclass
@@ -138,15 +151,30 @@ class DeviceMetrics:
 
 
 class MetricsCollector:
-    """Event-bus subscriber building per-partition/per-device histograms."""
+    """The run's one observation subscriber (the bus recorder).
 
-    def __init__(self) -> None:
+    Every run site attaches exactly one of these with ``bus.attach`` and
+    reads its three views when the run is over: :meth:`fill_stats` (the
+    :class:`~repro.core.stats.RunStats` counters), :meth:`snapshot` (the
+    per-partition / per-device histograms behind ``RunStats.metrics``)
+    and, when the caller supplied a ``trace``, the per-iteration records
+    appended to it.  Every counter *accumulates*, so one recorder attached
+    across several runs on a shared bus (e.g. the multi-round baseline's
+    rounds) yields the aggregate of all of them.
+    """
+
+    def __init__(self, trace: "Optional[TraceRecorder]" = None) -> None:
+        self.trace = trace
         self.partitions: Dict[int, PartitionMetrics] = {}
         self.devices: Dict[int, DeviceMetrics] = {}
         self.iterations = 0
         self.runs_completed = 0
         self.rebalances = 0
+        self.walks_rebalanced = 0
         self.total_time = 0.0
+        self.breakdown: Dict[str, float] = {}
+        self.graph_pool_hits = 0
+        self.graph_pool_misses = 0
         self.queries_admitted = 0
         self.queries_completed = 0
         self.queries_by_kind: Dict[str, int] = {}
@@ -170,7 +198,7 @@ class MetricsCollector:
     # -- event handlers (bound by EventBus.attach) ----------------------
     def on_iteration_started(self, event: IterationStarted) -> None:
         self.iterations += 1
-        device = self._device(getattr(event, "device", 0))
+        device = self._device(event.device)
         device.iterations += 1
         device.pending_samples.append((event.iteration, event.pending_walks))
 
@@ -180,6 +208,12 @@ class MetricsCollector:
             metrics.serve_modes.get(event.mode, 0) + 1
         )
         metrics.load_seconds += event.copy_seconds
+        # GraphServed carries the served mode, so it opens the iteration's
+        # trace record; kernel dispatches and evictions fill it in.
+        if self.trace is not None:
+            self.trace.begin_iteration(
+                event.iteration, event.partition, event.mode
+            )
 
     def on_batch_loaded(self, event: BatchLoaded) -> None:
         metrics = self._partition(event.partition)
@@ -191,12 +225,16 @@ class MetricsCollector:
         metrics.walks_computed += event.walks
         metrics.steps += event.steps
         metrics.compute_seconds += event.seconds
-        metrics.sampler_fallbacks += getattr(event, "sampler_fallbacks", 0)
+        metrics.sampler_fallbacks += event.sampler_fallbacks
         if event.preemptive:
             metrics.walks_preempted += event.walks
-        device = self._device(getattr(event, "device", 0))
+        device = self._device(event.device)
         device.walks_computed += event.walks
         device.steps += event.steps
+        if self.trace is not None:
+            self.trace.record_compute(
+                event.partition, event.walks, event.steps, event.preemptive
+            )
 
     def on_walks_migrated(self, event: WalksMigrated) -> None:
         device = self._device(event.src_device)
@@ -206,9 +244,8 @@ class MetricsCollector:
     def on_walks_delivered(self, event: WalksDelivered) -> None:
         self._device(event.dst_device).walks_migrated_in += event.walks
 
-    # Pure histogram observer: conservation across the failure is
-    # asserted by the engine's recovery path and audited by the
-    # sanitizer, not by the metrics layer.
+    # Pure observer: conservation across the failure is asserted by the
+    # engine's recovery path and audited by the sanitizer, not here.
     def on_device_failed(  # lint: allow-device-failure-conservation
         self, event: DeviceFailed
     ) -> None:
@@ -219,6 +256,7 @@ class MetricsCollector:
 
     def on_shard_rebalanced(self, event: ShardRebalanced) -> None:
         self.rebalances += 1
+        self.walks_rebalanced += event.walks_moved
 
     def on_query_admitted(self, event: QueryAdmitted) -> None:
         self.queries_admitted += 1
@@ -240,6 +278,8 @@ class MetricsCollector:
         metrics = self._partition(event.partition)
         metrics.batches_evicted += 1
         metrics.evict_seconds += event.seconds
+        if self.trace is not None:
+            self.trace.record_eviction()
 
     def on_walk_finished(self, event: WalkFinished) -> None:
         self._partition(event.partition).walks_finished += event.count
@@ -247,8 +287,14 @@ class MetricsCollector:
     def on_run_completed(self, event: RunCompleted) -> None:
         self.runs_completed += 1
         self.total_time += event.total_time
+        self.graph_pool_hits += event.graph_pool_hits
+        self.graph_pool_misses += event.graph_pool_misses
+        for category, seconds in event.breakdown.items():
+            self.breakdown[category] = (
+                self.breakdown.get(category, 0.0) + seconds
+            )
 
-    # ------------------------------------------------------------------
+    # -- views ----------------------------------------------------------
     @property
     def preemption_fraction(self) -> float:
         """Fraction of computed walks dispatched preemptively."""
@@ -266,6 +312,41 @@ class MetricsCollector:
             for mode, count in metrics.serve_modes.items():
                 totals[mode] = totals.get(mode, 0) + count
         return totals
+
+    def fill_stats(self, stats: "RunStats") -> None:
+        """The :class:`RunStats` view: every counter read off the records.
+
+        Call once the recorder has seen the run's ``RunCompleted`` —
+        ``stats.metrics`` is :meth:`snapshot` as of this call.
+        """
+        partitions = self.partitions.values()
+        devices = self.devices.values()
+        snapshot = stats.metrics = self.snapshot()
+        modes = snapshot["serve_mode_totals"]
+        stats.iterations = self.iterations
+        stats.explicit_copies = modes[SERVED_EXPLICIT]
+        stats.zero_copy_iterations = modes[SERVED_ZERO_COPY]
+        stats.walk_batches_loaded = sum(p.batches_loaded for p in partitions)
+        stats.walk_batches_evicted = sum(
+            p.batches_evicted for p in partitions
+        )
+        stats.total_steps = sum(p.steps for p in partitions)
+        stats.sampler_fallbacks = sum(
+            p.sampler_fallbacks for p in partitions
+        )
+        stats.walks_migrated = sum(d.walks_migrated_out for d in devices)
+        stats.walks_recovered = sum(d.walks_recovered for d in devices)
+        stats.device_failures = sum(
+            d.failed_at_iteration is not None for d in devices
+        )
+        stats.rebalances = self.rebalances
+        stats.walks_rebalanced = self.walks_rebalanced
+        stats.queries_admitted = self.queries_admitted
+        stats.queries_completed = self.queries_completed
+        stats.total_time = self.total_time
+        stats.breakdown = dict(self.breakdown)
+        stats.graph_pool_hits = self.graph_pool_hits
+        stats.graph_pool_misses = self.graph_pool_misses
 
     def snapshot(self) -> dict:
         """JSON-serializable view (``RunStats.metrics`` / --metrics-json)."""

@@ -5,32 +5,18 @@ returns; the benchmark harness turns these into the paper's tables and
 figure series.  Times are *simulated* seconds on the modeled hardware.
 
 Engines never mutate a :class:`RunStats` inline: they emit typed events on
-an :class:`~repro.core.events.EventBus` and a :class:`StatsCollector`
-subscription populates the counters, so the same observation layer covers
-the LightTraffic engine and every baseline.
+an :class:`~repro.core.events.EventBus`, the run's one recorder
+(:class:`~repro.core.metrics.MetricsCollector`) accumulates them, and its
+``fill_stats`` view populates the counters when the run is over, so the
+same observation layer covers the LightTraffic engine and every baseline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
-if TYPE_CHECKING:
-    from repro.core.events import (
-        BatchEvicted,
-        BatchLoaded,
-        DeviceFailed,
-        DeviceRecoveredWalks,
-        GraphServed,
-        IterationStarted,
-        KernelDispatched,
-        QueryAdmitted,
-        QueryCompleted,
-        RunCompleted,
-        ShardRebalanced,
-        WalksMigrated,
-    )
-    from repro.core.metrics import MetricsCollector
+from repro.core.metrics import MetricsCollector
 
 #: breakdown categories used across engines (Fig 15 / Fig 17 / Table I).
 CAT_GRAPH_LOAD = "graph_load"
@@ -88,8 +74,9 @@ class RunStats:
     #: per-device simulated makespans (stream max per shard), populated by
     #: the multi-device engine; ``None`` on single-device runs.
     device_times: Optional[Dict[str, float]] = None
-    #: per-partition observation histograms, populated when a
-    #: :class:`~repro.core.metrics.MetricsCollector` rides the run's bus.
+    #: per-partition / per-device observation histograms — the recorder's
+    #: :meth:`~repro.core.metrics.MetricsCollector.snapshot`, taken after
+    #: ``RunCompleted``; ``None`` on baselines that bypass the event bus.
     metrics: Optional[Dict[str, object]] = None
     #: sanitizer findings (:meth:`repro.analysis.Sanitizer.summary`),
     #: populated when the run is sanitized (``EngineConfig.sanitize`` /
@@ -154,79 +141,6 @@ class RunStats:
         )
 
 
-class StatsCollector:
-    """Populates a :class:`RunStats` purely from event-bus subscriptions.
-
-    Attach to an :class:`~repro.core.events.EventBus` with ``bus.attach``.
-    Every counter *accumulates*, so one collector attached across several
-    runs on a shared bus (e.g. the multi-round baseline's rounds) yields
-    the aggregate statistics of all of them.
-    """
-
-    def __init__(
-        self, stats: RunStats, metrics: "Optional[MetricsCollector]" = None
-    ) -> None:
-        from repro.core.events import SERVED_EXPLICIT, SERVED_ZERO_COPY
-
-        self.stats = stats
-        self.metrics = metrics
-        self._explicit = SERVED_EXPLICIT
-        self._zero_copy = SERVED_ZERO_COPY
-
-    # -- event handlers (bound by EventBus.attach) ----------------------
-    def on_iteration_started(self, event: "IterationStarted") -> None:
-        self.stats.iterations += 1
-
-    def on_graph_served(self, event: "GraphServed") -> None:
-        if event.mode == self._explicit:
-            self.stats.explicit_copies += 1
-        elif event.mode == self._zero_copy:
-            self.stats.zero_copy_iterations += 1
-
-    def on_batch_loaded(self, event: "BatchLoaded") -> None:
-        self.stats.walk_batches_loaded += 1
-
-    def on_batch_evicted(self, event: "BatchEvicted") -> None:
-        self.stats.walk_batches_evicted += 1
-
-    def on_kernel_dispatched(self, event: "KernelDispatched") -> None:
-        self.stats.total_steps += event.steps
-        self.stats.sampler_fallbacks += getattr(event, "sampler_fallbacks", 0)
-
-    def on_walks_migrated(self, event: "WalksMigrated") -> None:
-        self.stats.walks_migrated += event.walks
-
-    # Pure counter observer: walk conservation across the failure is
-    # asserted by the engine's recovery path and audited by the
-    # sanitizer, not by the stats layer.
-    def on_device_failed(  # lint: allow-device-failure-conservation
-        self, event: "DeviceFailed"
-    ) -> None:
-        self.stats.device_failures += 1
-
-    def on_device_recovered_walks(
-        self, event: "DeviceRecoveredWalks"
-    ) -> None:
-        self.stats.walks_recovered += event.walks
-
-    def on_query_admitted(self, event: "QueryAdmitted") -> None:
-        self.stats.queries_admitted += 1
-
-    def on_query_completed(self, event: "QueryCompleted") -> None:
-        self.stats.queries_completed += 1
-
-    def on_shard_rebalanced(self, event: "ShardRebalanced") -> None:
-        self.stats.rebalances += 1
-        self.stats.walks_rebalanced += event.walks_moved
-
-    def on_run_completed(self, event: "RunCompleted") -> None:
-        stats = self.stats
-        stats.total_time += event.total_time
-        stats.graph_pool_hits += event.graph_pool_hits
-        stats.graph_pool_misses += event.graph_pool_misses
-        for category, seconds in event.breakdown.items():
-            stats.breakdown[category] = (
-                stats.breakdown.get(category, 0.0) + seconds
-            )
-        if self.metrics is not None:
-            stats.metrics = self.metrics.snapshot()
+#: Alias of the recorder, kept only because the frozen ``benchmarks/perf``
+#: tracing table resolves ``repro.core.stats.StatsCollector`` by name.
+StatsCollector = MetricsCollector

@@ -1,11 +1,13 @@
 """Optional per-iteration engine tracing.
 
-A :class:`TraceRecorder` attached to :class:`~repro.core.engine.LightTrafficEngine`
-captures one record per iteration of Algorithm 2 — which partition was
-selected, how its graph was served (cache hit / explicit copy / zero copy),
-how many walks were computed, and how many of them came from preemptive
-dispatches.  Traces power the per-iteration figures (Fig 3-style series for
-LightTraffic itself) and make scheduler behaviour assertable in tests.
+A :class:`TraceRecorder` passed to :class:`~repro.core.engine.LightTrafficEngine`
+(``trace=``) is the per-iteration view of the run's bus recorder
+(:class:`~repro.core.metrics.MetricsCollector`), which feeds it one record
+per iteration of Algorithm 2 — which partition was selected, how its graph
+was served (cache hit / explicit copy / zero copy), how many walks were
+computed, and how many of them came from preemptive dispatches.  Traces
+power the per-iteration figures (Fig 3-style series for LightTraffic
+itself) and make scheduler behaviour assertable in tests.
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.core.events import (
-    SERVED_EXPLICIT,
-    SERVED_HIT,
-    SERVED_ZERO_COPY,
-    BatchEvicted,
-    GraphServed,
-    KernelDispatched,
-)
+from repro.core.events import SERVED_EXPLICIT, SERVED_HIT, SERVED_ZERO_COPY
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,7 +47,7 @@ class TraceRecorder:
         self._current: Optional[IterationTrace] = None
 
     # ------------------------------------------------------------------
-    # Hooks called by the engine
+    # Hooks called by the bus recorder
     # ------------------------------------------------------------------
     def begin_iteration(
         self, iteration: int, partition: int, served: str
@@ -107,30 +102,3 @@ class TraceRecorder:
 
     def __len__(self) -> int:
         return len(self.iterations)
-
-
-class TraceSubscriber:
-    """Feeds a :class:`TraceRecorder` from event-bus subscriptions.
-
-    The engine no longer calls the recorder's hooks directly; it emits
-    typed events and this adapter (attached with ``bus.attach``) translates
-    them.  :class:`~repro.core.events.GraphServed` opens the iteration
-    record (it carries the served mode), kernel dispatches and batch
-    evictions fill it in.
-    """
-
-    def __init__(self, trace: TraceRecorder) -> None:
-        self.trace = trace
-
-    def on_graph_served(self, event: GraphServed) -> None:
-        self.trace.begin_iteration(
-            event.iteration, event.partition, event.mode
-        )
-
-    def on_kernel_dispatched(self, event: KernelDispatched) -> None:
-        self.trace.record_compute(
-            event.partition, event.walks, event.steps, event.preemptive
-        )
-
-    def on_batch_evicted(self, event: BatchEvicted) -> None:
-        self.trace.record_eviction()

@@ -23,10 +23,10 @@ bit-identically):
    per request; each query's ``QueryCompleted`` carries queue/service/
    total latency with ``queue + service == total`` exactly.
 
-Stats, metrics and the sanitizer ride the session's own
-:class:`~repro.core.events.EventBus` (the per-batch engine runs keep
-their private buses); the sanitizer's ``request-conservation`` rule
-audits that every admitted query completes exactly once with exactly
+The session's recorder (stats + metrics) and the sanitizer ride the
+session's own :class:`~repro.core.events.EventBus` (the per-batch engine
+runs keep their private buses); the sanitizer's ``request-conservation``
+rule audits that every admitted query completes exactly once with exactly
 its requested walks.
 """
 
@@ -44,7 +44,7 @@ from repro.core.engine import LightTrafficEngine
 from repro.core.events import EventBus, QueryAdmitted, QueryCompleted, RunCompleted
 from repro.core.metrics import MetricsCollector
 from repro.core.prng import derive_seed, seeded_rng
-from repro.core.stats import RunStats, StatsCollector
+from repro.core.stats import RunStats
 from repro.graph.csr import CSRGraph
 from repro.serve.batch import CoalescedBatch, run_standalone
 from repro.serve.queries import (
@@ -203,7 +203,6 @@ class ServeSession:
         arrival_rate: Optional[float] = None,
         max_batch_walks: int = 512,
         vertex_types: Optional[np.ndarray] = None,
-        collect_metrics: bool = False,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -226,7 +225,6 @@ class ServeSession:
             raise ValueError("max_batch_walks must be >= 1")
         self.max_batch_walks = max_batch_walks
         self.vertex_types = vertex_types
-        self.collect_metrics = collect_metrics
 
     # ------------------------------------------------------------------
     def _submissions(
@@ -350,10 +348,8 @@ class ServeSession:
             graph=self.graph.name or "graph",
             num_walks=int(sum(query.walks for query in queries)),
         )
-        metrics = MetricsCollector() if self.collect_metrics else None
-        observers = [bus.attach(StatsCollector(stats, metrics=metrics))]
-        if metrics is not None:
-            observers.append(bus.attach(metrics))
+        recorder = MetricsCollector()
+        observers = [bus.attach(recorder)]
         sanitizer = None
         if self.config.sanitize:
             from repro.analysis import Sanitizer
@@ -468,6 +464,7 @@ class ServeSession:
         finally:
             for observer in observers:
                 bus.detach(observer)
+        recorder.fill_stats(stats)
         return ServeReport(
             results=results,
             stats=stats,
@@ -478,7 +475,7 @@ class ServeSession:
             engine_iterations=engine_iterations,
             engine_sanitizers_clean=engines_clean,
             sanitizer=sanitizer.summary() if sanitizer is not None else None,
-            metrics=metrics.snapshot() if metrics is not None else None,
+            metrics=stats.metrics,
         )
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint_paths, run_lint
-from repro.analysis.lint import (
+from repro.analysis.static.houserules import (
     RULE_BACKEND_SIM_TIME,
     RULE_FAILURE_CONSERVATION,
     RULE_FLOAT_EQ,

@@ -5,6 +5,7 @@ import pytest
 from repro.algorithms import UniformSampling
 from repro.core.config import EngineConfig, FailureSchedule
 from repro.core.engine import LightTrafficEngine
+from repro.core.events import EventBus
 from repro.core.metrics import (
     DeviceMetrics,
     MetricsCollector,
@@ -29,8 +30,11 @@ def run_with_metrics(graph, collector, **overrides):
     )
     kwargs.update(overrides)
     config = EngineConfig(**kwargs)
+    # A caller who wants a live collector attaches it to the bus it passes.
+    bus = EventBus()
+    bus.attach(collector)
     engine = LightTrafficEngine(
-        graph, UniformSampling(length=5), config, metrics=collector
+        graph, UniformSampling(length=5), config, bus=bus
     )
     return engine.run(200)
 

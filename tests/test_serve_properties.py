@@ -166,6 +166,28 @@ class TestRequestConservation:
             range(len(workload))
         )
 
+    def test_metrics_queries_block_agrees_with_stats(
+        self, serve_graph, serve_types, serve_config
+    ):
+        workload = default_workload(serve_graph, queries=9, seed=6)
+        report = ServeSession(
+            serve_graph, serve_config, workers=3, vertex_types=serve_types
+        ).run(workload)
+        assert report.metrics is report.stats.metrics
+        queries = report.metrics["queries"]
+        assert queries["admitted"] == report.stats.queries_admitted
+        assert queries["completed"] == report.stats.queries_completed
+        by_kind = {}
+        for query in workload:
+            by_kind[query.kind] = by_kind.get(query.kind, 0) + 1
+        assert queries["by_kind"] == by_kind
+        assert queries["walks_served"] == report.walks_served
+        assert queries["total_seconds"] == pytest.approx(
+            sum(r.total_seconds for r in report.results)
+        )
+        assert report.metrics["runs_completed"] == 1
+        assert report.metrics["total_time"] == report.makespan
+
 
 class TestDeterminism:
     def test_closed_loop_replays_bit_identically(
