@@ -8,16 +8,13 @@ streaming-bound dataset: UVM should lose clearly when the graph exceeds
 device memory (page cache thrashes) and be competitive when it fits.
 """
 
-from repro.baselines import UVMConfig, UVMEngine
-from repro.bench.harness import make_algorithm
+from repro.bench.harness import build_system
 from repro.bench.reporting import format_seconds, render_table
 from repro.bench.workloads import (
     default_platform,
     load_dataset,
-    standard_config,
     standard_walks,
 )
-from repro.core.engine import LightTrafficEngine
 
 
 def run_sweep():
@@ -26,21 +23,11 @@ def run_sweep():
     for dataset in ("fs-sim", "uk-sim"):
         graph = load_dataset(dataset)
         walks = standard_walks(graph)
-        lt = LightTrafficEngine(
-            graph,
-            make_algorithm("pagerank"),
-            standard_config(graph, platform),
-        ).run(walks)
-        uvm_engine = UVMEngine(
-            graph,
-            make_algorithm("pagerank"),
-            UVMConfig(
-                device=platform.device,
-                interconnect=platform.pcie3,
-                calibration=platform.calibration,
-                page_bytes=4096,
-                gpu_memory_bytes=platform.gpu_memory_bytes,
-            ),
+        lt = build_system("lighttraffic", graph, "pagerank", platform).run(
+            walks
+        )
+        uvm_engine = build_system(
+            "uvm", graph, "pagerank", platform, page_bytes=4096
         )
         uvm = uvm_engine.run(walks)
         rows.append(

@@ -9,22 +9,12 @@ the benchmark suite so fixed costs and pool sizes are proportionate.
 Run:  python examples/compare_systems.py   (takes ~1 minute)
 """
 
-from repro.algorithms import PageRank
-from repro.baselines import (
-    FlashMobEngine,
-    SubwayConfig,
-    SubwayEngine,
-    ThunderRWEngine,
-    UVMConfig,
-    UVMEngine,
-)
+from repro.bench.harness import build_system
 from repro.bench.workloads import (
     default_platform,
     load_dataset,
-    standard_config,
     standard_walks,
 )
-from repro.core.engine import LightTrafficEngine
 
 
 def main() -> None:
@@ -37,46 +27,24 @@ def main() -> None:
         f"workload: {walks} PageRank walks of length 80\n"
     )
 
-    def algo():
-        return PageRank(length=80, restart_prob=0.15)
+    def run(system, **options):
+        return build_system(
+            system, graph, "pagerank", platform, **options
+        ).run(walks)
 
     runs = []
     for link in ("pcie3", "pcie4"):
-        stats = LightTrafficEngine(
-            graph, algo(), standard_config(graph, platform, interconnect=link)
-        ).run(walks)
+        stats = run("lighttraffic", interconnect=link)
         stats.system = f"lighttraffic-{link}"
         runs.append(stats)
-    runs.append(ThunderRWEngine(graph, algo(), cpu=platform.cpu).run(walks))
-    runs.append(FlashMobEngine(graph, algo(), cpu=platform.cpu).run(walks))
-    runs.append(
-        SubwayEngine(
-            graph,
-            algo(),
-            SubwayConfig(
-                device=platform.device,
-                interconnect=platform.pcie3,
-                calibration=platform.calibration,
-                gpu_memory_bytes=platform.gpu_memory_bytes,
-            ),
-        ).run(walks)
-    )
+    runs += [run("thunderrw"), run("flashmob"), run("subway")]
     # NextDoor needs the graph in GPU memory; uk-sim does not fit — exactly
     # the situation the paper's out-of-memory design addresses.
-    print("nextdoor: skipped (graph exceeds GPU memory, as in the paper)\n")
-    runs.append(
-        UVMEngine(
-            graph,
-            algo(),
-            UVMConfig(
-                device=platform.device,
-                interconnect=platform.pcie3,
-                calibration=platform.calibration,
-                page_bytes=4096,
-                gpu_memory_bytes=platform.gpu_memory_bytes,
-            ),
-        ).run(walks)
-    )
+    try:
+        runs.append(run("nextdoor"))
+    except ValueError as exc:
+        print(f"nextdoor: skipped ({exc})\n")
+    runs.append(run("uvm", page_bytes=4096))
 
     best = min(r.total_time for r in runs)
     print(f"{'system':20s} {'sim time':>12s} {'throughput':>14s} {'vs best':>9s}")

@@ -395,10 +395,9 @@ def _chain_search(
 
 
 def run_pass(
-    modules: Sequence[ModuleInfo], table: SymbolTable
+    modules: Sequence[ModuleInfo], table: SymbolTable, graph: CallGraph
 ) -> List[Finding]:
     findings: List[Finding] = []
-    graph = CallGraph.build(modules, table)
     attr_cache: Dict[str, Set[str]] = {}
     for uid in sorted(graph.nodes):
         node = graph.nodes[uid]

@@ -221,10 +221,9 @@ def _check_device_coverage(
 
 
 def run_pass(
-    modules: Sequence[ModuleInfo], table: SymbolTable
+    modules: Sequence[ModuleInfo], table: SymbolTable, graph: CallGraph
 ) -> List[Finding]:
     findings: List[Finding] = []
-    graph = CallGraph.build(modules, table)
     registered = _subscribe_registrations(modules)
     _check_unhandled(graph, table, registered, findings)
     _check_handler_fields(graph, table, findings)

@@ -210,10 +210,9 @@ def _check_draw_signature(
 
 
 def run_pass(
-    modules: Sequence[ModuleInfo], table: SymbolTable
+    modules: Sequence[ModuleInfo], table: SymbolTable, graph: CallGraph
 ) -> List[Finding]:
     findings: List[Finding] = []
-    graph = CallGraph.build(modules, table)
     roots = _collect_roots(graph, table)
     reachable = graph.reachable(roots)
     aliases_of: Dict[str, Dict[str, str]] = {}

@@ -32,6 +32,7 @@ from repro.analysis.static import (
     unitcheck,
 )
 from repro.analysis.static.dataflow import (
+    CallGraph,
     ModuleInfo,
     PathInput,
     SymbolTable,
@@ -39,17 +40,20 @@ from repro.analysis.static.dataflow import (
 )
 from repro.analysis.static.findings import Baseline, Finding, apply_waivers
 
-#: pass name -> (runner, strict_only)
-PassFn = Callable[[Sequence[ModuleInfo], SymbolTable], List[Finding]]
-PASSES: Dict[str, Tuple[PassFn, bool]] = {
-    houserules.PASS_NAME: (houserules.run_pass, False),
-    unitcheck.PASS_NAME: (unitcheck.run_pass, True),
-    aliasing.PASS_NAME: (aliasing.run_pass, True),
-    rngcheck.PASS_NAME: (rngcheck.run_pass, True),
-    effects.PASS_NAME: (effects.run_pass, True),
-    protocol.PASS_NAME: (protocol.run_pass, True),
-    typestate.PASS_NAME: (typestate.run_pass, True),
-    taint.PASS_NAME: (taint.run_pass, True),
+#: pass name -> (runner, strict_only, uses_call_graph).  Every runner
+#: takes ``(modules, table)``; the interprocedural ones take the
+#: project :class:`CallGraph` as a third argument, built once per
+#: :func:`analyze_paths` and shared (passes only read it).
+PassFn = Callable[..., List[Finding]]
+PASSES: Dict[str, Tuple[PassFn, bool, bool]] = {
+    houserules.PASS_NAME: (houserules.run_pass, False, False),
+    unitcheck.PASS_NAME: (unitcheck.run_pass, True, False),
+    aliasing.PASS_NAME: (aliasing.run_pass, True, False),
+    rngcheck.PASS_NAME: (rngcheck.run_pass, True, True),
+    effects.PASS_NAME: (effects.run_pass, True, True),
+    protocol.PASS_NAME: (protocol.run_pass, True, True),
+    typestate.PASS_NAME: (typestate.run_pass, True, False),
+    taint.PASS_NAME: (taint.run_pass, True, True),
 }
 
 #: default suppression-baseline location (repo root, committed).
@@ -59,7 +63,7 @@ DEFAULT_BASELINE = "lint-baseline.json"
 def active_passes(strict: bool) -> List[str]:
     return [
         name
-        for name, (_, strict_only) in PASSES.items()
+        for name, (_, strict_only, _) in PASSES.items()
         if strict or not strict_only
     ]
 
@@ -90,9 +94,15 @@ def analyze_paths(
                 )
             )
     table = SymbolTable.build(modules)
+    graph: Optional[CallGraph] = None
     for name in active_passes(strict):
-        run, _ = PASSES[name]
-        findings.extend(run(modules, table))
+        run, _, uses_call_graph = PASSES[name]
+        if not uses_call_graph:
+            findings.extend(run(modules, table))
+            continue
+        if graph is None:
+            graph = CallGraph.build(modules, table)
+        findings.extend(run(modules, table, graph))
     waivers_of = {module.rel: module.waivers for module in modules}
     findings = apply_waivers_by_module(findings, waivers_of)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))

@@ -500,9 +500,8 @@ def _exempt(module: ModuleInfo) -> bool:
 
 
 def run_pass(
-    modules: Sequence[ModuleInfo], table: SymbolTable
+    modules: Sequence[ModuleInfo], table: SymbolTable, graph: CallGraph
 ) -> List[Finding]:
-    graph = CallGraph.build(modules, table)
     queries = QueryIndex(modules, table)
     alias_cache: Dict[str, Dict[str, str]] = {}
     findings: List[Finding] = []

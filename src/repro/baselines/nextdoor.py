@@ -24,7 +24,7 @@ from repro.core.stats import CAT_GRAPH_LOAD, CAT_WALK_UPDATE, RunStats
 from repro.gpu.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.gpu.device import DeviceSpec, RTX3090
 from repro.gpu.kernels import KernelModel
-from repro.gpu.pcie import PCIeSpec, interconnect_by_name
+from repro.gpu.pcie import PCIeSpec, resolve_interconnect
 from repro.graph.csr import CSRGraph
 from repro.walks.state import WalkArrays
 
@@ -60,10 +60,7 @@ class NextDoorEngine:
         self.algorithm = algorithm
         self.config = config
         self.kernel_model = KernelModel(config.device, config.calibration)
-        if isinstance(config.interconnect, PCIeSpec):
-            self.pcie = config.interconnect
-        else:
-            self.pcie = interconnect_by_name(config.interconnect)
+        self.pcie = resolve_interconnect(config.interconnect)
 
     # ------------------------------------------------------------------
     def run(self, num_walks: int) -> RunStats:

@@ -48,7 +48,7 @@ from repro.core.stats import (
 from repro.gpu.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.gpu.device import DeviceSpec, RTX3090
 from repro.gpu.kernels import KernelModel
-from repro.gpu.pcie import PCIeSpec, interconnect_by_name
+from repro.gpu.pcie import PCIeSpec, resolve_interconnect
 from repro.graph.csr import CSRGraph, EDGE_ENTRY_BYTES, VERTEX_ENTRY_BYTES
 from repro.walks.state import WalkArrays
 
@@ -100,10 +100,7 @@ class SubwayEngine:
         self.config = config
         self.bus = bus
         self.kernel_model = KernelModel(config.device, config.calibration)
-        if isinstance(config.interconnect, PCIeSpec):
-            self.pcie = config.interconnect
-        else:
-            self.pcie = interconnect_by_name(config.interconnect)
+        self.pcie = resolve_interconnect(config.interconnect)
         self.records: List[IterationRecord] = []
 
     # ------------------------------------------------------------------

@@ -31,12 +31,17 @@ anecdote.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from repro.algorithms import UniformSampling
 from repro.backends.numba_kernels import NUMBA_AVAILABLE
-from repro.bench.harness import bench_engine_config
+from repro.bench.harness import (
+    bench_engine_config,
+    bench_rmat_graph,
+    bench_walks,
+    safe_ratio,
+    sanitizer_verdict,
+)
 from repro.core.engine import LightTrafficEngine
 from repro.core.stats import RunStats
 from repro.gpu.kernels import KernelModel, fit_time_scale, relative_errors
@@ -83,7 +88,6 @@ def _model_fit(stats: RunStats, model: KernelModel) -> Dict[str, object]:
 
 
 def _run_entry(stats: RunStats, model: KernelModel) -> Dict[str, object]:
-    sanitizer = stats.sanitizer or {}
     measured = dict(stats.measured or {})
     measured.pop("kernels", None)  # per-kernel detail folds into model_fit
     return {
@@ -92,7 +96,7 @@ def _run_entry(stats: RunStats, model: KernelModel) -> Dict[str, object]:
         "iterations": stats.iterations,
         "total_time": stats.total_time,
         "walks_migrated": stats.walks_migrated,
-        "sanitizer_clean": bool(sanitizer.get("clean", False)),
+        "sanitizer_clean": sanitizer_verdict(stats)[0],
         "measured": measured,
         "model_fit": _model_fit(stats, model),
     }
@@ -113,14 +117,8 @@ def run_bench(
     quick: bool = False,
 ) -> Dict[str, object]:
     """Run the execution-backend benchmark; returns the results payload."""
-    from repro.graph.generators import rmat
-
-    if quick:
-        scale = min(scale, 10)
-    graph = rmat(scale=scale, edge_factor=edge_factor, seed=seed)
-    if walks is None:
-        walks = 600 if quick else 2 * graph.num_vertices
-    length = 8 if quick else 32
+    graph, workload = bench_rmat_graph(scale, edge_factor, seed, quick)
+    walks, length = bench_walks(graph, walks, quick, full_length=32)
     runs: Dict[str, Dict[str, object]] = {}
     repeats = 1 if quick else 3
     for name in BACKENDS:
@@ -174,28 +172,17 @@ def run_bench(
         entry_measured: Dict[str, float] = entry["measured"]  # type: ignore[assignment]
         update = float(entry_measured["walk_update_seconds"])
         setup = float(entry_measured["setup_seconds"])
-        entry["kernel_speedup"] = (
-            sim_update / update if update > 0 else float("inf")
-        )
-        overall = (
-            sim_update / (update + setup)
-            if update + setup > 0
-            else float("inf")
-        )
+        entry["kernel_speedup"] = safe_ratio(sim_update, update)
+        overall = safe_ratio(sim_update, update + setup)
         entry["overall_speedup"] = overall
         best_overall = max(best_overall, overall)
 
     speedup_ok = best_overall >= REQUIRED_SPEEDUP
     results: Dict[str, object] = {
         "config": {
-            "scale": scale,
-            "edge_factor": edge_factor,
-            "vertices": graph.num_vertices,
-            "edges": graph.num_edges,
+            **workload,
             "walks": walks,
             "length": length,
-            "seed": seed,
-            "quick": quick,
             "required_speedup": REQUIRED_SPEEDUP,
         },
         "runs": runs,
@@ -212,12 +199,6 @@ def run_bench(
         },
     }
     return results
-
-
-def write_results(results: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_summary(results: Dict[str, object]) -> str:

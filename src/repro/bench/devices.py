@@ -24,13 +24,17 @@ anecdote.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional
 
 from repro.algorithms import PageRank
-from repro.bench.harness import bench_engine_config
+from repro.bench.harness import (
+    bench_engine_config,
+    bench_rmat_graph,
+    bench_walks,
+    safe_ratio,
+    sanitizer_verdict,
+)
 from repro.core.engine import LightTrafficEngine
-from repro.graph.generators import rmat
 
 #: Simulated-speedup floor enforced (full mode) at DEVICE_COUNTS[-1].
 REQUIRED_SPEEDUP = 1.5
@@ -47,12 +51,8 @@ def run_bench(
     quick: bool = False,
 ) -> Dict[str, object]:
     """Run the device-scaling benchmark; returns the results payload."""
-    if quick:
-        scale = min(scale, 10)
-    graph = rmat(scale=scale, edge_factor=edge_factor, seed=seed)
-    if walks is None:
-        walks = 600 if quick else 2 * graph.num_vertices
-    length = 8 if quick else 16
+    graph, workload = bench_rmat_graph(scale, edge_factor, seed, quick)
+    walks, length = bench_walks(graph, walks, quick)
     runs: Dict[str, Dict[str, object]] = {}
     base_time: Optional[float] = None
     conservation_ok = True
@@ -61,8 +61,7 @@ def run_bench(
         stats = LightTrafficEngine(
             graph, PageRank(length=length), config
         ).run(walks)
-        sanitizer = stats.sanitizer or {}
-        clean = bool(sanitizer.get("clean", False))
+        clean, checks = sanitizer_verdict(stats)
         conservation_ok = conservation_ok and clean
         if devices == 1:
             base_time = stats.total_time
@@ -70,29 +69,20 @@ def run_bench(
         runs[str(devices)] = {
             "devices": devices,
             "total_time": stats.total_time,
-            "speedup": (
-                base_time / stats.total_time
-                if stats.total_time > 0
-                else float("inf")
-            ),
+            "speedup": safe_ratio(base_time, stats.total_time),
             "iterations": stats.iterations,
             "walks_migrated": stats.walks_migrated,
             "device_times": stats.device_times or {},
             "sanitizer_clean": clean,
-            "sanitizer_checks": sanitizer.get("checks", 0),
+            "sanitizer_checks": checks,
         }
     top = runs[str(DEVICE_COUNTS[-1])]
     speedup_ok = bool(top["speedup"] >= REQUIRED_SPEEDUP)
     results: Dict[str, object] = {
         "config": {
-            "scale": scale,
-            "edge_factor": edge_factor,
-            "vertices": graph.num_vertices,
-            "edges": graph.num_edges,
+            **workload,
             "walks": walks,
             "walk_length": length,
-            "seed": seed,
-            "quick": quick,
             "device_counts": list(DEVICE_COUNTS),
             "required_speedup": REQUIRED_SPEEDUP,
         },
@@ -107,12 +97,6 @@ def run_bench(
         },
     }
     return results
-
-
-def write_results(results: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_summary(results: Dict[str, object]) -> str:

@@ -24,16 +24,20 @@ diff, not an anecdote.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional, Tuple
 
 from repro.algorithms import UniformSampling
-from repro.bench.harness import bench_engine_config
-from repro.core.config import EngineConfig, FailureSchedule
+from repro.bench.harness import (
+    bench_engine_config,
+    bench_rmat_graph,
+    bench_walks,
+    safe_ratio,
+    sanitizer_verdict,
+)
+from repro.core.config import FailureSchedule
 from repro.core.engine import LightTrafficEngine
 from repro.core.stats import RunStats
 from repro.gpu.cluster import ClusterDeviceSpec
-from repro.graph.generators import rmat
 
 #: Device count of every benchmark cluster.
 NUM_DEVICES = 4
@@ -61,17 +65,10 @@ def _skewed_specs() -> Tuple[ClusterDeviceSpec, ...]:
     )
 
 
-def _bench_config(seed: int, quick: bool, **overrides: object) -> EngineConfig:
-    """Shared engine config; scenarios vary only the elastic knobs."""
-    return bench_engine_config(
-        seed, quick, devices=NUM_DEVICES, **overrides
-    )
-
-
 def _run_entry(
     stats: RunStats, walks: int, length: int
 ) -> Dict[str, object]:
-    sanitizer = stats.sanitizer or {}
+    clean, checks = sanitizer_verdict(stats)
     return {
         "total_time": stats.total_time,
         "iterations": stats.iterations,
@@ -83,8 +80,8 @@ def _run_entry(
         "rebalances": stats.rebalances,
         "walks_rebalanced": stats.walks_rebalanced,
         "device_times": stats.device_times or {},
-        "sanitizer_clean": bool(sanitizer.get("clean", False)),
-        "sanitizer_checks": sanitizer.get("checks", 0),
+        "sanitizer_clean": clean,
+        "sanitizer_checks": checks,
     }
 
 
@@ -96,52 +93,31 @@ def run_bench(
     quick: bool = False,
 ) -> Dict[str, object]:
     """Run the elastic-cluster benchmark; returns the results payload."""
-    if quick:
-        scale = min(scale, 10)
-    graph = rmat(scale=scale, edge_factor=edge_factor, seed=seed)
-    if walks is None:
-        walks = 600 if quick else 2 * graph.num_vertices
-    length = 8 if quick else 16
+    graph, workload = bench_rmat_graph(scale, edge_factor, seed, quick)
+    walks, length = bench_walks(graph, walks, quick)
 
-    def run(config: EngineConfig) -> RunStats:
+    def run(**elastic_knobs: object) -> RunStats:
+        """One 4-device run; scenarios vary only the elastic knobs."""
+        config = bench_engine_config(
+            seed, quick, devices=NUM_DEVICES, **elastic_knobs
+        )
         algorithm = UniformSampling(length=length)
         return LightTrafficEngine(graph, algorithm, config).run(walks)
 
     # -- scenario A: skewed specs, aware vs uniform assignment ---------
     aware = run(
-        _bench_config(
-            seed, quick,
-            device_specs=_skewed_specs(),
-            heterogeneous_assignment=True,
-        )
+        device_specs=_skewed_specs(), heterogeneous_assignment=True
     )
     uniform = run(
-        _bench_config(
-            seed, quick,
-            device_specs=_skewed_specs(),
-            heterogeneous_assignment=False,
-        )
+        device_specs=_skewed_specs(), heterogeneous_assignment=False
     )
-    hetero_speedup = (
-        uniform.total_time / aware.total_time
-        if aware.total_time > 0
-        else float("inf")
-    )
+    hetero_speedup = safe_ratio(uniform.total_time, aware.total_time)
 
     # -- scenario B: homogeneous baseline vs mid-run device failure ----
-    baseline = run(_bench_config(seed, quick))
+    baseline = run()
     fail_at = max(2, baseline.iterations // 3)
-    failure = run(
-        _bench_config(
-            seed, quick,
-            failure_schedule=FailureSchedule.single(1, fail_at),
-        )
-    )
-    slowdown = (
-        failure.total_time / baseline.total_time
-        if baseline.total_time > 0
-        else float("inf")
-    )
+    failure = run(failure_schedule=FailureSchedule.single(1, fail_at))
+    slowdown = safe_ratio(failure.total_time, baseline.total_time)
 
     runs = {
         "hetero_aware": _run_entry(aware, walks, length),
@@ -166,14 +142,9 @@ def run_bench(
 
     results: Dict[str, object] = {
         "config": {
-            "scale": scale,
-            "edge_factor": edge_factor,
-            "vertices": graph.num_vertices,
-            "edges": graph.num_edges,
+            **workload,
             "walks": walks,
             "walk_length": length,
-            "seed": seed,
-            "quick": quick,
             "devices": NUM_DEVICES,
             "capability_skew": list(CAPABILITY_SKEW),
             "fail_device": 1,
@@ -202,12 +173,6 @@ def run_bench(
         },
     }
     return results
-
-
-def write_results(results: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_summary(results: Dict[str, object]) -> str:

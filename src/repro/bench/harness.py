@@ -3,12 +3,22 @@
 Each runner returns a list of structured row dicts; the thin
 ``benchmarks/bench_*.py`` wrappers time them with pytest-benchmark and print
 the paper-style tables.  All runners honor ``REPRO_SCALE``.
+
+The module also holds the front-end tables everything else is a view of:
+:data:`SYSTEMS` (name -> how to build that engine on a
+:class:`~repro.bench.workloads.SimPlatform`, and what it supports),
+:data:`EXPERIMENTS` (name -> runner + description, at the end of the
+module) and the helpers the ``repro bench`` suites share.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+    Tuple, Union,
+)
 
 from repro.algorithms import PageRank, PersonalizedPageRank, UniformSampling
 from repro.algorithms.base import RandomWalkAlgorithm
@@ -52,24 +62,209 @@ from repro.core.stats import (
     RunStats,
 )
 from repro.gpu.kernels import DIRECT_WRITE, TWO_LEVEL
+from repro.graph.csr import CSRGraph
+from repro.graph.generators import rmat
 from repro.graph.partition import partition_by_range
 from repro.core.theory import transfer_bound_throughput
 from repro.walks.state import index_bytes_per_walk
 
-ALGORITHM_FACTORIES: Dict[str, Callable[[], RandomWalkAlgorithm]] = {
+AlgorithmFactory = Callable[[], RandomWalkAlgorithm]
+
+ALGORITHM_FACTORIES: Dict[str, AlgorithmFactory] = {
     "uniform": lambda: UniformSampling(length=WALK_LENGTH),
     "pagerank": lambda: PageRank(length=WALK_LENGTH, restart_prob=RESTART_PROB),
     "ppr": lambda: PersonalizedPageRank(stop_prob=RESTART_PROB),
 }
 
 
-def make_algorithm(name: str) -> RandomWalkAlgorithm:
+def _algorithm_factory(
+    algorithm: Union[str, AlgorithmFactory]
+) -> AlgorithmFactory:
+    """A registered algorithm name, or a zero-argument factory as is."""
+    if not isinstance(algorithm, str):
+        return algorithm
     try:
-        return ALGORITHM_FACTORIES[name]()
+        return ALGORITHM_FACTORIES[algorithm]
     except KeyError:
-        raise KeyError(f"unknown algorithm {name!r}") from None
+        raise KeyError(f"unknown algorithm {algorithm!r}") from None
 
 
+def make_algorithm(name: str) -> RandomWalkAlgorithm:
+    return _algorithm_factory(name)()
+
+
+# ----------------------------------------------------------------------
+# Systems — the one place a SimPlatform becomes a configured engine
+# ----------------------------------------------------------------------
+def _configured(
+    factory: AlgorithmFactory, sampler: Optional[str]
+) -> RandomWalkAlgorithm:
+    """A fresh algorithm with the sampler override applied directly (the
+    baselines have no ``EngineConfig.sampler`` to route it through)."""
+    algorithm = factory()
+    if sampler is not None:
+        algorithm.set_transition_sampler(sampler)
+    return algorithm
+
+
+def _build_lighttraffic(
+    graph: CSRGraph, factory: AlgorithmFactory, platform: SimPlatform,
+    **config: Any,
+) -> Any:
+    return LightTrafficEngine(
+        graph, factory(), standard_config(graph, platform, **config)
+    )
+
+
+def _build_multiround(
+    graph: CSRGraph, factory: AlgorithmFactory, platform: SimPlatform,
+    rounds: int = 2, **config: Any,
+) -> Any:
+    # Each round builds its engine inside run(); reject an algorithm that
+    # cannot take the sampler override here, at build time.
+    _configured(factory, config["sampler"])
+    return MultiRoundEngine(
+        graph, factory, standard_config(graph, platform, **config),
+        rounds=rounds,
+    )
+
+
+def _cpu_system(engine_cls: Callable[..., Any]) -> Callable[..., Any]:
+    def build(
+        graph: CSRGraph, factory: AlgorithmFactory, platform: SimPlatform,
+        *, interconnect: str, seed: Optional[int], sampler: Optional[str],
+        sanitize: bool,
+    ) -> Any:
+        # In-memory CPU engines: no interconnect, no bus to sanitize.
+        algorithm = _configured(factory, sampler)
+        return engine_cls(graph, algorithm, cpu=platform.cpu, seed=seed)
+
+    return build
+
+
+def _gpu_baseline(
+    engine_cls: Callable[..., Any], config_cls: Callable[..., Any]
+) -> Callable[..., Any]:
+    def build(
+        graph: CSRGraph, factory: AlgorithmFactory, platform: SimPlatform,
+        *, interconnect: str, sampler: Optional[str], sanitize: bool,
+        **config: Any,
+    ) -> Any:
+        # ``sanitize`` is honoured by run_system: these engines expose
+        # nothing but their bus for the sanitizer to hook.
+        if hasattr(config_cls, "gpu_memory_bytes"):  # a budget field
+            config.setdefault("gpu_memory_bytes", platform.gpu_memory_bytes)
+        return engine_cls(
+            graph,
+            _configured(factory, sampler),
+            config_cls(
+                device=platform.device,
+                interconnect=platform.interconnect(interconnect),
+                calibration=platform.calibration,
+                **config,
+            ),
+        )
+
+    return build
+
+
+class _System(NamedTuple):
+    #: ``build(graph, algorithm_factory, platform, *, interconnect, seed,
+    #: sampler, sanitize, **engine_overrides)`` -> an engine with
+    #: ``run(num_walks) -> RunStats``; a ``ValueError`` means the system
+    #: cannot run that workload.
+    build: Callable[..., Any]
+    #: optional capabilities: ``"bus"`` — publishes on the event bus, so
+    #: metrics export and the sanitizer work; ``"devices"`` — shards over
+    #: simulated devices (and takes the elastic-cluster knobs);
+    #: ``"backend"`` — pluggable execution backend.
+    supports: FrozenSet[str] = frozenset()
+
+
+#: Every runnable system, in ``--system`` order.  Adding a comparator is
+#: one row: the CLI choices, its flag checks and ``BUS_SYSTEMS`` derive
+#: from this table.
+SYSTEMS: Dict[str, _System] = {
+    "lighttraffic": _System(
+        _build_lighttraffic, frozenset({"bus", "devices", "backend"})
+    ),
+    "thunderrw": _System(_cpu_system(ThunderRWEngine)),
+    "flashmob": _System(_cpu_system(FlashMobEngine)),
+    "subway": _System(
+        _gpu_baseline(SubwayEngine, SubwayConfig), frozenset({"bus"})
+    ),
+    "nextdoor": _System(_gpu_baseline(NextDoorEngine, NextDoorConfig)),
+    "uvm": _System(_gpu_baseline(UVMEngine, UVMConfig), frozenset({"bus"})),
+    "multiround": _System(_build_multiround, frozenset({"bus"})),
+}
+
+
+def build_system(
+    name: str,
+    graph: CSRGraph,
+    algorithm: Union[str, AlgorithmFactory],
+    platform: Optional[SimPlatform] = None,
+    *,
+    interconnect: str = "pcie3",
+    seed: Optional[int] = 42,
+    sampler: Optional[str] = None,
+    sanitize: bool = False,
+    **engine_overrides: Any,
+) -> Any:
+    """Build system ``name`` for one workload on the scaled platform.
+
+    ``algorithm`` is a name from :data:`ALGORITHM_FACTORIES` or a
+    zero-argument factory.  ``engine_overrides`` go to the system's own
+    config: ``EngineConfig`` fields (through :func:`standard_config`) for
+    ``lighttraffic`` and ``multiround`` — which also takes ``rounds`` —
+    and ``SubwayConfig``/``UVMConfig``/``NextDoorConfig`` fields for the
+    GPU baselines.  A ``ValueError`` is a client error raised before
+    anything runs: the system cannot run this workload (FlashMob on
+    variable-length walks, NextDoor on a graph beyond device memory, a
+    sampler the algorithm does not take).
+    """
+    return SYSTEMS[name].build(
+        graph,
+        _algorithm_factory(algorithm),
+        platform or default_platform(),
+        interconnect=interconnect,
+        seed=seed,
+        sampler=sampler,
+        sanitize=sanitize,
+        **engine_overrides,
+    )
+
+
+def run_system(engine: Any, walks: int, *, sanitize: bool = False) -> RunStats:
+    """Run a built system, under the sanitizer if asked.
+
+    An engine built with ``sanitize=True`` on its :class:`EngineConfig`
+    checks itself.  The bus baselines (Subway/UVM) have no partition
+    pools or simulated streams to hook, so the sanitizer rides their
+    event bus alone: batch lifecycle and the finished-walk count are
+    still checked.
+    """
+    if not sanitize or getattr(engine.config, "sanitize", False):
+        return engine.run(walks)
+    from repro.analysis import Sanitizer
+    from repro.core.events import EventBus
+
+    bus = engine.bus if engine.bus is not None else EventBus()
+    engine.bus = bus
+    sanitizer = Sanitizer().bind(expected_walks=walks)
+    observer = bus.attach(sanitizer)
+    try:
+        stats = engine.run(walks)
+    finally:
+        bus.detach(observer)
+        sanitizer.unbind()
+    stats.sanitizer = sanitizer.summary()
+    return stats
+
+
+# ----------------------------------------------------------------------
+# Shared pieces of the ``repro bench`` suites
+# ----------------------------------------------------------------------
 def bench_engine_config(
     seed: int, quick: bool, *, devices: int = 1, **overrides: object
 ) -> EngineConfig:
@@ -93,6 +288,56 @@ def bench_engine_config(
     )
     config.update(overrides)
     return EngineConfig(**config)  # type: ignore[arg-type]
+
+
+def bench_rmat_graph(
+    scale: int, edge_factor: int, seed: int, quick: bool, quick_scale: int = 10
+) -> Tuple[CSRGraph, Dict[str, object]]:
+    """The suites' rmat graph, capped at ``quick_scale`` under ``--quick``.
+
+    Returned with the part of a payload's ``config`` block every suite
+    records about it.
+    """
+    if quick:
+        scale = min(scale, quick_scale)
+    graph = rmat(scale=scale, edge_factor=edge_factor, seed=seed)
+    described: Dict[str, object] = {
+        "scale": scale,
+        "edge_factor": edge_factor,
+        "vertices": graph.num_vertices,
+        "edges": graph.num_edges,
+        "seed": seed,
+        "quick": quick,
+    }
+    return graph, described
+
+
+def bench_walks(
+    graph: CSRGraph, walks: Optional[int], quick: bool, full_length: int = 16
+) -> Tuple[int, int]:
+    """``(walk count, walk length)``: 2|V| x ``full_length`` unless the
+    caller fixed the count; CI-smoke sized under ``--quick``."""
+    if walks is None:
+        walks = 600 if quick else 2 * graph.num_vertices
+    return walks, 8 if quick else full_length
+
+
+def safe_ratio(numerator: float, denominator: float) -> float:
+    """``numerator / denominator``, ``inf`` when the denominator is 0."""
+    return numerator / denominator if denominator > 0 else float("inf")
+
+
+def sanitizer_verdict(stats: RunStats) -> Tuple[bool, int]:
+    """``(clean, checks)`` of a run's sanitizer summary (dirty if absent)."""
+    summary = stats.sanitizer or {}
+    return bool(summary.get("clean", False)), summary.get("checks", 0)
+
+
+def write_results(results: Dict[str, object], path: str) -> None:
+    """Write one suite's payload as a ``BENCH_*.json`` file."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(results, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 # ----------------------------------------------------------------------
@@ -128,20 +373,10 @@ def fig3_active_ratio(
     sample_every: int = 8,
     platform: Optional[SimPlatform] = None,
 ) -> List[dict]:
-    platform = platform or default_platform()
     rows = []
     for name in datasets:
         graph = load_dataset(name)
-        engine = SubwayEngine(
-            graph,
-            make_algorithm("pagerank"),
-            SubwayConfig(
-                device=platform.device,
-                interconnect=platform.pcie3,
-                calibration=platform.calibration,
-                gpu_memory_bytes=platform.gpu_memory_bytes,
-            ),
-        )
+        engine = build_system("subway", graph, "pagerank", platform)
         engine.run(standard_walks(graph))
         for record in engine.records:
             if record.iteration % sample_every not in (0, 1):
@@ -165,21 +400,12 @@ def table1_subway_breakdown(
     datasets: Sequence[str] = ("uk-sim", "fs-sim"),
     platform: Optional[SimPlatform] = None,
 ) -> List[dict]:
-    platform = platform or default_platform()
     rows = []
     for name in datasets:
         graph = load_dataset(name)
-        engine = SubwayEngine(
-            graph,
-            make_algorithm("pagerank"),
-            SubwayConfig(
-                device=platform.device,
-                interconnect=platform.pcie3,
-                calibration=platform.calibration,
-                gpu_memory_bytes=platform.gpu_memory_bytes,
-            ),
+        stats = build_system("subway", graph, "pagerank", platform).run(
+            standard_walks(graph)
         )
-        stats = engine.run(standard_walks(graph))
         total = stats.total_time
         rows.append(
             {
@@ -200,7 +426,6 @@ def fig9_cpu_comparison(
     algorithms: Sequence[str] = ("uniform", "pagerank", "ppr"),
     platform: Optional[SimPlatform] = None,
 ) -> List[dict]:
-    platform = platform or default_platform()
     datasets = list(datasets or DATASETS)
     rows = []
     for name in datasets:
@@ -208,19 +433,19 @@ def fig9_cpu_comparison(
         walks = standard_walks(graph)
         for algo_name in algorithms:
             runs: Dict[str, Optional[RunStats]] = {}
-            runs["thunderrw"] = ThunderRWEngine(
-                graph, make_algorithm(algo_name), cpu=platform.cpu
+            runs["thunderrw"] = build_system(
+                "thunderrw", graph, algo_name, platform
             ).run(walks)
             if make_algorithm(algo_name).fixed_length:
-                runs["flashmob"] = FlashMobEngine(
-                    graph, make_algorithm(algo_name), cpu=platform.cpu
+                runs["flashmob"] = build_system(
+                    "flashmob", graph, algo_name, platform
                 ).run(walks)
             else:
                 runs["flashmob"] = None  # FlashMob: fixed-length only (§IV-B)
-            for link, label in (("pcie3", "lt-pcie3"), ("pcie4", "lt-pcie4")):
-                config = standard_config(graph, platform, interconnect=link)
-                runs[label] = LightTrafficEngine(
-                    graph, make_algorithm(algo_name), config
+            for link in ("pcie3", "pcie4"):
+                runs[f"lt-{link}"] = build_system(
+                    "lighttraffic", graph, algo_name, platform,
+                    interconnect=link,
                 ).run(walks)
             for system, stats in runs.items():
                 rows.append(
@@ -269,27 +494,15 @@ def fig10_subway_comparison(
     algorithms: Sequence[str] = ("pagerank", "ppr"),
     platform: Optional[SimPlatform] = None,
 ) -> List[dict]:
-    platform = platform or default_platform()
     rows = []
     for name in datasets:
         graph = load_dataset(name)
         walks = standard_walks(graph)
         for algo_name in algorithms:
-            subway = SubwayEngine(
-                graph,
-                make_algorithm(algo_name),
-                SubwayConfig(
-                    device=platform.device,
-                    interconnect=platform.pcie3,
-                    calibration=platform.calibration,
-                    gpu_memory_bytes=platform.gpu_memory_bytes,
-                ),
-            ).run(walks)
-            lt = LightTrafficEngine(
-                graph,
-                make_algorithm(algo_name),
-                standard_config(graph, platform, interconnect="pcie3"),
-            ).run(walks)
+            subway, lt = (
+                build_system(system, graph, algo_name, platform).run(walks)
+                for system in ("subway", "lighttraffic")
+            )
             rows.append(
                 {
                     "dataset": name,
@@ -315,26 +528,15 @@ def fig11_nextdoor(
     algorithms: Sequence[str] = ("uniform", "pagerank"),
     platform: Optional[SimPlatform] = None,
 ) -> List[dict]:
-    platform = platform or default_platform()
     rows = []
     for name in datasets:
         graph = load_dataset(name)
         walks = standard_walks(graph)
         for algo_name in algorithms:
-            nextdoor = NextDoorEngine(
-                graph,
-                make_algorithm(algo_name),
-                NextDoorConfig(
-                    device=platform.device,
-                    interconnect=platform.pcie3,
-                    calibration=platform.calibration,
-                ),
-            ).run(walks)
-            lt = LightTrafficEngine(
-                graph,
-                make_algorithm(algo_name),
-                standard_config(graph, platform, interconnect="pcie3"),
-            ).run(walks)
+            nextdoor, lt = (
+                build_system(system, graph, algo_name, platform).run(walks)
+                for system in ("nextdoor", "lighttraffic")
+            )
             rows.append(
                 {
                     "dataset": name,
@@ -355,38 +557,23 @@ def fig12_reshuffle(
     dataset: str = "uk-sim",
     platform: Optional[SimPlatform] = None,
 ) -> List[dict]:
-    platform = platform or default_platform()
     graph = load_dataset(dataset)
     walks = standard_walks(graph)
     rows = []
     for kib in partition_kib:
-        per_mode = {}
-        for mode in (DIRECT_WRITE, TWO_LEVEL):
-            config = standard_config(
-                graph,
-                platform,
-                partition_bytes=kib * 1024,
-                reshuffle_mode=mode,
-            )
-            stats = LightTrafficEngine(
-                graph, make_algorithm("pagerank"), config
-            ).run(walks)
-            per_mode[mode] = stats
+        direct, two_level = (
+            build_system(
+                "lighttraffic", graph, "pagerank", platform,
+                partition_bytes=kib * 1024, reshuffle_mode=mode,
+            ).run(walks).time(CAT_RESHUFFLE)
+            for mode in (DIRECT_WRITE, TWO_LEVEL)
+        )
         rows.append(
             {
                 "partition_kib": kib,
-                "direct_reshuffle_time": per_mode[DIRECT_WRITE].time(
-                    CAT_RESHUFFLE
-                ),
-                "two_level_reshuffle_time": per_mode[TWO_LEVEL].time(
-                    CAT_RESHUFFLE
-                ),
-                "reduction_pct": 100
-                * (
-                    1
-                    - per_mode[TWO_LEVEL].time(CAT_RESHUFFLE)
-                    / max(per_mode[DIRECT_WRITE].time(CAT_RESHUFFLE), 1e-12)
-                ),
+                "direct_reshuffle_time": direct,
+                "two_level_reshuffle_time": two_level,
+                "reduction_pct": 100 * (1 - two_level / max(direct, 1e-12)),
             }
         )
     return rows
@@ -408,21 +595,15 @@ def fig13_pipeline(
     dataset: str = "uk-sim",
     platform: Optional[SimPlatform] = None,
 ) -> List[dict]:
-    platform = platform or default_platform()
     graph = load_dataset(dataset)
     walks = standard_walks(graph)
     rows = []
     for m_g in pool_partitions:
         for variant, toggles in SCHEDULER_VARIANTS.items():
-            config = standard_config(
-                graph,
-                platform,
-                graph_pool_partitions=m_g,
-                copy_mode=COPY_EXPLICIT,
+            stats = build_system(
+                "lighttraffic", graph, "pagerank", platform,
+                graph_pool_partitions=m_g, copy_mode=COPY_EXPLICIT,
                 **toggles,
-            )
-            stats = LightTrafficEngine(
-                graph, make_algorithm("pagerank"), config
             ).run(walks)
             rows.append(
                 {
@@ -462,27 +643,24 @@ def fig14_adaptive(
     algorithms: Sequence[str] = ("pagerank", "ppr"),
     platform: Optional[SimPlatform] = None,
 ) -> List[dict]:
-    platform = platform or default_platform()
     rows = []
     for name in datasets:
         graph = load_dataset(name)
         walks = standard_walks(graph)
         for algo_name in algorithms:
-            times = {}
-            for mode in (COPY_EXPLICIT, COPY_ZERO, COPY_ADAPTIVE):
-                config = standard_config(graph, platform, copy_mode=mode)
-                stats = LightTrafficEngine(
-                    graph, make_algorithm(algo_name), config
-                ).run(walks)
-                times[mode] = stats.total_time
+            explicit, zero, adaptive = (
+                build_system(
+                    "lighttraffic", graph, algo_name, platform,
+                    copy_mode=mode,
+                ).run(walks).total_time
+                for mode in (COPY_EXPLICIT, COPY_ZERO, COPY_ADAPTIVE)
+            )
             rows.append(
                 {
                     "dataset": name,
                     "algorithm": algo_name,
-                    "zero_copy_speedup": times[COPY_EXPLICIT] / times[COPY_ZERO],
-                    "adaptive_speedup": (
-                        times[COPY_EXPLICIT] / times[COPY_ADAPTIVE]
-                    ),
+                    "zero_copy_speedup": explicit / zero,
+                    "adaptive_speedup": explicit / adaptive,
                 }
             )
     return rows
@@ -497,7 +675,6 @@ def fig15_memory_size(
     dataset: str = "uk-sim",
     platform: Optional[SimPlatform] = None,
 ) -> List[dict]:
-    platform = platform or default_platform()
     graph = load_dataset(dataset)
     # The paper uses 800M total walks and walk length 10 here.
     num_walks = 195_000 if graph.num_vertices * 8 > 195_000 else 4 * graph.num_vertices
@@ -505,15 +682,10 @@ def fig15_memory_size(
     rows = []
     for m_g in pool_partitions:
         for m_w in walk_pool_sizes:
-            config = standard_config(
-                graph,
-                platform,
-                graph_pool_partitions=m_g,
-                walk_pool_walks=m_w,
-            )
-            stats = LightTrafficEngine(graph, algorithm_factory(), config).run(
-                num_walks
-            )
+            stats = build_system(
+                "lighttraffic", graph, algorithm_factory, platform,
+                graph_pool_partitions=m_g, walk_pool_walks=m_w,
+            ).run(num_walks)
             rows.append(
                 {
                     "cached_partitions": m_g,
@@ -538,7 +710,6 @@ def fig16_multiround(
     dataset: str = "uk-sim",
     platform: Optional[SimPlatform] = None,
 ) -> List[dict]:
-    platform = platform or default_platform()
     graph = load_dataset(dataset)
     num_walks = 195_000  # scaled twin of the paper's 800M walks
     algorithm_factory = lambda: PageRank(length=10)  # noqa: E731
@@ -546,17 +717,13 @@ def fig16_multiround(
     for m_g in pool_partitions:
         for rounds in rounds_cases:
             m_w = math.ceil(num_walks / rounds)
-            lt_config = standard_config(
-                graph, platform, graph_pool_partitions=m_g, walk_pool_walks=m_w
-            )
-            lt = LightTrafficEngine(graph, algorithm_factory(), lt_config).run(
-                num_walks
-            )
-            mr = MultiRoundEngine(
-                graph,
-                algorithm_factory,
-                lt_config,
-                rounds=rounds,
+            pools = dict(graph_pool_partitions=m_g, walk_pool_walks=m_w)
+            lt = build_system(
+                "lighttraffic", graph, algorithm_factory, platform, **pools
+            ).run(num_walks)
+            mr = build_system(
+                "multiround", graph, algorithm_factory, platform,
+                rounds=rounds, **pools,
             ).run(num_walks)
             rows.append(
                 {
@@ -579,16 +746,13 @@ def fig17_partition_size(
     dataset: str = "uk-sim",
     platform: Optional[SimPlatform] = None,
 ) -> List[dict]:
-    platform = platform or default_platform()
     graph = load_dataset(dataset)
     walks = standard_walks(graph)
     rows = []
     for kib in partition_kib:
-        config = standard_config(
-            graph, platform, partition_bytes=kib * 1024
-        )
-        stats = LightTrafficEngine(
-            graph, make_algorithm("pagerank"), config
+        stats = build_system(
+            "lighttraffic", graph, "pagerank", platform,
+            partition_bytes=kib * 1024,
         ).run(walks)
         rows.append(
             {
@@ -632,14 +796,11 @@ def fig18_scalability(
             num_walks = max(num_walks, 1024)
             if num_walks > 6_000_000:
                 continue  # keep the sweep tractable at full scale
-            config = standard_config(
-                graph,
-                platform,
+            stats = build_system(
+                "lighttraffic", graph,
+                lambda: PageRank(length=walk_length), platform,
                 graph_pool_partitions=max(2, pool_bytes // platform.partition_bytes),
                 walk_pool_walks=max(2048, pool_bytes // s_w),
-            )
-            stats = LightTrafficEngine(
-                graph, PageRank(length=walk_length), config
             ).run(num_walks)
             theory = transfer_bound_throughput(bandwidth, s_w, density)
             rows.append(
@@ -669,49 +830,14 @@ def metrics_observatory(
     variant all publish the same event vocabulary, so the one recorder
     yields comparable serve-mode/preemption/eviction columns per system.
     """
-    platform = platform or default_platform()
     graph = load_dataset(dataset)
     walks = standard_walks(graph)
 
-    def build(system: str) -> Any:
-        if system == "lighttraffic":
-            return LightTrafficEngine(
-                graph,
-                make_algorithm(algorithm),
-                standard_config(graph, platform),
-            )
-        if system == "subway":
-            return SubwayEngine(
-                graph,
-                make_algorithm(algorithm),
-                SubwayConfig(
-                    device=platform.device,
-                    interconnect=platform.pcie3,
-                    calibration=platform.calibration,
-                    gpu_memory_bytes=platform.gpu_memory_bytes,
-                ),
-            )
-        if system == "uvm":
-            return UVMEngine(
-                graph,
-                make_algorithm(algorithm),
-                UVMConfig(
-                    device=platform.device,
-                    interconnect=platform.pcie3,
-                    calibration=platform.calibration,
-                    gpu_memory_bytes=platform.gpu_memory_bytes,
-                ),
-            )
-        return MultiRoundEngine(
-            graph,
-            ALGORITHM_FACTORIES[algorithm],
-            standard_config(graph, platform),
-            rounds=2,
-        )
-
     rows = []
-    for system in ("lighttraffic", "subway", "uvm", "multiround"):
-        stats = build(system).run(walks)
+    for system, spec in SYSTEMS.items():
+        if "bus" not in spec.supports:
+            continue
+        stats = build_system(system, graph, algorithm, platform).run(walks)
         metrics: Any = stats.metrics
         modes = metrics["serve_mode_totals"]
         rows.append(
@@ -730,3 +856,28 @@ def metrics_observatory(
             }
         )
     return rows
+
+
+# ----------------------------------------------------------------------
+# Experiments — the one registry behind `repro experiment` / `repro report`
+# ----------------------------------------------------------------------
+#: name -> (runner, short description), in report order.  Adding an
+#: experiment is one row here: ``cli.EXPERIMENTS`` and
+#: :func:`repro.bench.report.experiment_registry` are views of it.
+EXPERIMENTS: Dict[str, Tuple[Callable[..., List[dict]], str]] = {
+    "table2": (table2_dataset_stats, "dataset statistics"),
+    "fig3": (fig3_active_ratio, "Subway active ratios"),
+    "table1": (table1_subway_breakdown, "Subway breakdown"),
+    "fig9": (fig9_cpu_comparison, "vs CPU systems"),
+    "fig10": (fig10_subway_comparison, "vs Subway"),
+    "fig11": (fig11_nextdoor, "vs NextDoor"),
+    "fig12": (fig12_reshuffle, "reshuffle two-level vs direct"),
+    "fig13": (fig13_pipeline, "pipeline/scheduling ablation"),
+    "table3": (table3_scheduling, "scheduling impact"),
+    "fig14": (fig14_adaptive, "adaptive zero copy"),
+    "fig15": (fig15_memory_size, "memory pool sizes"),
+    "fig16": (fig16_multiround, "multi-round baseline"),
+    "fig17": (fig17_partition_size, "partition size"),
+    "fig18": (fig18_scalability, "walk-density scalability"),
+    "metrics": (metrics_observatory, "per-system event-bus metrics"),
+}

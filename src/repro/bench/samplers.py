@@ -25,13 +25,14 @@ numbers per commit and a regression shows up as a diff, not an anecdote.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.algorithms.node2vec import Node2Vec
+from repro.baselines.inmemory_cpu import whole_graph_partition
+from repro.bench.harness import safe_ratio
 from repro.core.prng import seeded_rng
 from repro.algorithms.sampling import PartitionAliasSampler
 from repro.algorithms.transitions import (
@@ -44,7 +45,6 @@ from repro.algorithms.transitions import (
 )
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi
-from repro.graph.partition import GraphPartition
 
 #: Speedup floor enforced (full mode) for the two loop-vs-vector pairs.
 REQUIRED_SPEEDUP = 5.0
@@ -80,17 +80,6 @@ def make_bench_graph(
     )
 
 
-def _whole_partition(graph: CSRGraph) -> GraphPartition:
-    return GraphPartition(
-        index=0,
-        start=0,
-        stop=graph.num_vertices,
-        offsets=graph.offsets,
-        targets=graph.targets,
-        weights=graph.weights,
-    )
-
-
 # ----------------------------------------------------------------------
 def bench_alias_build(graph: CSRGraph, repeats: int) -> Dict[str, object]:
     """Loop Vose (per-vertex AliasTable) vs the lock-step vectorized build."""
@@ -106,7 +95,7 @@ def bench_alias_build(graph: CSRGraph, repeats: int) -> Dict[str, object]:
     return {
         "loop_seconds": loop_s,
         "vectorized_seconds": vec_s,
-        "speedup": loop_s / vec_s if vec_s > 0 else float("inf"),
+        "speedup": safe_ratio(loop_s, vec_s),
         "tables_bit_identical": match,
     }
 
@@ -115,7 +104,7 @@ def bench_node2vec_step(
     graph: CSRGraph, batch: int, repeats: int
 ) -> Dict[str, object]:
     """One node2vec batch step: has_edge-loop acceptance vs binary search."""
-    partition = _whole_partition(graph)
+    partition = whole_graph_partition(graph)
     rng = seeded_rng(11)
     vertices = rng.integers(0, graph.num_vertices, size=batch)
     steps = np.ones(batch, dtype=np.int64)
@@ -158,7 +147,7 @@ def bench_node2vec_step(
         "batch": batch,
         "loop_seconds": loop_s,
         "vectorized_seconds": vec_s,
-        "speedup": loop_s / vec_s if vec_s > 0 else float("inf"),
+        "speedup": safe_ratio(loop_s, vec_s),
         "acceptance_bit_identical": match,
     }
 
@@ -167,7 +156,7 @@ def bench_sampling_throughput(
     graph: CSRGraph, batch_sizes: Sequence[int], repeats: int
 ) -> Dict[str, Dict[str, float]]:
     """Steps/second of each registered first-order sampler per batch size."""
-    partition = _whole_partition(graph)
+    partition = whole_graph_partition(graph)
     out: Dict[str, Dict[str, float]] = {}
     for name in SAMPLERS:
         sampler = make_sampler(name)
@@ -199,7 +188,7 @@ def bench_distribution_parity(
     Samples ``draws`` transitions from the highest-degree vertex and
     compares the per-edge pick frequencies with the normalized weights.
     """
-    partition = _whole_partition(graph)
+    partition = whole_graph_partition(graph)
     degrees = np.diff(graph.offsets)
     v = int(np.argmax(degrees))
     lo, hi = int(graph.offsets[v]), int(graph.offsets[v + 1])
@@ -293,12 +282,6 @@ def run_bench(
         "all_ok": parity_ok and (speedup_ok or quick),
     }
     return results
-
-
-def write_results(results: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_summary(results: Dict[str, object]) -> str:

@@ -22,15 +22,13 @@ as ``BENCH_serve.json`` so CI archives the latency envelope per commit.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.bench.harness import bench_engine_config
+from repro.bench.harness import bench_engine_config, bench_rmat_graph
 from repro.core.config import EngineConfig
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import rmat
 from repro.serve import (
     ARRIVAL_CLOSED,
     ARRIVAL_OPEN,
@@ -49,11 +47,6 @@ WORKER_COUNTS = (2, 8)
 #: of the same worker count's measured closed-loop completion rate, so
 #: the open-loop run queues by construction.
 OPEN_OVERLOAD = 1.5
-
-
-def _bench_config(seed: int, quick: bool) -> EngineConfig:
-    """Shared engine config for every per-batch engine run."""
-    return bench_engine_config(seed, quick)
 
 
 def _run_entry(
@@ -119,12 +112,13 @@ def run_bench(
     quick: bool = False,
 ) -> Dict[str, object]:
     """Run the serving benchmark; returns the results payload."""
-    if quick:
-        scale = min(scale, 8)
-    graph = rmat(scale=scale, edge_factor=edge_factor, seed=seed)
+    graph, described = bench_rmat_graph(
+        scale, edge_factor, seed, quick, quick_scale=8
+    )
     if queries is None:
         queries = 12 if quick else 32
-    config = _bench_config(seed, quick)
+    # One engine config for every per-batch engine run.
+    config = bench_engine_config(seed, quick)
     vertex_types = make_vertex_types(graph, seed)
     workload = default_workload(
         graph, kinds=QUERY_KINDS, queries=queries, seed=seed
@@ -178,17 +172,12 @@ def run_bench(
 
     results: Dict[str, object] = {
         "config": {
-            "scale": scale,
-            "edge_factor": edge_factor,
-            "vertices": graph.num_vertices,
-            "edges": graph.num_edges,
+            **described,
             "queries": len(workload),
             "kinds": list(QUERY_KINDS),
             "worker_counts": list(WORKER_COUNTS),
             "open_overload": OPEN_OVERLOAD,
             "max_batch_walks": 512,
-            "seed": seed,
-            "quick": quick,
         },
         "runs": runs,
         "parity": parity,
@@ -211,12 +200,6 @@ def run_bench(
         },
     }
     return results
-
-
-def write_results(results: Dict[str, object], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def format_summary(results: Dict[str, object]) -> str:

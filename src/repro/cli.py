@@ -7,9 +7,14 @@ Commands
 ``run``
     Run one algorithm on one dataset (or a graph file) with the
     LightTraffic engine or any baseline, printing the run statistics.
+    Systems come from :data:`repro.bench.harness.SYSTEMS`: the
+    ``--system`` choices, which flags a system accepts (its ``supports``
+    set) and how it is built are read off that table, so a flag or a
+    workload a system cannot honour exits 2 with a one-line stderr hint.
 ``experiment``
     Regenerate one paper table/figure by name (``fig3`` ... ``fig18``,
-    ``table1``/``table2``/``table3``) and print its rows.
+    ``table1``/``table2``/``table3``) and print its rows; the names are
+    :data:`repro.bench.harness.EXPERIMENTS`, which ``report`` shares.
 ``generate``
     Generate a synthetic graph and save it (edge list or ``.npz`` CSR).
 ``serve``
@@ -91,47 +96,27 @@ import sys
 from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Tuple
 
 from repro.bench import harness, reporting
-from repro.bench.workloads import (
-    DATASETS,
-    default_platform,
-    load_dataset,
-    standard_config,
-    standard_walks,
-)
-from repro.core.engine import LightTrafficEngine
-from repro.core.stats import RunStats
+from repro.bench.workloads import DATASETS, load_dataset, standard_walks
 
 if TYPE_CHECKING:
     from repro.graph.csr import CSRGraph
 
-SYSTEMS = (
-    "lighttraffic",
-    "thunderrw",
-    "flashmob",
-    "subway",
-    "nextdoor",
-    "uvm",
-    "multiround",
-)
-#: systems whose engines publish on the event bus (support --metrics-json).
-BUS_SYSTEMS = ("lighttraffic", "subway", "uvm", "multiround")
 
+def _systems_supporting(capability: str) -> Tuple[str, ...]:
+    return tuple(
+        name
+        for name, system in harness.SYSTEMS.items()
+        if capability in system.supports
+    )
+
+
+SYSTEMS = tuple(harness.SYSTEMS)
+#: systems whose engines publish on the event bus (support --metrics-json).
+BUS_SYSTEMS = _systems_supporting("bus")
+
+#: name -> (runner, positional args): a view of ``harness.EXPERIMENTS``.
 EXPERIMENTS = {
-    "table1": (harness.table1_subway_breakdown, ()),
-    "table2": (harness.table2_dataset_stats, ()),
-    "table3": (harness.table3_scheduling, ()),
-    "fig3": (harness.fig3_active_ratio, ()),
-    "fig9": (harness.fig9_cpu_comparison, ()),
-    "fig10": (harness.fig10_subway_comparison, ()),
-    "fig11": (harness.fig11_nextdoor, ()),
-    "fig12": (harness.fig12_reshuffle, ()),
-    "fig13": (harness.fig13_pipeline, ()),
-    "fig14": (harness.fig14_adaptive, ()),
-    "fig15": (harness.fig15_memory_size, ()),
-    "fig16": (harness.fig16_multiround, ()),
-    "fig17": (harness.fig17_partition_size, ()),
-    "fig18": (harness.fig18_scalability, ()),
-    "metrics": (harness.metrics_observatory, ()),
+    name: (runner, ()) for name, (runner, _) in harness.EXPERIMENTS.items()
 }
 
 
@@ -417,117 +402,6 @@ def _load_graph(args: argparse.Namespace) -> "CSRGraph":
     return load_edge_list(args.graph, preprocess=True, name=args.graph)
 
 
-def _run_system(args: argparse.Namespace, graph: "CSRGraph") -> RunStats:
-    from repro.baselines import (
-        FlashMobEngine,
-        MultiRoundEngine,
-        NextDoorConfig,
-        NextDoorEngine,
-        SubwayConfig,
-        SubwayEngine,
-        ThunderRWEngine,
-        UVMConfig,
-        UVMEngine,
-    )
-
-    platform = default_platform()
-    algorithm = harness.make_algorithm(args.algorithm)
-    sampler = getattr(args, "sampler", None)
-    if sampler is not None and args.system not in ("lighttraffic", "multiround"):
-        # Bus-less baselines get the override applied directly; the engine
-        # systems route it through EngineConfig.sampler below so the
-        # config-validation path is exercised too.
-        algorithm.set_transition_sampler(sampler)
-    walks = args.walks or standard_walks(graph)
-    sanitize = getattr(args, "sanitize", False)
-    if args.system == "lighttraffic":
-        backend = getattr(args, "backend", "simulated")
-        overrides: dict = {"backend": backend}
-        if backend != "simulated":
-            # Real backends replay the exact trajectories of the simulated
-            # path, which requires schedule-independent per-lane draws.
-            overrides["rng_mode"] = "counter"
-        config = standard_config(
-            graph, platform, interconnect=args.interconnect, seed=args.seed,
-            sampler=sampler, sanitize=sanitize,
-            devices=getattr(args, "devices", 1),
-            **overrides,
-            peer_interconnect=getattr(args, "peer_interconnect", "nvlink"),
-            topology=getattr(args, "topology", "all-pairs"),
-            device_specs=getattr(args, "device_specs", None),
-            failure_schedule=getattr(args, "failure_schedule", None),
-            rebalance_threshold=getattr(args, "rebalance_threshold", None),
-        )
-        return LightTrafficEngine(graph, algorithm, config).run(walks)
-    if args.system == "multiround":
-        config = standard_config(
-            graph, platform, interconnect=args.interconnect, seed=args.seed,
-            sampler=sampler, sanitize=sanitize,
-        )
-        factory = harness.ALGORITHM_FACTORIES[args.algorithm]
-        return MultiRoundEngine(graph, factory, config, rounds=2).run(walks)
-    if args.system == "thunderrw":
-        return ThunderRWEngine(graph, algorithm, cpu=platform.cpu,
-                               seed=args.seed).run(walks)
-    if args.system == "flashmob":
-        return FlashMobEngine(graph, algorithm, cpu=platform.cpu,
-                              seed=args.seed).run(walks)
-    if args.system == "subway":
-        config = SubwayConfig(
-            device=platform.device,
-            interconnect=platform.interconnect(args.interconnect),
-            calibration=platform.calibration,
-            gpu_memory_bytes=platform.gpu_memory_bytes,
-            seed=args.seed,
-        )
-        return _run_bus_baseline(
-            SubwayEngine(graph, algorithm, config), walks, sanitize
-        )
-    if args.system == "uvm":
-        config = UVMConfig(
-            device=platform.device,
-            interconnect=platform.interconnect(args.interconnect),
-            calibration=platform.calibration,
-            gpu_memory_bytes=platform.gpu_memory_bytes,
-            seed=args.seed,
-        )
-        return _run_bus_baseline(
-            UVMEngine(graph, algorithm, config), walks, sanitize
-        )
-    config = NextDoorConfig(
-        device=platform.device,
-        interconnect=platform.interconnect(args.interconnect),
-        calibration=platform.calibration,
-        seed=args.seed,
-    )
-    return NextDoorEngine(graph, algorithm, config).run(walks)
-
-
-def _run_bus_baseline(engine: Any, walks: int, sanitize: bool) -> RunStats:
-    """Run a bus-emitting baseline, optionally under an event-only sanitizer.
-
-    Subway/UVM have no partition pools or simulated streams to hook, so
-    the sanitizer rides their event bus alone: batch lifecycle and the
-    finished-walk count are still checked.
-    """
-    if not sanitize:
-        return engine.run(walks)
-    from repro.analysis import Sanitizer
-    from repro.core.events import EventBus
-
-    bus = engine.bus if engine.bus is not None else EventBus()
-    engine.bus = bus
-    sanitizer = Sanitizer().bind(expected_walks=walks)
-    observer = bus.attach(sanitizer)
-    try:
-        stats = engine.run(walks)
-    finally:
-        bus.detach(observer)
-        sanitizer.unbind()
-    stats.sanitizer = sanitizer.summary()
-    return stats
-
-
 def cmd_datasets() -> int:
     rows = harness.table2_dataset_stats()
     reporting.print_table(
@@ -563,80 +437,96 @@ def _unsupported_engine(flag: str, system: str, supported: tuple) -> int:
     return 2
 
 
-def _unavailable_backend(name: str, hint: str) -> int:
-    """Reject a backend the environment cannot run: stderr hint, exit 2.
+def _export_metrics(text: str, path: str, what: str) -> bool:
+    """Print ``text`` (``path`` is ``-``) or write it to ``path``.
 
-    Same stdout/stderr contract as :func:`_unsupported_engine` — scripted
-    callers parsing run stats must never see the hint on stdout.
+    Returns ``False`` after a stderr hint when the file cannot be written.
     """
-    print(
-        f"--backend {name} is not available in this environment: {hint}",
-        file=sys.stderr,
-    )
-    return 2
+    if path == "-":
+        print(text, end="")
+        return True
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"cannot write metrics to {path}: {exc}", file=sys.stderr)
+        return False
+    print(f"wrote {what} to {path}")
+    return True
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.core.config import FailureSchedule
     from repro.gpu.cluster import ClusterDeviceSpec
 
-    want_metrics = (
-        args.metrics_json is not None or args.metrics_prom is not None
+    supports = harness.SYSTEMS[args.system].supports
+    cluster_flags = (
+        ("--device-spec", args.device_specs is not None),
+        ("--fail", args.failures is not None),
+        ("--rebalance-threshold", args.rebalance_threshold is not None),
+        ("--topology", args.topology != "all-pairs"),
     )
-    if want_metrics and args.system not in BUS_SYSTEMS:
-        flag = (
-            "--metrics-json" if args.metrics_json is not None
-            else "--metrics-prom"
-        )
-        return _unsupported_engine(flag, args.system, BUS_SYSTEMS)
-    if args.sanitize and args.system not in BUS_SYSTEMS:
-        return _unsupported_engine("--sanitize", args.system, BUS_SYSTEMS)
-    if args.devices > 1 and args.system != "lighttraffic":
-        return _unsupported_engine(
-            "--devices", args.system, ("lighttraffic",)
-        )
-    if args.backend != "simulated":
-        from repro.backends.registry import available_backends
+    # (flag, used?, capability the system needs for it), in the order
+    # mismatches are reported.
+    flag_rows = (
+        ("--metrics-json", args.metrics_json is not None, "bus"),
+        ("--metrics-prom", args.metrics_prom is not None, "bus"),
+        ("--sanitize", args.sanitize, "bus"),
+        ("--devices", args.devices > 1, "devices"),
+        ("--backend", args.backend != "simulated", "backend"),
+    ) + tuple((flag, used, "devices") for flag, used in cluster_flags)
+    for flag, used, capability in flag_rows:
+        if not used:
+            continue
+        if flag == "--backend":
+            from repro.backends.registry import available_backends
 
-        registered = available_backends()
-        if args.backend not in registered:
+            registered = available_backends()
+            if args.backend not in registered:
+                print(
+                    f"--backend {args.backend!r} is not a registered "
+                    f"backend; registered backends: {', '.join(registered)}",
+                    file=sys.stderr,
+                )
+                return 2
+        if capability not in supports:
+            return _unsupported_engine(
+                flag, args.system, _systems_supporting(capability)
+            )
+    if args.backend == "numba":
+        from repro.backends.numba_kernels import NUMBA_AVAILABLE
+
+        if not NUMBA_AVAILABLE:
+            # Same stdout/stderr contract as _unsupported_engine.
             print(
-                f"--backend {args.backend!r} is not a registered backend; "
-                f"registered backends: {', '.join(registered)}",
+                "--backend numba is not available in this environment: "
+                "the optional numba package is not installed; use "
+                "--backend multiprocess or --backend simulated",
                 file=sys.stderr,
             )
             return 2
-        if args.system != "lighttraffic":
-            return _unsupported_engine(
-                "--backend", args.system, ("lighttraffic",)
-            )
-        if args.backend == "numba":
-            from repro.backends.numba_kernels import NUMBA_AVAILABLE
-
-            if not NUMBA_AVAILABLE:
-                return _unavailable_backend(
-                    "numba",
-                    "the optional numba package is not installed; use "
-                    "--backend multiprocess or --backend simulated",
-                )
-    cluster_flags = (
-        ("--device-spec", args.device_specs),
-        ("--fail", args.failures),
-        ("--rebalance-threshold", args.rebalance_threshold),
-        ("--topology", None if args.topology == "all-pairs" else args.topology),
-    )
-    for flag, value in cluster_flags:
-        if value is None:
-            continue
-        if args.system != "lighttraffic":
-            return _unsupported_engine(flag, args.system, ("lighttraffic",))
-        if args.devices <= 1:
+    for flag, used in cluster_flags:
+        if used and args.devices <= 1:
             print(f"{flag} requires --devices > 1", file=sys.stderr)
             return 2
-    args.failure_schedule = None
+    # Engine overrides the system's capabilities unlock.
+    overrides: dict = {}
+    if "backend" in supports:
+        overrides["backend"] = args.backend
+        if args.backend != "simulated":
+            # Real backends replay the exact trajectories of the simulated
+            # path, which requires schedule-independent per-lane draws.
+            overrides["rng_mode"] = "counter"
+    if "devices" in supports:
+        overrides.update(
+            devices=args.devices,
+            peer_interconnect=args.peer_interconnect,
+            topology=args.topology,
+            rebalance_threshold=args.rebalance_threshold,
+        )
     try:
         if args.device_specs is not None:
-            args.device_specs = tuple(
+            overrides["device_specs"] = tuple(
                 ClusterDeviceSpec.parse(spec) for spec in args.device_specs
             )
             if len(args.device_specs) != args.devices:
@@ -648,7 +538,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 )
                 return 2
         if args.failures is not None:
-            args.failure_schedule = FailureSchedule.parse(
+            overrides["failure_schedule"] = FailureSchedule.parse(
                 ",".join(args.failures)
             )
     except ValueError as exc:
@@ -656,41 +546,31 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     graph = _load_graph(args)
     try:
-        stats = _run_system(args, graph)
+        engine = harness.build_system(
+            args.system, graph, args.algorithm,
+            interconnect=args.interconnect, seed=args.seed,
+            sampler=args.sampler, sanitize=args.sanitize, **overrides,
+        )
     except ValueError as exc:
-        if args.sampler is not None and "sampler" in str(exc):
-            print(str(exc), file=sys.stderr)
-            return 2
-        raise
+        # The system cannot run this workload (FlashMob on variable-length
+        # walks, NextDoor on a graph beyond device memory, an unsupported
+        # --sampler): a client error like the flag mismatches above.
+        print(str(exc), file=sys.stderr)
+        return 2
+    stats = harness.run_system(
+        engine, args.walks or standard_walks(graph), sanitize=args.sanitize
+    )
     if args.metrics_json is not None:
         payload = json.dumps(stats.metrics, indent=2, sort_keys=True)
-        if args.metrics_json == "-":
-            print(payload)
-        else:
-            try:
-                with open(args.metrics_json, "w", encoding="utf-8") as handle:
-                    handle.write(payload + "\n")
-            except OSError as exc:
-                print(f"cannot write metrics to {args.metrics_json}: {exc}",
-                      file=sys.stderr)
-                return 2
-            print(f"wrote metrics to {args.metrics_json}")
+        if not _export_metrics(payload + "\n", args.metrics_json, "metrics"):
+            return 2
     if args.metrics_prom is not None and stats.metrics is not None:
         from repro.core.metrics import prometheus_text
 
         labels = {"system": args.system, "graph": graph.name}
         text = prometheus_text(stats.metrics, extra_labels=labels)
-        if args.metrics_prom == "-":
-            print(text, end="")
-        else:
-            try:
-                with open(args.metrics_prom, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-            except OSError as exc:
-                print(f"cannot write metrics to {args.metrics_prom}: {exc}",
-                      file=sys.stderr)
-                return 2
-            print(f"wrote Prometheus metrics to {args.metrics_prom}")
+        if not _export_metrics(text, args.metrics_prom, "Prometheus metrics"):
+            return 2
     print(stats.summary())
     print(f"  iterations      : {stats.iterations}")
     print(f"  explicit copies : {stats.explicit_copies}")
@@ -838,7 +718,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     results = bench.run_bench(**sizes, seed=args.seed, quick=args.quick)
     print(bench.format_summary(results))
     if args.out != "-":
-        bench.write_results(results, args.out)
+        harness.write_results(results, args.out)
         print(f"wrote {args.out}")
     if not args.no_check and not results["checks"]["all_ok"]:
         print(f"{spec.label} benchmark checks FAILED", file=sys.stderr)

@@ -78,7 +78,7 @@ from repro.gpu.cluster import (
 )
 from repro.gpu.kernels import DIRECT_WRITE, KernelModel
 from repro.gpu.memory import BlockPool
-from repro.gpu.pcie import PCIeSpec, interconnect_by_name
+from repro.gpu.pcie import resolve_interconnect
 from repro.gpu.timeline import TimeBreakdown, Timeline
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import PartitionedGraph, partition_by_range
@@ -142,15 +142,9 @@ class LightTrafficEngine:
             graph, config.partition_bytes
         )
         self.kernel_model = KernelModel(config.device, config.calibration)
-        if isinstance(config.interconnect, PCIeSpec):
-            self.pcie = config.interconnect
-        else:
-            self.pcie = interconnect_by_name(config.interconnect)
+        self.pcie = resolve_interconnect(config.interconnect)
         self.adaptive = AdaptivePolicy(config.copy_mode, config.calibration)
-        if isinstance(config.ship_interconnect, PCIeSpec):
-            self.ship_link = config.ship_interconnect
-        else:
-            self.ship_link = interconnect_by_name(config.ship_interconnect)
+        self.ship_link = resolve_interconnect(config.ship_interconnect)
 
     # ------------------------------------------------------------------
     def _make_rng(self) -> Any:
@@ -231,7 +225,7 @@ class LightTrafficEngine:
         rng: Any,
         num_walks: int,
         bus: EventBus,
-        backend: Any = None,
+        backend: Any,
     ) -> Shard:
         """One device's substrate: pools, timeline, scheduler and stages."""
         cfg = self.config
@@ -333,12 +327,10 @@ class LightTrafficEngine:
         )
         walks = WalkArrays.fresh(starts)
         self.algorithm.on_start(walks, self.graph)
-        backend = shared.backend
-        if backend is not None:
-            # All shards share one backend; real backends precompute from
-            # the full seeded state (trajectory tables, worker forks)
-            # before the walks are split across devices.
-            backend.on_walks_seeded(walks)
+        # All shards share one backend; real backends precompute from
+        # the full seeded state (trajectory tables, worker forks) before
+        # the walks are split across devices.
+        shared.backend.on_walks_seeded(walks)
         start_parts = self.partitioned.find_partitions(walks.vertices)
         groups = group_by_partition(walks, start_parts)
         for part, group in groups.items():

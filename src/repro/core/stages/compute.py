@@ -77,16 +77,12 @@ class ComputeDispatcher:
             return
         cfg = ctx.config
         partition = ctx.pgraph.partitions[part_idx]
-        backend = ctx.backend
-        if backend is not None:
-            # Execution is delegated (and wall-clock measured) by the
-            # backend; the returned BatchRunResult still feeds the
-            # simulated cost model below, unchanged.
-            result = backend.advance(partition, contents, ctx.rng, ctx.graph)
-        else:
-            result = ctx.algorithm.advance_in_partition(
-                partition, contents, ctx.rng, ctx.graph
-            )
+        # Execution is delegated (and wall-clock measured) by the backend;
+        # the returned BatchRunResult still feeds the simulated cost model
+        # below, unchanged.
+        result = ctx.backend.advance(
+            partition, contents, ctx.rng, ctx.graph
+        )
         fallbacks = ctx.algorithm.consume_sampler_fallbacks()
 
         update_t = ctx.update_time(

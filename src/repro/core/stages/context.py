@@ -11,7 +11,7 @@ the cached per-partition kernel-time model (:meth:`update_time`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.algorithms.base import RandomWalkAlgorithm
 from repro.core.adaptive import AdaptivePolicy
@@ -25,6 +25,9 @@ from repro.gpu.timeline import Stream, Timeline
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import PartitionedGraph
 from repro.walks.pool import DeviceWalkPool, HostWalkPool
+
+if TYPE_CHECKING:
+    from repro.backends.base import ExecutionBackend
 
 
 @dataclass
@@ -48,6 +51,9 @@ class StageContext:
     ship_link: PCIeSpec
     bytes_per_walk: int
     adaptive: AdaptivePolicy
+    #: execution backend running the walk-update kernels; one per run,
+    #: shared by every shard (``LightTrafficEngine._make_backend``).
+    backend: "ExecutionBackend"
     #: completion time of each cached partition's last explicit load.
     graph_ready: Dict[int, float] = field(default_factory=dict)
     #: which device shard this context belongs to.
@@ -55,11 +61,6 @@ class StageContext:
     #: migration router (:class:`repro.core.cluster.WalkMigrator`) the
     #: compute stage hands cross-shard walks to; ``None`` = single device.
     router: Optional[object] = None
-    #: execution backend (:class:`repro.backends.ExecutionBackend`)
-    #: running the walk-update kernels; ``None`` = call the algorithm
-    #: inline (the historical path, kept for baselines/tests that build
-    #: contexts by hand).
-    backend: Optional[object] = None
     #: arrival time of the latest P2P delivery into each partition —
     #: kernels over migrated walks may not start before their payload
     #: lands (the multi-device analog of :attr:`graph_ready`).

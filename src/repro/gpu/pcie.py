@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+from typing import Union
 
 from repro.core.units import BytesPerSecond, Seconds
 from repro.gpu.calibration import Calibration, DEFAULT_CALIBRATION
@@ -101,3 +102,10 @@ def interconnect_by_name(name: str) -> PCIeSpec:
         raise KeyError(
             f"unknown interconnect {name!r}; choose from {sorted(_BY_NAME)}"
         ) from None
+
+
+def resolve_interconnect(spec_or_name: Union[str, PCIeSpec]) -> PCIeSpec:
+    """A config's interconnect field as a spec: presets may be given by name."""
+    if isinstance(spec_or_name, PCIeSpec):
+        return spec_or_name
+    return interconnect_by_name(spec_or_name)

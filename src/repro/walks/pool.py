@@ -6,9 +6,10 @@ pool caches at most ``m_w`` walks; per partition it keeps an append-only
 write frontier plus the already-full batches awaiting computation, with one
 reserved free batch per partition guaranteeing rollover never fails.
 
-Implementation note: the device pool stores each partition's walks as a
-FIFO list of array chunks and materializes fixed-size :class:`WalkBatch`
-objects only at pop/evict time.  Batch *accounting* (how many full batches
+Implementation note: the device pool stores each partition's walks in one
+contiguous append buffer (inserts are slice assignments at the tail, pops
+are slice views from the head) and materializes fixed-size
+:class:`WalkBatch` objects only at pop/evict time.  Batch *accounting* (how many full batches
 exist, what the frontier holds) is derived from walk counts — `full =
 count // B`, `frontier = count % B` — which is exactly the invariant the
 paper's circular queues maintain, at a fraction of the bookkeeping cost.
@@ -210,9 +211,6 @@ class DeviceWalkPool:
     def has_cached_batches(self, partition: int) -> bool:
         """Whether completed batches exist (these are the preemptible ones;
         the write frontier must stay in place to receive reshuffled walks)."""
-        return self.full_batches(partition) >= 1
-
-    def has_full_cached_batch(self, partition: int) -> bool:
         return self.full_batches(partition) >= 1
 
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.backends import (
     make_backend,
 )
 from repro.backends import numba_kernels
+from repro.bench.harness import write_results
 from repro.core.config import EngineConfig
 from repro.core.engine import LightTrafficEngine
 from repro.gpu.kernels import fit_time_scale, relative_errors
@@ -273,7 +274,7 @@ class TestBenchBackends:
         summary = bench_backends.format_summary(results)
         assert "execution-backend benchmark" in summary
         out = tmp_path / "BENCH_backends.json"
-        bench_backends.write_results(results, str(out))
+        write_results(results, str(out))
         payload = json.loads(out.read_text())
         assert payload["checks"]["identity_ok"]
 

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,12 +216,35 @@ class TestRun:
         assert "supported engines:" in captured.err
         assert captured.out == ""
 
-    def test_run_ppr_rejected_by_flashmob(self, graph_file):
-        with pytest.raises(ValueError, match="fixed-length"):
-            main(
-                ["run", "--graph", graph_file, "--algorithm", "ppr",
-                 "--walks", "100", "--system", "flashmob"]
-            )
+    def test_run_ppr_rejected_by_flashmob(self, graph_file, capsys):
+        # A workload the system cannot run is a client error (exit 2 and a
+        # one-line hint), not a constructor traceback.
+        code = main(
+            ["run", "--graph", graph_file, "--algorithm", "ppr",
+             "--walks", "100", "--system", "flashmob"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "FlashMob supports only fixed-length" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_run_nextdoor_rejects_graph_beyond_device_memory(
+        self, tmp_path, capsys
+    ):
+        # ~7.3 MB of CSR against the platform's 6.9 MB scaled GPU memory.
+        out = tmp_path / "big.npz"
+        assert main(
+            ["generate", "--kind", "erdos", "--vertices", "3000",
+             "--edge-factor", "160", "--out", str(out)]
+        ) == 0
+        capsys.readouterr()
+        code = main(["run", "--graph", str(out), "--system", "nextdoor"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "NextDoor requires the graph to fit" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_run_edge_list_input(self, tmp_path, small_graph, capsys):
         from repro.graph.io import save_edge_list
@@ -258,11 +283,11 @@ class TestExperimentCommand:
 
 class TestReportCommand:
     def test_report_written(self, tmp_path, capsys, monkeypatch):
-        import repro.bench.report as report_mod
+        from repro.bench import harness
 
         monkeypatch.setattr(
-            report_mod,
-            "_REGISTRY",
+            harness,
+            "EXPERIMENTS",
             {"table2": (lambda: [{"a": 1}], "datasets")},
         )
         out = tmp_path / "r.md"
@@ -492,3 +517,85 @@ class TestServeCLI:
         assert "max_batch_walks=3" in captured.err
         assert "split the query" in captured.err
         assert captured.out == ""
+
+
+#: flag -> (argv that uses it, capability the system needs for it)
+CAPABILITY_FLAGS = {
+    "--metrics-json": (["--metrics-json", "-"], "bus"),
+    "--metrics-prom": (["--metrics-prom", "-"], "bus"),
+    "--sanitize": (["--sanitize"], "bus"),
+    "--devices": (["--devices", "2"], "devices"),
+    "--backend": (["--backend", "multiprocess"], "backend"),
+    "--device-spec": (["--device-spec", "a:c=2", "--device-spec", "b"],
+                      "devices"),
+    "--fail": (["--fail", "1@4"], "devices"),
+    "--rebalance-threshold": (["--rebalance-threshold", "1.5"], "devices"),
+    "--topology": (["--topology", "ring"], "devices"),
+}
+#: capability -> the systems that have it, in the order the hint lists them
+CAPABLE_SYSTEMS = {
+    "bus": ("lighttraffic", "subway", "uvm", "multiround"),
+    "devices": ("lighttraffic",),
+    "backend": ("lighttraffic",),
+}
+ALL_SYSTEMS = (
+    "lighttraffic", "thunderrw", "flashmob", "subway", "nextdoor", "uvm",
+    "multiround",
+)
+
+
+class TestCapabilityMatrix:
+    @pytest.fixture()
+    def graph_file(self, tmp_path, small_graph):
+        from repro.graph.io import save_csr
+
+        path = tmp_path / "g.npz"
+        save_csr(small_graph, path)
+        return str(path)
+
+    def test_systems_and_bus_systems_are_the_table(self):
+        import repro.cli as cli
+
+        assert cli.SYSTEMS == ALL_SYSTEMS
+        assert cli.BUS_SYSTEMS == CAPABLE_SYSTEMS["bus"]
+
+    @pytest.mark.parametrize("system", ALL_SYSTEMS)
+    @pytest.mark.parametrize("flag", sorted(CAPABILITY_FLAGS))
+    def test_flag_system_pair(self, graph_file, capsys, flag, system):
+        argv, capability = CAPABILITY_FLAGS[flag]
+        supported = CAPABLE_SYSTEMS[capability]
+        command = ["run", "--graph", graph_file, "--algorithm", "uniform",
+                   "--walks", "200", "--system", system] + argv
+        if system in supported:
+            if capability == "devices" and flag != "--devices":
+                command += ["--devices", "2"]  # cluster knobs need a cluster
+            assert main(command) == 0
+            assert f"{system}/uniform" in capsys.readouterr().out
+            return
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"{flag} is not supported by system {system!r}; "
+            f"supported engines: {', '.join(supported)}\n"
+        )
+        assert captured.out == ""
+
+
+HELP_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "cli_help_golden.json").read_text()
+)
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != HELP_GOLDEN["python"],
+    reason="argparse help layout differs between Python versions; the "
+           "golden was captured on " + HELP_GOLDEN["python"],
+)
+@pytest.mark.parametrize("form", sorted(HELP_GOLDEN["help"]))
+def test_help_text_is_byte_identical(form, capsys, monkeypatch):
+    """``repro <cmd> --help`` as captured before the front-end tables."""
+    monkeypatch.setenv("COLUMNS", str(HELP_GOLDEN["columns"]))
+    with pytest.raises(SystemExit) as exit_info:
+        main(form.split() + ["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == HELP_GOLDEN["help"][form]

@@ -4,9 +4,19 @@ The heavy sweeps run under `benchmarks/`; here we validate the row schemas
 and basic invariants on the cheapest dataset so `pytest tests/` stays fast.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench import harness
+
+#: RunStats of every system's hand-built engine (the seven construction
+#: branches of the former ``cli._run_system``), captured at the commit
+#: before ``SYSTEMS`` replaced them.
+SYSTEM_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "system_parity_golden.json").read_text()
+)
 
 
 class TestAlgorithmFactory:
@@ -139,3 +149,80 @@ class TestMetricsObservatory:
         assert by_system["subway"]["served_explicit"] > 0
         assert by_system["subway"]["served_zero_copy"] == 0
         assert by_system["uvm"]["served_explicit"] > 0
+
+
+class TestSystemsTable:
+    def test_table_covers_the_captured_systems(self):
+        captured = {key.rsplit("-", 1)[0] for key in SYSTEM_GOLDEN["runs"]}
+        assert set(harness.SYSTEMS) == captured
+        assert list(harness.SYSTEMS)[0] == "lighttraffic"  # CLI default
+
+    @pytest.mark.parametrize("algorithm", ["pagerank", "uniform"])
+    @pytest.mark.parametrize("system", list(harness.SYSTEMS))
+    def test_build_system_matches_hand_built_engine(
+        self, system, algorithm, small_graph
+    ):
+        # small_graph is the capture's rmat(scale=10, edge_factor=6, seed=7).
+        golden = SYSTEM_GOLDEN["runs"][f"{system}-{algorithm}"]
+        stats = harness.build_system(
+            system, small_graph, algorithm, seed=SYSTEM_GOLDEN["seed"]
+        ).run(SYSTEM_GOLDEN["walks"])
+        assert stats.system == system
+        assert stats.total_time == golden["total_time"]
+        assert stats.iterations == golden["iterations"]
+        assert stats.total_steps == golden["total_steps"]
+        assert dict(stats.breakdown) == golden["breakdown"]
+
+    def test_algorithm_may_be_a_factory(self, small_graph):
+        from repro.algorithms import PageRank
+
+        stats = harness.build_system(
+            "multiround", small_graph, lambda: PageRank(length=4), rounds=3
+        ).run(300)
+        assert stats.total_steps == 300 * 4
+        assert stats.notes == "rounds=3"
+
+    def test_engine_overrides_reach_the_baseline_config(self, small_graph):
+        engine = harness.build_system(
+            "uvm", small_graph, "uniform", page_bytes=4096, interconnect="pcie4"
+        )
+        assert engine.config.page_bytes == 4096
+        assert engine.pcie.name == "pcie4"
+
+    @pytest.mark.parametrize(
+        "system, algorithm, match",
+        [
+            ("flashmob", "ppr", "fixed-length"),
+            ("thunderrw", "pagerank", "sampler"),
+            ("multiround", "pagerank", "sampler"),
+        ],
+    )
+    def test_unrunnable_workload_is_a_build_time_value_error(
+        self, small_graph, system, algorithm, match
+    ):
+        sampler = "alias" if match == "sampler" else None
+        with pytest.raises(ValueError, match=match):
+            harness.build_system(
+                system, small_graph, algorithm, sampler=sampler
+            )
+
+    @pytest.mark.parametrize("system", ["subway", "uvm"])
+    def test_run_system_sanitizes_bus_baselines_event_only(
+        self, small_graph, system
+    ):
+        engine = harness.build_system(
+            system, small_graph, "uniform", sanitize=True
+        )
+        stats = harness.run_system(engine, 200, sanitize=True)
+        assert stats.sanitizer["clean"]
+        assert stats.sanitizer["checks"] > 0
+
+    def test_experiment_registries_are_views_of_one_table(self):
+        from repro import cli
+        from repro.bench.report import experiment_registry
+
+        assert experiment_registry() is harness.EXPERIMENTS
+        assert set(cli.EXPERIMENTS) == set(harness.EXPERIMENTS)
+        assert len(harness.EXPERIMENTS) == 15
+        for name, (runner, args) in cli.EXPERIMENTS.items():
+            assert runner is harness.EXPERIMENTS[name][0] and args == ()

@@ -27,13 +27,26 @@ from repro.core.stages import (
 from repro.core.stats import CAT_GRAPH_LOAD, CAT_WALK_LOAD
 
 
+_open_backends = []
+
+
+@pytest.fixture(autouse=True)
+def _close_backends():
+    """Close every backend :func:`build_ctx` opened during the test."""
+    yield
+    while _open_backends:
+        _open_backends.pop().close()
+
+
 def build_ctx(graph, config, num_walks=96, length=4):
     """A seeded StageContext plus an event recorder, no engine loop."""
     engine = LightTrafficEngine(graph, PageRank(length=length), config)
     bus = EventBus()
     cluster = engine._build_cluster()
     rng = engine._make_rng()
-    shard = engine._build_shard(0, cluster, rng, num_walks, bus)
+    backend = engine._make_backend()
+    _open_backends.append(backend)
+    shard = engine._build_shard(0, cluster, rng, num_walks, bus, backend)
     engine._seed_shards([shard], cluster, num_walks)
     ctx = shard.ctx
     events = []

@@ -1127,6 +1127,26 @@ class TestRealTreeStrictClean:
         baseline = Path(__file__).parent.parent / DEFAULT_BASELINE
         assert json.loads(baseline.read_text())["findings"] == []
 
+    def test_one_call_graph_per_run(self, tmp_path, monkeypatch):
+        # rng, effects, protocol and taint all read the project call
+        # graph; the runner builds it once and hands it to each.
+        from repro.analysis.static.dataflow import CallGraph
+
+        builds = []
+        original = CallGraph.build.__func__
+
+        def counting_build(cls, modules, table):
+            builds.append(cls)
+            return original(cls, modules, table)
+
+        monkeypatch.setattr(CallGraph, "build", classmethod(counting_build))
+        (tmp_path / "module.py").write_text("def f():\n    return 1\n")
+        analyze_paths([tmp_path], strict=True)
+        assert len(builds) == 1
+        del builds[:]
+        analyze_paths([tmp_path], strict=False)
+        assert builds == []  # the house rules never need it
+
 
 # ---------------------------------------------------------------------------
 # Unit-consistency regression tests (the audited cost paths)
