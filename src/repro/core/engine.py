@@ -26,10 +26,11 @@ round-robin.  One shard turn is one iteration of Algorithm 2:
    the host over the full-duplex evict stream.
 
 The paper's single-GPU engine is the ``devices == 1`` case of that loop:
-one shard that owns every partition, so there is no owned mask, no
-migration router, no controller and no failure schedule, and every number
-is bit-identical to the pre-sharding engine (pinned by
-``tests/test_engine_parity.py``).  What only exists at ``devices > 1`` —
+one shard that owns every partition (its scheduler's owned mask is
+all-``True``), so there is no migration router, no controller and no
+failure schedule, and every number is bit-identical to the pre-sharding
+engine (pinned by ``tests/test_engine_parity.py``).  What only exists at
+``devices > 1`` —
 peer-to-peer walk migration, elastic rebalancing, device-failure recovery —
 lives in :mod:`repro.core.cluster` as collaborators this loop calls.
 
@@ -289,11 +290,7 @@ class LightTrafficEngine:
                 cfg.selective,
                 cfg.preemptive,
                 eviction_policy=cfg.eviction_policy,
-                owned=(
-                    cluster.owned_mask(device_id)
-                    if cluster.num_devices > 1
-                    else None
-                ),
+                owned=cluster.owned_mask(device_id),
             ),
             host=HostWalkPool(num_partitions, batch_cap),
             device=DeviceWalkPool(num_partitions, batch_cap, capacity),

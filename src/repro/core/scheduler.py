@@ -1,20 +1,34 @@
 """Partition / batch / eviction scheduling policies (paper §III-D).
 
-The scheduler answers four questions each iteration:
+The scheduler answers four questions each iteration, each with one masked
+arg-min / arg-max over the per-partition walk counts.  Every mask includes
+``owned`` (this device's partitions; all of them on a one-shard run): a
+foreign partition's device-local zero counts would win every fewest-walks
+rule, and evicting its batch would route it through the wrong host pool.
 
 1. *Which partition to load next?*  Baseline: round robin over partitions
    that still have walks.  Selective: the partition with the most walks, so
    the loaded bytes serve the most computation.
-2. *Which cached graph partition to overwrite when the pool is full?*
-   Baseline: FIFO.  Selective: the cached partition with the fewest walks
-   (lowest reuse chance).
-3. *Which batch to compute preemptively while loads are in flight?*
-   Prefer a full batch whose graph partition is cached and whose partition
-   holds the fewest walks (finish it off before its graph gets evicted);
-   otherwise the computable batch with the most walks (amortize launch
-   cost).
-4. *Which batch to evict when the walk pool overflows?*  Same preference
-   order as (3), applied to partitions whose graph is *not* cached first.
+2. *Which cached graph partition to overwrite when the pool is full?*  Never
+   ``protect``, the one being loaded.  Baseline: FIFO (LRU when the pool
+   tracks recency).  Selective default, ``min_walks``: the cached partition
+   with the fewest walks (lowest reuse chance).
+3. *Which batch to compute preemptively while loads are in flight?*  Of the
+   cached partitions other than ``exclude``: one holding a full batch,
+   preferring the fewest walks in total (finish it off before its graph gets
+   evicted); otherwise one holding at least half a batch (emptier frontiers
+   burn kernel launches for no progress), preferring the most device-cached
+   walks (amortize launch cost).  Baseline: the first such.
+4. *Which batch to evict when the walk pool overflows?*  ``protect``'s only
+   when no other partition has device-cached walks.  Baseline: the lowest
+   partition.  Selective: the fewest device-cached walks (least likely to be
+   computed before their graph cycles out), among partitions whose graph is
+   *not* cached when there are any.
+
+Tie-breaks are contract (``tests/test_scheduler.py`` has a brute-force oracle
+per rule): lowest partition index in (1), (2) ``min_walks`` and (4); pool
+insertion order in (2) FIFO / LRU and all of (3), its baseline included.
+``np.argmin`` / ``np.argmax`` return the first extreme in candidate order.
 """
 
 from __future__ import annotations
@@ -48,11 +62,6 @@ class Scheduler:
         self.num_partitions = num_partitions
         self.selective = selective
         self.preemptive = preemptive
-        # Device shard view: a boolean mask restricting every decision to
-        # the partitions this scheduler's device owns.  ``None`` (single
-        # device) keeps the original global code paths untouched.
-        self.owned: Optional[np.ndarray] = None
-        self._owned_idx: Optional[np.ndarray] = None
         self.set_owned(owned)
         if eviction_policy is None:
             eviction_policy = (
@@ -68,64 +77,42 @@ class Scheduler:
         self._cursor = -1
 
     def set_owned(self, owned: Optional[np.ndarray]) -> None:
-        """Replace the owned-partition mask (elastic rebalance / failover).
+        """Replace the owned-partition mask; ``None`` means every partition.
 
-        The mask is no longer fixed at construction: a rebalance or a
-        peer failure reassigns partitions mid-run, and every surviving
-        shard's scheduler must immediately decide over its new range.
-        Round-robin cursor state is preserved (it is a partition index,
-        valid under any mask).
+        A rebalance or a peer failure reassigns partitions mid-run, and every
+        surviving shard's scheduler must immediately decide over its new range.
+        The round-robin cursor is kept (a partition index fits any mask).
         """
-        if owned is not None:
-            owned = np.asarray(owned, dtype=bool)
-            if owned.shape != (self.num_partitions,):
-                raise ValueError("owned mask must cover every partition")
-            if not owned.any():
-                raise ValueError("owned mask selects no partition")
-        self.owned = owned
-        self._owned_idx = (
-            None if owned is None else np.nonzero(owned)[0].astype(np.int64)
-        )
+        if owned is None:
+            owned = np.ones(self.num_partitions, dtype=bool)
+        owned = np.asarray(owned, dtype=bool)
+        if owned.shape != (self.num_partitions,):
+            raise ValueError("owned mask must cover every partition")
+        if not owned.any():
+            raise ValueError("owned mask selects no partition")
+        self.owned: np.ndarray = owned
 
-    # ------------------------------------------------------------------
-    # (1) Partition selection
-    # ------------------------------------------------------------------
+    def _cached(self, pool: BlockPool, skip: Optional[int]) -> np.ndarray:
+        """Owned cached partitions except ``skip``, in pool insertion order."""
+        keys = np.asarray([k for k in pool.keys() if k != skip], np.int64)
+        return keys[self.owned[keys]]
+
     def select_partition(
         self, host: HostWalkPool, device: DeviceWalkPool
     ) -> Optional[int]:
         """Next partition to process, or ``None`` if no walks remain."""
-        totals = host.counts + device.counts
-        if self._owned_idx is not None:
-            # Shard view: decide only over owned partitions.  Ties break
-            # toward the lowest owned partition index (np.argmax picks the
-            # first maximum), matching the global policy restricted.
-            if self.selective:
-                local = self._owned_idx[
-                    int(np.argmax(totals[self._owned_idx]))
-                ]
-                return int(local) if totals[local] > 0 else None
-            for step in range(1, self.num_partitions + 1):
-                candidate = (self._cursor + step) % self.num_partitions
-                if self.owned is not None and not self.owned[candidate]:
-                    continue
-                if totals[candidate] > 0:
-                    self._cursor = candidate
-                    return candidate
-            return None
+        totals = (host.counts + device.counts) * self.owned
         if self.selective:
             best = int(np.argmax(totals))
             return best if totals[best] > 0 else None
-        # Round robin over non-empty partitions.
-        for step in range(1, self.num_partitions + 1):
-            candidate = (self._cursor + step) % self.num_partitions
-            if totals[candidate] > 0:
-                self._cursor = candidate
-                return candidate
-        return None
+        live = np.flatnonzero(totals > 0)
+        if live.size == 0:
+            return None
+        # First live partition after the cursor, wrapping to the lowest.
+        after = int(np.searchsorted(live, self._cursor, side="right"))
+        self._cursor = int(live[after % live.size])
+        return self._cursor
 
-    # ------------------------------------------------------------------
-    # (2) Graph-pool eviction victim
-    # ------------------------------------------------------------------
     def graph_victim(
         self,
         graph_pool: BlockPool,
@@ -134,24 +121,15 @@ class Scheduler:
         protect: Optional[int] = None,
     ) -> int:
         """Cached partition to overwrite; never the one being loaded."""
-        cached = [k for k in graph_pool.keys() if k != protect]
-        if self.owned is not None:
-            # Guard: a shard's graph pool must not leak another shard's
-            # partitions into this decision (totals of foreign partitions
-            # are device-local zeros and would always win min-walks).
-            cached = [k for k in cached if self.owned[k]]
-        if not cached:
+        cached = self._cached(graph_pool, protect)
+        if cached.size == 0:
             raise KeyError("no evictable graph partition")
         if self.eviction_policy in (self.EVICT_FIFO, self.EVICT_LRU):
-            # keys() is insertion order; with a recency-tracked pool the
-            # first key is the least recently used.
-            return cached[0]
-        totals = host.counts + device.counts
-        return min(cached, key=lambda k: (int(totals[k]), k))
+            return int(cached[0])
+        cached.sort()  # ties go to the lowest index, not the oldest key
+        totals = host.counts[cached] + device.counts[cached]
+        return int(cached[np.argmin(totals)])
 
-    # ------------------------------------------------------------------
-    # (3) Preemptive batch pick
-    # ------------------------------------------------------------------
     def pick_preemptive_partition(
         self,
         graph_pool: BlockPool,
@@ -159,43 +137,21 @@ class Scheduler:
         device: DeviceWalkPool,
         exclude: Optional[int] = None,
     ) -> Optional[int]:
-        """Partition whose cached batches should be computed preemptively.
+        """Partition whose cached batches to compute preemptively, if any."""
+        cached = self._cached(graph_pool, exclude)
+        dcounts = device.counts[cached]
+        ready = dcounts >= device.batch_capacity
+        if ready.any():
+            rank = host.counts[cached] + dcounts  # full: fewest total walks
+        else:
+            ready = dcounts * 2 >= device.batch_capacity
+            rank = -dcounts  # half full: most device-cached walks
+            if not ready.any():
+                return None
+        if not self.selective:
+            return int(cached[np.argmax(ready)])  # the first ready one
+        return int(cached[ready][np.argmin(rank[ready])])
 
-        Ready = graph partition cached *and* computable device-cached walks.
-        Per the paper's batch-pick policy, full batches are preferred (from
-        the ready partition with the *fewest* total walks, to finish it off
-        before its graph gets overwritten); otherwise the largest partial
-        batch is dispatched, provided it is at least half full — dispatching
-        near-empty frontiers would burn kernel launches for no progress.
-        """
-        keys = graph_pool.keys()
-        if exclude is not None:
-            keys = [k for k in keys if k != exclude]
-        if self.owned is not None:
-            keys = [k for k in keys if self.owned[k]]
-        if not keys:
-            return None
-        keys_arr = np.asarray(keys, dtype=np.int64)
-        dcounts = device.counts[keys_arr]
-        capacity = device.batch_capacity
-        full_mask = dcounts >= capacity
-        if full_mask.any():
-            candidates = keys_arr[full_mask]
-            if not self.selective:
-                return int(candidates[0])
-            totals = host.counts[candidates] + device.counts[candidates]
-            return int(candidates[int(np.argmin(totals))])
-        partial_mask = dcounts * 2 >= capacity
-        if partial_mask.any():
-            candidates = keys_arr[partial_mask]
-            if not self.selective:
-                return int(candidates[0])
-            return int(candidates[int(np.argmax(dcounts[partial_mask]))])
-        return None
-
-    # ------------------------------------------------------------------
-    # (4) Walk-batch eviction
-    # ------------------------------------------------------------------
     def walk_evict_partition(
         self,
         graph_pool: BlockPool,
@@ -203,21 +159,17 @@ class Scheduler:
         protect: Optional[int] = None,
     ) -> int:
         """Partition from which to evict one walk batch to the host."""
-        candidates = [
-            int(p) for p in device.partitions_with_walks() if p != protect
-        ]
-        if self.owned is not None:
-            # Guard: never evict (and thereby re-route through the local
-            # host pool) a batch belonging to another shard's partition.
-            candidates = [p for p in candidates if self.owned[p]]
-        if not candidates:
+        mask = (device.counts > 0) & self.owned
+        if protect is not None:
+            mask[protect] = False
+        candidates = np.flatnonzero(mask)
+        if candidates.size == 0:
             if protect is not None and device.has_walks(protect):
                 return protect
             raise KeyError("walk pool has nothing to evict")
         if not self.selective:
-            return candidates[0]
-        uncached = [p for p in candidates if p not in graph_pool]
-        pool = uncached if uncached else candidates
-        # Fewest cached walks first: those batches have the lowest chance of
-        # being computed before their graph partition cycles out.
-        return min(pool, key=lambda p: (int(device.counts[p]), p))
+            return int(candidates[0])
+        mask[graph_pool.keys()] = False
+        if mask.any():
+            candidates = np.flatnonzero(mask)
+        return int(candidates[np.argmin(device.counts[candidates])])

@@ -306,3 +306,10 @@ class TestOwnedSchedulerTieBreaks:
             Scheduler(6, True, False, owned=np.ones(3, dtype=bool))
         with pytest.raises(ValueError, match="selects no partition"):
             Scheduler(6, True, False, owned=np.zeros(6, dtype=bool))
+        # No mask means every partition, at construction and on re-masking.
+        sched = Scheduler(6, True, False)
+        assert sched.owned.all()
+        sched.set_owned(self.owned(2, 4))
+        assert sched.owned.tolist() == [False, False, True, False, True, False]
+        sched.set_owned(None)
+        assert sched.owned.shape == (6,) and sched.owned.all()

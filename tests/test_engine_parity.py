@@ -107,8 +107,8 @@ def test_single_shard_cluster_bit_identical(record, parity_graph):
 
     ``MultiDeviceEngine`` is only another name for the engine, so the
     bit-identity itself is what the golden test above checks; this adds
-    that the one shard carries no cluster state — no owned-mask filtering
-    in the scheduler, no migration router, no channel streams.
+    that the one shard carries no cluster state — it owns every partition
+    in the scheduler's mask, no migration router, no channel streams.
     """
     from repro.core.cluster import MultiDeviceEngine
 
@@ -119,7 +119,7 @@ def test_single_shard_cluster_bit_identical(record, parity_graph):
     assert stats.walks_migrated == 0
     assert stats.device_times is None
     (shard,) = engine._shards
-    assert shard.ctx.scheduler.owned is None
+    assert shard.ctx.scheduler.owned.all()
     assert shard.ctx.router is None
     assert not engine._cluster.channels
     assert engine._timelines == [engine._timeline]

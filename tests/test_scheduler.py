@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.scheduler import Scheduler
 from repro.gpu.memory import BlockPool
@@ -191,3 +193,135 @@ class TestWalkEviction:
         device.append_walks(1, walks(9))
         sched = Scheduler(6, selective=False, preemptive=False)
         assert sched.walk_evict_partition(BlockPool(2), device) == 1
+
+
+# ----------------------------------------------------------------------
+# Each rule against a brute-force oracle.  The oracles are plain loops
+# written from the module docstring of ``repro.core.scheduler`` (rules
+# 1-4 and their tie-breaks), not from its array code.  The count range
+# and the batch capacity vary per example so that ties, and each of "full
+# batch", "half full" and "neither", are common cases, not rare ones.
+# ----------------------------------------------------------------------
+SIZES = st.integers(1, 8)
+POLICIES = ("fifo", "lru", "min_walks")
+
+
+@st.composite
+def states(draw, sizes=SIZES):
+    """Random counts, owned mask (``None`` = all), pool order, skip key."""
+    n = draw(sizes)
+    batch = draw(st.sampled_from((4, 8)))
+    host = HostWalkPool(n, batch)
+    device = DeviceWalkPool(n, batch, capacity_walks=10_000)
+    # At most three distinct levels per pool, so most decisions are ties;
+    # a ceiling of batch - 1 gives half-full batches and no full one.
+    ceiling = draw(st.sampled_from((batch - 1, 2 * batch)))
+    levels = st.lists(st.integers(0, ceiling), min_size=1, max_size=3)
+    for walk_pool in (host, device):
+        walk_pool.counts[:] = draw(
+            st.lists(st.sampled_from(draw(levels)), min_size=n, max_size=n)
+        )
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    owned = None if not any(mask) or draw(st.booleans()) else np.array(mask)
+    order = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    pool = BlockPool(n)
+    for key in order:
+        pool.insert(key, key)
+    skip = draw(st.none() | st.integers(0, n - 1))
+    is_owned = [True] * n if owned is None else list(mask)
+    return host, device, owned, is_owned, pool, list(order), skip
+
+
+def outcome(call):
+    """The call's return value, or ``KeyError`` if that is what it raised."""
+    try:
+        return call()
+    except KeyError:
+        return KeyError
+
+
+def first_min(keys, rank, empty=KeyError):
+    """First key with the smallest rank (strict ``<`` keeps the earliest)."""
+    best = empty
+    for k in keys:
+        if best is empty or rank(k) < rank(best):
+            best = k
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    SIZES.flatmap(
+        lambda n: st.lists(states(st.just(n)), min_size=1, max_size=4)
+    ),
+    st.booleans(),
+)
+def test_select_partition_matches_oracle(rounds, selective):
+    n = len(rounds[0][3])
+    sched = Scheduler(n, selective, preemptive=False)
+    cursor = -1
+    for host, device, owned, is_owned, *_ in rounds:
+        # Re-masking between calls: the cursor must survive set_owned.
+        sched.set_owned(owned)
+        totals = [int(h + d) for h, d in zip(host.counts, device.counts)]
+        live = [p for p in range(n) if is_owned[p] and totals[p] > 0]
+        if selective:
+            expect = first_min(live, lambda p: -totals[p], None)
+        else:
+            expect = first_min(live, lambda p: (p - cursor - 1) % n, None)
+            cursor = cursor if expect is None else expect
+        assert sched.select_partition(host, device) == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(states())
+def test_graph_victim_matches_oracle(state):
+    host, device, owned, is_owned, pool, order, protect = state
+    cached = [k for k in order if k != protect and is_owned[k]]
+    fewest = first_min(
+        cached, lambda k: (host.counts[k] + device.counts[k], k)
+    )
+    oldest = cached[0] if cached else KeyError
+    for policy in POLICIES:
+        sched = Scheduler(len(is_owned), True, True, policy, owned=owned)
+        got = outcome(lambda: sched.graph_victim(pool, host, device, protect))
+        assert got == (fewest if policy == "min_walks" else oldest), policy
+
+
+@settings(max_examples=300, deadline=None)
+@given(states())
+def test_pick_preemptive_matches_oracle(state):
+    host, device, owned, is_owned, pool, order, exclude = state
+    capacity = device.batch_capacity
+    cached = [k for k in order if k != exclude and is_owned[k]]
+    full = [k for k in cached if device.counts[k] >= capacity]
+    half = [k for k in cached if 2 * device.counts[k] >= capacity]
+    if full:
+        best = first_min(full, lambda k: host.counts[k] + device.counts[k])
+    else:
+        best = first_min(half, lambda k: -device.counts[k], None)
+    for selective in (True, False):
+        sched = Scheduler(len(is_owned), selective, True, owned=owned)
+        got = sched.pick_preemptive_partition(pool, host, device, exclude)
+        assert got == (best if selective else (full or half or [None])[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(states())
+def test_walk_evict_matches_oracle(state):
+    host, device, owned, is_owned, pool, order, protect = state
+    n = len(is_owned)
+    holding = [p for p in range(n) if device.counts[p] > 0]
+    cands = [p for p in holding if is_owned[p] and p != protect]
+    uncached = [p for p in cands if p not in order]
+    fewest = first_min(uncached or cands, lambda p: (device.counts[p], p))
+    for selective in (True, False):
+        if not cands:
+            expect = protect if protect in holding else KeyError
+        else:
+            expect = fewest if selective else cands[0]
+        sched = Scheduler(n, selective, True, owned=owned)
+        got = outcome(
+            lambda: sched.walk_evict_partition(pool, device, protect)
+        )
+        assert got == expect, selective
