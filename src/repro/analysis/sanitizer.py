@@ -15,7 +15,7 @@ mutates anything:
 * **substrate hooks** — optional observer slots on
   :class:`~repro.gpu.timeline.Stream` (every scheduled op),
   :class:`~repro.gpu.memory.BlockPool` (graph-pool inserts/evicts) and
-  :class:`~repro.walks.pool.DeviceWalkPool` (walk appends/takes).
+  both :mod:`repro.walks.pool` pools (walk appends/takes, with their ids).
 
 Multi-device runs bind one substrate *shard* per device
 (:meth:`Sanitizer.bind_shard`); every per-shard invariant is then checked
@@ -49,8 +49,10 @@ Checked invariants (rule ids in :mod:`repro.analysis.violations`):
                             shard) equal the seeded count at every
                             reshuffle, iteration boundary and run
                             completion.
-``cross-device-residency``  no walk id is resident in two shards' pools
-                            at an iteration boundary.
+``cross-device-residency``  no walk id is ever resident in two shards'
+                            pools: asserted in O(batch) at every pool
+                            write against one ``walk id -> device`` table,
+                            so it is reported at the append that caused it.
 ``migration-conservation``  per peer channel, walks delivered never
                             exceed walks sent, and a completed run has
                             sent == delivered; extended over the failure
@@ -80,7 +82,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Set, Tuple, cast
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, cast
 
 import numpy as np
 
@@ -181,7 +183,8 @@ class Sanitizer:
         self.violations: List[Violation] = []
         self.checks = 0
         self.dropped = 0
-        self._trail: Deque[str] = deque(maxlen=provenance_depth)
+        #: raw (seq, iteration, entry) provenance, see _record().
+        self._trail: Deque[tuple] = deque(maxlen=provenance_depth)
         self._seq = 0
         self._iteration = 0
         self._finished = 0
@@ -196,6 +199,9 @@ class Sanitizer:
         self._stream_device: Dict[int, int] = {}
         self._pool_device: Dict[int, int] = {}
         self._wpool_device: Dict[int, int] = {}
+        #: walk id -> device whose pools hold it, -1 while in flight or
+        #: finished; ``None`` until a second shard binds a walk pool.
+        self._where: Optional[np.ndarray] = None
         #: explicit loads not yet consumed, keyed (device, partition).
         self._loads_in_flight: Set[Tuple[int, int]] = set()
         #: migration counters per directed (src, dst) channel.
@@ -263,12 +269,32 @@ class Sanitizer:
             self._pool_device[id(graph_pool)] = device_id
         if host is not None:
             shard.host = host
+            host.observer = self
+            self._wpool_device[id(host)] = device_id
         if device is not None:
             shard.device = device
             device.observer = self
             shard.batch_capacity = device.batch_capacity
             self._wpool_device[id(device)] = device_id
+        # One shard cannot break cross-device-residency and keeps no table;
+        # the second to bind a walk pool starts it from every bound pool, a
+        # later bind enters the pools it brings (each pool is read once).
+        if self._where is not None:
+            self._snapshot(_ShardState(device_id, host=host, device=device))
+        elif len(set(self._wpool_device.values())) > 1:
+            self._where = np.full(self._expected_walks or 0, -1, np.int16)
+            for bound in self._shards.values():
+                self._snapshot(bound)
         return self
+
+    def _snapshot(self, shard: _ShardState) -> None:
+        """Bind time: walks already in ``shard``'s pools are resident there."""
+        if shard.host is not None:
+            for walks in shard.host.iter_walks():
+                self._place(shard.device_id, walks.ids)
+        if shard.device is not None:
+            for walks in shard.device.iter_walks():
+                self._place(shard.device_id, walks.ids)
 
     def bind_cluster(self, cluster: object) -> "Sanitizer":
         """Wire the cluster's owner map for stale-owner-mask auditing.
@@ -292,6 +318,8 @@ class Sanitizer:
                 and shard.graph_pool.observer is self
             ):
                 shard.graph_pool.observer = None
+            if shard.host is not None and shard.host.observer is self:
+                shard.host.observer = None
             if shard.device is not None and shard.device.observer is self:
                 shard.device.observer = None
 
@@ -308,9 +336,19 @@ class Sanitizer:
             return f"d{device}:{stream.name}"
         return stream.name
 
-    def _record(self, what: str) -> None:
+    def _record(self, entry: object) -> None:
+        # Raw: a (frozen) bus event or a hook's ``(template, *args)``; it
+        # is rendered only if a violation ever reads the trail.
         self._seq += 1
-        self._trail.append(f"#{self._seq} it={self._iteration} {what}")
+        self._trail.append((self._seq, self._iteration, entry))
+
+    def _render(self, seq: int, iteration: int, entry: object) -> str:
+        if isinstance(entry, tuple):
+            entry = entry[0].format(
+                *(self._stream_label(a) if isinstance(a, Stream) else a
+                  for a in entry[1:])
+            )
+        return f"#{seq} it={iteration} {entry}"
 
     def _violate(self, rule: str, message: str) -> None:
         if len(self.violations) >= self.max_violations:
@@ -321,7 +359,7 @@ class Sanitizer:
                 rule=rule,
                 message=message,
                 iteration=self._iteration,
-                provenance=tuple(self._trail),
+                provenance=tuple(self._render(*raw) for raw in self._trail),
             )
         )
 
@@ -336,10 +374,9 @@ class Sanitizer:
         end: float,
         earliest: float,
     ) -> None:
-        label = self._stream_label(stream)
         self._record(
-            f"op {label}/{category} "
-            f"start={start:.6e} end={end:.6e} earliest={earliest:.6e}"
+            ("op {}/{} start={:.6e} end={:.6e} earliest={:.6e}",
+             stream, category, start, end, earliest)
         )
         self.checks += 1
         key = id(stream)
@@ -348,8 +385,8 @@ class Sanitizer:
             self._violate(
                 RULE_STREAM_MONOTONIC,
                 f"op {category!r} starts at {start:.6e} before stream "
-                f"{label!r}'s completion frontier {frontier:.6e} "
-                f"(the simulated clock rewound)",
+                f"{self._stream_label(stream)!r}'s completion frontier "
+                f"{frontier:.6e} (the simulated clock rewound)",
             )
         if start < earliest - TIME_EPS:
             self._violate(
@@ -369,7 +406,8 @@ class Sanitizer:
             self._violate(
                 RULE_STREAM_AFFINITY,
                 f"category {category!r} scheduled on stream "
-                f"{label!r}, must ride {expected_stream!r} "
+                f"{self._stream_label(stream)!r}, must ride "
+                f"{expected_stream!r} "
                 f"(full-duplex PCIe contract)",
             )
 
@@ -377,10 +415,10 @@ class Sanitizer:
     # Pool hooks (gpu/memory.py)
     # ------------------------------------------------------------------
     def pool_inserted(self, pool: BlockPool, key: object) -> None:
-        self._record(f"pool {pool.name} insert {key!r}")
+        self._record(("pool {} insert {!r}", pool.name, key))
 
     def pool_evicted(self, pool: BlockPool, key: object) -> None:
-        self._record(f"pool {pool.name} evict {key!r}")
+        self._record(("pool {} evict {!r}", pool.name, key))
         self.checks += 1
         device = self._pool_device.get(id(pool), 0)
         if (device, key) in self._loads_in_flight:
@@ -392,20 +430,24 @@ class Sanitizer:
             )
 
     # ------------------------------------------------------------------
-    # Device walk pool hooks (walks/pool.py)
+    # Walk pool hooks (walks/pool.py)
     # ------------------------------------------------------------------
     def device_appended(
-        self, pool: DeviceWalkPool, partition: int, count: int
+        self, pool: DeviceWalkPool, parts: Sequence[int], ids: np.ndarray
     ) -> None:
-        self._record(f"device append part={partition} walks={count}")
+        part = parts[0] if len(parts) == 1 else list(parts)
+        self._record(("device append part={} walks={}", part, ids.size))
+        self._place(self._wpool_device[id(pool)], ids)
 
     def device_taken(
-        self, pool: DeviceWalkPool, partition: int, count: int, available: int
+        self, pool: DeviceWalkPool, partition: int, count: int,
+        available: int, ids: np.ndarray,
     ) -> None:
         self._record(
-            f"device take part={partition} walks={count} "
-            f"buffered={available}"
+            ("device take part={} walks={} buffered={}",
+             partition, count, available)
         )
+        self._place(-1, ids)
         self.checks += 1
         if count > available:
             self._violate(
@@ -414,11 +456,47 @@ class Sanitizer:
                 f"{available} buffered (double-consumed frontier batch)",
             )
 
+    def pool_host_appended(
+        self, pool: HostWalkPool, partition: int, ids: np.ndarray
+    ) -> None:
+        self._record(("host append part={} walks={}", partition, ids.size))
+        self._place(self._wpool_device[id(pool)], ids)
+
+    def pool_host_taken(
+        self, pool: HostWalkPool, partition: int, ids: np.ndarray
+    ) -> None:
+        self._record(("host take part={} walks={}", partition, ids.size))
+        self._place(-1, ids)
+
+    def _place(self, device: int, ids: np.ndarray) -> None:
+        """``ids`` entered one of ``device``'s pools or (-1) left theirs:
+        the cross-device-residency assertion, O(batch), at its cause."""
+        where = self._where
+        if where is None or not ids.size:
+            return
+        top = int(ids.max())
+        if top >= where.size:
+            self._where = np.full(max(top + 1, 2 * where.size), -1, np.int16)
+            self._where[: where.size] = where
+            where = self._where
+        if device >= 0:
+            prev = where[ids]
+            clash = (prev >= 0) & (prev != device)
+            if clash.any():
+                self._violate(
+                    RULE_CROSS_DEVICE,
+                    f"walk id(s) {ids[clash][:4].tolist()} entered device "
+                    f"{device}'s pools while still resident on device(s) "
+                    f"{np.unique(prev[clash]).tolist()} "
+                    f"({int(clash.sum())} shared)",
+                )
+        where[ids] = device
+
     # ------------------------------------------------------------------
     # Bus event handlers (bound by EventBus.attach)
     # ------------------------------------------------------------------
     def on_walks_seeded(self, event: WalksSeeded) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         if self._expected_walks is None:
             # Arms the conservation checks even when bind() was not told
             # the walk count — the seeding event is the ground truth.
@@ -432,23 +510,23 @@ class Sanitizer:
 
     def on_iteration_started(self, event: IterationStarted) -> None:
         self._iteration = event.iteration
-        self._record(f"{event!r}")
+        self._record(event)
         self._check_stale_owner(event)
         self._check_walk_capacity()
         self._check_conservation("iteration start")
         self._check_cross_device()
 
     def on_graph_served(self, event: GraphServed) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         if event.mode == SERVED_EXPLICIT:
             self._loads_in_flight.add((event.device, event.partition))
 
     def on_batch_loaded(self, event: BatchLoaded) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         self._check_batch_size(event.walks, "loaded", event.device)
 
     def on_kernel_dispatched(self, event: KernelDispatched) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         self._loads_in_flight.discard((event.device, event.partition))
         shard = self._shards.get(event.device)
         graph_pool = shard.graph_pool if shard is not None else None
@@ -466,26 +544,26 @@ class Sanitizer:
                 )
 
     def on_reshuffled(self, event: Reshuffled) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         self._check_conservation("reshuffle")
 
     def on_batch_evicted(self, event: BatchEvicted) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         self._check_batch_size(event.walks, "evicted", event.device)
 
     def on_walk_finished(self, event: WalkFinished) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         self._finished += event.count
 
     def on_walks_migrated(self, event: WalksMigrated) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         key = (event.src_device, event.dst_device)
         self._migrated_sent[key] = (
             self._migrated_sent.get(key, 0) + event.walks
         )
 
     def on_walks_delivered(self, event: WalksDelivered) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         key = (event.src_device, event.dst_device)
         recv = self._migrated_recv.get(key, 0) + event.walks
         self._migrated_recv[key] = recv
@@ -499,14 +577,14 @@ class Sanitizer:
             )
 
     def on_device_failed(self, event: DeviceFailed) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         self._failed_pending[event.device] = event.pending_walks
         # The engine emits DeviceFailed only after recovery re-appended
         # the drained walks, so the population must already balance.
         self._check_conservation("device failure")
 
     def on_device_recovered_walks(self, event: DeviceRecoveredWalks) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         src = event.src_device
         recovered = self._recovered.get(src, 0) + event.walks
         self._recovered[src] = recovered
@@ -521,14 +599,14 @@ class Sanitizer:
             )
 
     def on_shard_rebalanced(self, event: ShardRebalanced) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         # A handoff must leave the population intact and no walk resident
         # on both the old and new owner.
         self._check_conservation("shard rebalance")
         self._check_cross_device()
 
     def on_query_admitted(self, event: QueryAdmitted) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         self.checks += 1
         if event.request_id in self._admitted_queries:
             self._violate(
@@ -540,7 +618,7 @@ class Sanitizer:
         self._admitted_queries[event.request_id] = event.walks
 
     def on_query_completed(self, event: QueryCompleted) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         self.checks += 1
         rid = event.request_id
         if rid not in self._admitted_queries:
@@ -570,7 +648,7 @@ class Sanitizer:
             )
 
     def on_run_completed(self, event: RunCompleted) -> None:
-        self._record(f"{event!r}")
+        self._record(event)
         self._check_conservation("run completion")
         self._check_migration_closed()
         self._check_recovery_closed()
@@ -643,41 +721,10 @@ class Sanitizer:
                 f"(a walk was {'lost' if total < self._expected_walks else 'duplicated'})",
             )
 
-    def _shard_walk_ids(self, shard: _ShardState) -> np.ndarray:
-        chunks: List[np.ndarray] = []
-        if shard.host is not None:
-            chunks.extend(walks.ids for walks in shard.host.iter_walks())
-        if shard.device is not None:
-            chunks.extend(walks.ids for walks in shard.device.iter_walks())
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
-
     def _check_cross_device(self) -> None:
-        """No walk id may be resident in two shards' pools at once."""
-        shards = [
-            s
-            for s in self._shards.values()
-            if s.host is not None or s.device is not None
-        ]
-        if len(shards) < 2:
-            return
-        self.checks += 1
-        resident = [(s.device_id, self._shard_walk_ids(s)) for s in shards]
-        for i in range(len(resident)):
-            for j in range(i + 1, len(resident)):
-                common = np.intersect1d(resident[i][1], resident[j][1])
-                if common.size:
-                    sample = common[:4].tolist()
-                    self._violate(
-                        RULE_CROSS_DEVICE,
-                        f"walk id(s) {sample} resident on devices "
-                        f"{resident[i][0]} and {resident[j][0]} "
-                        f"simultaneously ({common.size} shared)",
-                    )
-                    # At most one violation per boundary check: a single
-                    # duplicated walk would otherwise flood the report.
-                    return
+        """Boundary tick only: :meth:`_place` asserted it at every write."""
+        if self._where is not None:
+            self.checks += 1
 
     def _check_stale_owner(self, event: IterationStarted) -> None:
         """Each iteration's partition must be owned by its alive device."""

@@ -45,9 +45,9 @@ RULE_DOUBLE_CONSUME = "double-consume"
 #: (a walk was lost or duplicated across a reshuffle/epoch).
 RULE_WALK_CONSERVATION = "walk-conservation"
 
-#: The same walk id was resident in two device shards' pools at an
-#: iteration boundary — a migrated walk was delivered without being
-#: removed from its source shard (or delivered twice).
+#: The same walk id became resident in two device shards' (host or
+#: device) pools — a migrated walk was delivered without being removed
+#: from its source shard (or delivered twice).
 RULE_CROSS_DEVICE = "cross-device-residency"
 
 #: A peer channel's send and receive sides stopped matching: walks were

@@ -17,7 +17,7 @@ paper's circular queues maintain, at a fraction of the bookkeeping cost.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Protocol
+from typing import Dict, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -30,18 +30,35 @@ from repro.walks.state import WalkArrays
 class DeviceObserver(Protocol):
     """Device-pool mutation hooks (see :class:`repro.analysis.Sanitizer`).
 
-    Pure observation: implementations must not mutate the pool.
+    Pure observation: implementations must not raise, mutate the pool or
+    keep ``ids`` (a view of pool storage).  Each hook fires once per
+    ``append_walks`` / ``scatter_sorted`` / take with the ids that moved
+    (``parts``: the partitions written, ``ids``: their whole payload).
     ``available`` is the buffer-truth live count *before* the take, so
-    over-consumes are visible even if ``counts`` has been corrupted.
+    over-consumes are visible even if ``counts`` has been corrupted;
+    ``ids`` is the *live* slice only — past the tail is uninitialised.
     """
 
     def device_appended(
-        self, pool: "DeviceWalkPool", partition: int, count: int
+        self, pool: "DeviceWalkPool", parts: Sequence[int], ids: np.ndarray
     ) -> None: ...
 
     def device_taken(
         self, pool: "DeviceWalkPool", partition: int, count: int,
-        available: int,
+        available: int, ids: np.ndarray,
+    ) -> None: ...
+
+
+class HostObserver(Protocol):
+    """Host-pool twin of :class:`DeviceObserver`: one call per
+    ``append_walks`` / ``push_batch`` (appended) and ``pop_batch`` (taken)."""
+
+    def pool_host_appended(
+        self, pool: "HostWalkPool", partition: int, ids: np.ndarray
+    ) -> None: ...
+
+    def pool_host_taken(
+        self, pool: "HostWalkPool", partition: int, ids: np.ndarray
     ) -> None: ...
 
 
@@ -53,6 +70,8 @@ class HostWalkPool:
             raise ValueError("num_partitions must be >= 1")
         self.num_partitions = num_partitions
         self.batch_capacity = batch_capacity
+        #: optional sanitizer hook (see :class:`HostObserver`).
+        self.observer: Optional[HostObserver] = None
         self._queues: Dict[int, BatchQueue] = {}
         self.counts = np.zeros(num_partitions, dtype=np.int64)
 
@@ -71,15 +90,25 @@ class HostWalkPool:
             return
         self._queue(partition).append_walks(walks)
         self.counts[partition] += len(walks)
+        if self.observer is not None:
+            self.observer.pool_host_appended(self, partition, walks.ids)
 
     def push_batch(self, batch: WalkBatch) -> None:
         """Re-insert a batch evicted from the device pool."""
         self._queue(batch.partition).push_batch(batch)
         self.counts[batch.partition] += batch.size
+        if self.observer is not None:
+            self.observer.pool_host_appended(
+                self, batch.partition, batch.ids[: batch.size]
+            )
 
     def pop_batch(self, partition: int) -> WalkBatch:
         batch = self._queue(partition).pop_batch()
         self.counts[partition] -= batch.size
+        if self.observer is not None:
+            self.observer.pool_host_taken(
+                self, partition, batch.ids[: batch.size]
+            )
         return batch
 
     def has_walks(self, partition: int) -> bool:
@@ -235,7 +264,7 @@ class DeviceWalkPool:
         buffer[4] = tail + n
         self.counts[partition] += n
         if self.observer is not None:
-            self.observer.device_appended(self, partition, n)
+            self.observer.device_appended(self, (partition,), walks.ids)
 
     def scatter_sorted(
         self,
@@ -250,8 +279,9 @@ class DeviceWalkPool:
         """Bulk frontier insert of partition-sorted walks (reshuffle hot path).
 
         ``parts[k]`` receives the slice ``[starts[k], stops[k])`` of the
-        sorted payload arrays.  Semantically identical to calling
-        :meth:`append_walks` per group; one vectorized count update.
+        sorted payload arrays, and the slices tile the payload in order.
+        Semantically identical to calling :meth:`append_walks` per group;
+        one vectorized count update, one observer call.
         """
         for k, part in enumerate(parts):
             lo = starts[k]
@@ -263,9 +293,9 @@ class DeviceWalkPool:
             buffer[1][tail : tail + n] = steps[lo:hi]
             buffer[2][tail : tail + n] = ids[lo:hi]
             buffer[4] = tail + n
-            if self.observer is not None:
-                self.observer.device_appended(self, part, int(n))
         np.add.at(self.counts, parts, sizes)
+        if self.observer is not None:
+            self.observer.device_appended(self, parts, ids)
 
     # ------------------------------------------------------------------
     # Batch load / fetch / evict
@@ -286,10 +316,12 @@ class DeviceWalkPool:
         the partition).
         """
         buffer = self._buffers[partition]
-        head = buffer[3]
+        head, tail = buffer[3], buffer[4]
         if self.observer is not None:
+            # Fired before ``count`` is validated: live ids only.
             self.observer.device_taken(
-                self, partition, count, buffer[4] - head
+                self, partition, count, tail - head,
+                buffer[2][head : min(head + count, tail)],
             )
         stop = head + count
         out = WalkArrays(

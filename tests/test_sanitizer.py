@@ -576,3 +576,173 @@ class TestRequestConservation:
         bus.emit(RunCompleted(total_time=1.0, finished_walks=4))
         violation = one_violation(sanitizer, RULE_REQUEST_CONSERVATION)
         assert "admitted twice" in violation.message
+
+
+class TestProvenanceRendering:
+    """The trail is stored raw and rendered only when a violation fires."""
+
+    def test_rendered_trail_is_exact(self):
+        timeline = Timeline()
+        pool = BlockPool(2, name="graph-pool")
+        device = DeviceWalkPool(4, batch_capacity=32, capacity_walks=128)
+        sanitizer = Sanitizer().bind(
+            timeline=timeline, graph_pool=pool, device=device
+        )
+        bus = EventBus()
+        bus.attach(sanitizer)
+        event = IterationStarted(iteration=2, partition=0, pending_walks=3)
+        bus.emit(event)
+        pool.insert(3, "payload")
+        timeline.load.schedule(1.0, CAT_WALK_LOAD)
+        device.append_walks(0, WalkArrays.fresh([1, 2, 3]))
+        device._take(0, 5)
+        sanitizer.unbind()
+        violation = one_violation(sanitizer, RULE_DOUBLE_CONSUME)
+        assert violation.iteration == 2
+        assert violation.provenance == (
+            f"#1 it=2 {event!r}",
+            "#2 it=2 pool graph-pool insert 3",
+            "#3 it=2 op load/walk_load start=0.000000e+00 "
+            "end=1.000000e+00 earliest=0.000000e+00",
+            "#4 it=2 device append part=0 walks=3",
+            "#5 it=2 device take part=0 walks=5 buffered=3",
+        )
+
+    def test_stream_label_is_per_device_when_sharded(self):
+        timelines = [Timeline(), Timeline()]
+        sanitizer = Sanitizer()
+        for device_id, timeline in enumerate(timelines):
+            sanitizer.bind_shard(device_id, timeline=timeline)
+        timelines[1].load.schedule(1.0, CAT_WALK_EVICT)
+        sanitizer.unbind()
+        violation = one_violation(sanitizer, RULE_STREAM_AFFINITY)
+        assert violation.provenance[-1].startswith(
+            "#1 it=0 op d1:load/walk_evict start="
+        )
+        assert "'d1:load'" in violation.message
+
+
+def two_shards():
+    """Two bound shards, each a host and a device walk pool."""
+    hosts = [HostWalkPool(4, batch_capacity=32) for _ in range(2)]
+    devices = [
+        DeviceWalkPool(4, batch_capacity=32, capacity_walks=128)
+        for _ in range(2)
+    ]
+    sanitizer = Sanitizer()
+    for device_id in range(2):
+        sanitizer.bind_shard(
+            device_id, host=hosts[device_id], device=devices[device_id]
+        )
+    return sanitizer, hosts, devices
+
+
+class TestResidencyAtTheWrite:
+    """cross-device-residency is asserted by the pool write that breaks it."""
+
+    def test_over_take_hands_the_observer_live_ids_only(self):
+        sanitizer, _, devices = two_shards()
+        devices[0].append_walks(0, WalkArrays.fresh([1, 2, 3]))
+        # Storage past the tail is uninitialised; make it hostile so an
+        # observer indexing with it would raise (or wreck its table).
+        devices[0]._buffers[0][2][3:] = np.iinfo(np.int64).max
+        devices[0]._take(0, 5)
+        one_violation(sanitizer, RULE_DOUBLE_CONSUME)
+        # The three live walks did leave device 0: landing them on
+        # device 1 is a legal migration, not a second violation.
+        devices[1].append_walks(1, WalkArrays.fresh([1, 2, 3]))
+        sanitizer.unbind()
+        one_violation(sanitizer, RULE_DOUBLE_CONSUME)
+
+    def test_duplicate_through_a_peer_host_pool_caught(self):
+        sanitizer, hosts, devices = two_shards()
+        devices[0].append_walks(0, WalkArrays.fresh([5, 6, 7], first_id=5))
+        # A rebalance hand-off that copied walk 7 into the new owner's
+        # host pool without draining it from the old owner's device pool.
+        hosts[1].append_walks(2, WalkArrays.fresh([9], first_id=7))
+        sanitizer.unbind()
+        violation = one_violation(sanitizer, RULE_CROSS_DEVICE)
+        assert "[7]" in violation.message
+        assert violation.provenance[-1] == "#2 it=0 host append part=2 walks=1"
+
+    def test_evict_to_host_and_reload_is_not_a_departure(self):
+        sanitizer, hosts, devices = two_shards()
+        devices[0].append_walks(0, WalkArrays.fresh([1, 2, 3]))
+        hosts[0].push_batch(devices[0].evict_batch(0))
+        # Walk 0 sits in device 0's *host* pool now — still resident.
+        devices[1].append_walks(0, WalkArrays.fresh([4]))
+        one_violation(sanitizer, RULE_CROSS_DEVICE)
+        devices[0].load_batch(hosts[0].pop_batch(0))
+        sanitizer.unbind()
+        one_violation(sanitizer, RULE_CROSS_DEVICE)
+
+    def test_reported_at_cause_once(self):
+        sanitizer, _, devices = two_shards()
+        bus = EventBus()
+        bus.attach(sanitizer)
+        devices[0].append_walks(0, WalkArrays.fresh([5, 6, 7], first_id=5))
+        bus.emit(IterationStarted(iteration=3, partition=0, pending_walks=3))
+        devices[1].append_walks(1, WalkArrays.fresh([8, 9], first_id=7))
+        checks = sanitizer.checks
+        bus.emit(IterationStarted(iteration=4, partition=0, pending_walks=5))
+        sanitizer.unbind()
+        violation = one_violation(sanitizer, RULE_CROSS_DEVICE)
+        assert violation.iteration == 3
+        assert violation.provenance[-1] == (
+            "#3 it=3 device append part=1 walks=2"
+        )
+        # The boundary still ticks the rule (checks stay comparable
+        # across versions) but does not re-report the resident duplicate.
+        assert sanitizer.checks > checks
+
+    def test_one_shard_keeps_no_table(self):
+        device = DeviceWalkPool(4, batch_capacity=32, capacity_walks=128)
+        sanitizer = Sanitizer().bind(device=device, expected_walks=3)
+        device.append_walks(0, WalkArrays.fresh([1, 2, 3]))
+        sanitizer.unbind()
+        assert sanitizer._where is None
+
+    def test_unbind_removes_host_and_device_hooks(self):
+        sanitizer, hosts, devices = two_shards()
+        assert all(pool.observer is sanitizer for pool in hosts + devices)
+        sanitizer.unbind()
+        assert all(pool.observer is None for pool in hosts + devices)
+
+    def test_no_recount_in_a_four_device_run(self, small_graph, monkeypatch):
+        """The O(walks) boundary recount cannot creep back unnoticed."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("O(walks) recount on the sanitizer path")
+
+        bind_cluster = Sanitizer.bind_cluster
+
+        def bind_cluster_then_forbid(self, cluster):
+            # Every shard is bound by now (the one-time snapshot is done).
+            monkeypatch.setattr(HostWalkPool, "iter_walks", forbidden)
+            monkeypatch.setattr(DeviceWalkPool, "iter_walks", forbidden)
+            monkeypatch.setattr(np, "intersect1d", forbidden)
+            return bind_cluster(self, cluster)
+
+        calls = {"scatter": 0, "groups": 0, "observed": 0}
+        scatter_sorted = DeviceWalkPool.scatter_sorted
+        device_appended = Sanitizer.device_appended
+
+        def counted_scatter(self, parts, *payload):
+            calls["scatter"] += 1
+            calls["groups"] += len(parts)
+            before = calls["observed"]
+            scatter_sorted(self, parts, *payload)
+            assert calls["observed"] == before + 1
+
+        def counted_appended(self, pool, parts, ids):
+            calls["observed"] += 1
+            device_appended(self, pool, parts, ids)
+
+        monkeypatch.setattr(Sanitizer, "bind_cluster", bind_cluster_then_forbid)
+        monkeypatch.setattr(DeviceWalkPool, "scatter_sorted", counted_scatter)
+        monkeypatch.setattr(Sanitizer, "device_appended", counted_appended)
+        stats = LightTrafficEngine(
+            small_graph, PageRank(), sanitized_config(devices=4)
+        ).run(400)
+        assert stats.sanitizer["clean"], format_summary(stats.sanitizer)
+        assert calls["groups"] > calls["scatter"] > 0
