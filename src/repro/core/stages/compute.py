@@ -46,17 +46,15 @@ class ComputeDispatcher:
             )
             batch = ctx.device.evict_batch(victim_part)
             copy_t = (
-                ctx.pcie.explicit_copy_time(
-                    batch.nbytes(ctx.bytes_per_walk)
-                )
+                ctx.pcie.explicit_copy_time(len(batch) * ctx.bytes_per_walk)
                 + ctx.config.calibration.scaled_memcpy_call_seconds
             )
             ctx.sched(ctx.timeline.evict, copy_t, CAT_WALK_EVICT, 0.0)
-            ctx.host.push_batch(batch)
+            ctx.host.push_batch(victim_part, batch)
             ctx.bus.emit(
                 BatchEvicted(
                     partition=victim_part,
-                    walks=batch.size,
+                    walks=len(batch),
                     seconds=copy_t,
                     device=ctx.device_id,
                 )

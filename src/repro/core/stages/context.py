@@ -131,10 +131,7 @@ class StageContext:
         """
         groups = []
         while self.host.has_walks(part_idx):
-            batch = self.host.pop_batch(part_idx)
-            walks = batch.drain()
-            if len(walks):
-                groups.append(walks)
+            groups.append(self.host.pop_batch(part_idx))
         if self.device.has_walks(part_idx):
             walks = self.device.pop_all(part_idx)
             if len(walks):

@@ -35,9 +35,7 @@ class WalkLoader:
         while ctx.host.has_walks(part_idx):
             batch = ctx.host.pop_batch(part_idx)
             load_t = (
-                ctx.pcie.explicit_copy_time(
-                    batch.nbytes(ctx.bytes_per_walk)
-                )
+                ctx.pcie.explicit_copy_time(len(batch) * ctx.bytes_per_walk)
                 + ctx.config.calibration.scaled_memcpy_call_seconds
             )
             batch_t = ctx.sched(
@@ -46,12 +44,12 @@ class WalkLoader:
             ctx.bus.emit(
                 BatchLoaded(
                     partition=part_idx,
-                    walks=batch.size,
+                    walks=len(batch),
                     seconds=load_t,
                     device=ctx.device_id,
                 )
             )
-            chunks.append(batch.drain())
+            chunks.append(batch)
         if not chunks:
             return None, batch_t
         return WalkArrays.concat(chunks), batch_t

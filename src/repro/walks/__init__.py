@@ -1,18 +1,17 @@
 """Out-of-memory walk index management (paper §III-B / §III-C).
 
 The walk index (``current_vertex``, ``walked_steps``, and optional
-application state such as ``walk_id``) is stored in fixed-size *batches*;
-all walks in a batch currently stay in the same graph partition, so a batch
-can always be fully updated given that one partition.  Batches belonging to
-a partition form a circular queue whose tail is the append-only *write
-frontier*.  A host pool holds everything; a device pool caches at most
-``m_w`` walks, with one frontier batch plus one reserved free batch per
-partition so frontier rollover never overflows.
+application state such as ``walk_id``) moves in *batches* of at most B
+walks; all walks in a batch currently stay in the same graph partition, so
+a batch can always be fully updated given that one partition.  A batch is
+a plain :class:`WalkArrays`: its boundaries are kept because each batch is
+one host↔device transfer.  A host pool holds everything as a deque of
+batches per partition, whose tail is the append-only *write frontier*; a
+device pool caches at most ``m_w`` walks in one append buffer per
+partition.
 """
 
 from repro.walks.state import WalkArrays
-from repro.walks.batch import WalkBatch
-from repro.walks.queue import BatchQueue
 from repro.walks.pool import HostWalkPool, DeviceWalkPool
 from repro.walks.reshuffle import (
     LocalIndex,
@@ -23,8 +22,6 @@ from repro.walks.reshuffle import (
 
 __all__ = [
     "WalkArrays",
-    "WalkBatch",
-    "BatchQueue",
     "HostWalkPool",
     "DeviceWalkPool",
     "LocalIndex",

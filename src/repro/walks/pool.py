@@ -1,29 +1,31 @@
 """Host and device walk pools (paper §III-B, Figures 4 & 6).
 
-The *host* pool stores the entire walk index grouped by partition, with no
-capacity limit (CPU memory holds everything, as in the paper).  The *device*
-pool caches at most ``m_w`` walks; per partition it keeps an append-only
-write frontier plus the already-full batches awaiting computation, with one
-reserved free batch per partition guaranteeing rollover never fails.
+A walk batch is a :class:`WalkArrays` of 1..B walks of one partition; what
+makes it a batch is its size bound and its boundary — one host↔device
+transfer, one ``BatchLoaded`` / ``BatchEvicted`` event — not a
+preallocated object.
 
-Implementation note: the device pool stores each partition's walks in one
-contiguous append buffer (inserts are slice assignments at the tail, pops
-are slice views from the head) and materializes fixed-size
-:class:`WalkBatch` objects only at pop/evict time.  Batch *accounting* (how many full batches
-exist, what the frontier holds) is derived from walk counts — `full =
-count // B`, `frontier = count % B` — which is exactly the invariant the
-paper's circular queues maintain, at a fraction of the bookkeeping cost.
+The *host* pool stores the entire walk index grouped by partition, with no
+capacity limit (CPU memory holds everything, as in the paper): a deque of
+batches per partition whose tail is the write frontier.  The boundaries
+are kept because each batch is one transfer; host memory follows the walks
+held, not batches × B.
+
+The *device* pool caches at most ``m_w`` walks in one contiguous append
+buffer per partition (inserts are slice assignments at the tail, pops are
+slice views from the head).  Its batch accounting is derived from walk
+counts — ``full = count // B`` completed batches, ``count % B`` walks in
+the write frontier.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Protocol, Sequence
+from collections import deque
+from typing import Deque, Dict, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.core.units import Bytes
-from repro.walks.batch import WalkBatch
-from repro.walks.queue import BatchQueue
 from repro.walks.state import WalkArrays
 
 
@@ -63,52 +65,72 @@ class HostObserver(Protocol):
 
 
 class HostWalkPool:
-    """CPU-memory walk index: one circular batch queue per partition."""
+    """CPU-memory walk index: a deque of ≤ B-walk batches per partition.
+
+    The head batch is the next to load, the tail the write frontier.  No
+    empty batch is ever stored, and the pool owns every array it holds:
+    appends copy, and :meth:`push_batch` takes over the (exact-size) batch
+    :meth:`DeviceWalkPool.evict_batch` returns.
+    """
 
     def __init__(self, num_partitions: int, batch_capacity: int) -> None:
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
+        if batch_capacity < 1:
+            raise ValueError("batch_capacity must be >= 1")
         self.num_partitions = num_partitions
         self.batch_capacity = batch_capacity
         #: optional sanitizer hook (see :class:`HostObserver`).
         self.observer: Optional[HostObserver] = None
-        self._queues: Dict[int, BatchQueue] = {}
+        self._queues: Dict[int, Deque[WalkArrays]] = {}
         self.counts = np.zeros(num_partitions, dtype=np.int64)
 
-    def _queue(self, partition: int) -> BatchQueue:
+    def _queue(self, partition: int) -> Deque[WalkArrays]:
         if not 0 <= partition < self.num_partitions:
             raise IndexError(f"partition {partition} out of range")
         queue = self._queues.get(partition)
         if queue is None:
-            queue = BatchQueue(partition, self.batch_capacity)
-            self._queues[partition] = queue
+            queue = self._queues[partition] = deque()
         return queue
 
     # ------------------------------------------------------------------
     def append_walks(self, partition: int, walks: WalkArrays) -> None:
+        """Fill the tail batch up to B (an evicted partial batch too), then
+        roll over to new batches."""
+        n = len(walks)
+        if not n:
+            return
+        queue = self._queue(partition)
+        cap = self.batch_capacity
+        start = 0
+        if queue and len(queue[-1]) < cap:
+            tail = queue[-1]
+            start = min(cap - len(tail), n)
+            queue[-1] = WalkArrays.concat([tail, walks.slice(0, start)])
+        for lo in range(start, n, cap):
+            queue.append(walks.slice(lo, lo + cap))
+        self.counts[partition] += n
+        if self.observer is not None:
+            self.observer.pool_host_appended(self, partition, walks.ids)
+
+    def push_batch(self, partition: int, walks: WalkArrays) -> None:
+        """Re-insert a batch evicted from the device pool at the head."""
         if not len(walks):
             return
-        self._queue(partition).append_walks(walks)
+        self._queue(partition).appendleft(walks)
         self.counts[partition] += len(walks)
         if self.observer is not None:
             self.observer.pool_host_appended(self, partition, walks.ids)
 
-    def push_batch(self, batch: WalkBatch) -> None:
-        """Re-insert a batch evicted from the device pool."""
-        self._queue(batch.partition).push_batch(batch)
-        self.counts[batch.partition] += batch.size
+    def pop_batch(self, partition: int) -> WalkArrays:
+        """Remove and return the head batch (one load transfer)."""
+        queue = self._queue(partition)
+        if not queue:
+            raise IndexError(f"partition {partition} has no walks queued")
+        batch = queue.popleft()
+        self.counts[partition] -= len(batch)
         if self.observer is not None:
-            self.observer.pool_host_appended(
-                self, batch.partition, batch.ids[: batch.size]
-            )
-
-    def pop_batch(self, partition: int) -> WalkBatch:
-        batch = self._queue(partition).pop_batch()
-        self.counts[partition] -= batch.size
-        if self.observer is not None:
-            self.observer.pool_host_taken(
-                self, partition, batch.ids[: batch.size]
-            )
+            self.observer.pool_host_taken(self, partition, batch.ids)
         return batch
 
     def has_walks(self, partition: int) -> bool:
@@ -116,31 +138,25 @@ class HostWalkPool:
 
     def num_batches(self, partition: int) -> int:
         queue = self._queues.get(partition)
-        if queue is None:
-            return 0
-        return sum(1 for b in queue if not b.is_empty)
+        return len(queue) if queue is not None else 0
 
     @property
     def total_walks(self) -> int:
         return int(self.counts.sum())
 
-    def partitions_with_walks(self) -> np.ndarray:
-        return np.nonzero(self.counts > 0)[0]
-
     def iter_walks(self) -> Iterator[WalkArrays]:
-        """All walk contents (testing helper for conservation checks)."""
+        """Every held batch, head to tail (read-only; for conservation
+        checks)."""
         for queue in self._queues.values():
-            for batch in queue:
-                if not batch.is_empty:
-                    yield batch.contents()
+            yield from queue
 
 
 class DeviceWalkPool:
-    """GPU-memory walk cache: frontier + free batch per partition, m_w cap.
+    """GPU-memory walk cache: one append buffer per partition, m_w cap.
 
     ``capacity_walks`` bounds the number of walk states cached; the
-    ``(2P + 1)B`` reservation for frontiers and free batches (§III-B memory
-    usage analysis) is accounted separately via :meth:`reserved_bytes`.
+    ``(2P + 1)B`` bound of the paper's frontier and free-batch reservation
+    (§III-B memory usage analysis) is reported by :meth:`reserved_bytes`.
     """
 
     def __init__(
@@ -209,9 +225,6 @@ class DeviceWalkPool:
         """How many walks exceed ``m_w`` (must be evicted before loading)."""
         return max(0, self.cached_walks - self.capacity_walks)
 
-    def free_capacity(self) -> int:
-        return max(0, self.capacity_walks - self.cached_walks)
-
     def reserved_bytes(self, bytes_per_walk: int) -> Bytes:
         """The §III-B bound: (2P + 1) batches of frontier/free reservation."""
         return Bytes(
@@ -220,27 +233,12 @@ class DeviceWalkPool:
             * bytes_per_walk
         )
 
-    def num_walks(self, partition: int) -> int:
-        return int(self.counts[partition])
-
     def has_walks(self, partition: int) -> bool:
         return bool(self.counts[partition] > 0)
-
-    def partitions_with_walks(self) -> np.ndarray:
-        return np.nonzero(self.counts > 0)[0]
 
     def full_batches(self, partition: int) -> int:
         """Completed (non-frontier) batches: ``count // B``."""
         return int(self.counts[partition]) // self.batch_capacity
-
-    def frontier_size(self, partition: int) -> int:
-        """Walks sitting in the partition's write frontier: ``count % B``."""
-        return int(self.counts[partition]) % self.batch_capacity
-
-    def has_cached_batches(self, partition: int) -> bool:
-        """Whether completed batches exist (these are the preemptible ones;
-        the write frontier must stay in place to receive reshuffled walks)."""
-        return self.full_batches(partition) >= 1
 
     # ------------------------------------------------------------------
     # Frontier writes (first-level walk-index cache, §III-C)
@@ -300,11 +298,9 @@ class DeviceWalkPool:
     # ------------------------------------------------------------------
     # Batch load / fetch / evict
     # ------------------------------------------------------------------
-    def load_batch(self, batch: WalkBatch) -> None:
+    def load_batch(self, partition: int, walks: WalkArrays) -> None:
         """Cache a batch transferred from the host pool."""
-        if batch.is_empty:
-            return
-        self.append_walks(batch.partition, batch.drain())
+        self.append_walks(partition, walks)
 
     def _take(self, partition: int, count: int) -> WalkArrays:
         """Remove the oldest ``count`` walks of a partition (FIFO).
@@ -342,34 +338,25 @@ class DeviceWalkPool:
             return WalkArrays.empty()
         return self._take(partition, count)
 
-    def pop_full_batches(self, partition: int) -> WalkArrays:
-        """Fetch the completed batches only (preemptive scheduling)."""
-        full = self.full_batches(partition)
-        if full == 0:
-            raise IndexError(
-                f"partition {partition} has no completed cached batches"
-            )
-        return self._take(partition, full * self.batch_capacity)
-
     def pop_preemptible(self, partition: int) -> WalkArrays:
-        """Fetch the preemptible walks: the completed batches if any exist,
-        otherwise the detached write frontier (which the reserved free batch
-        immediately replaces, per §III-C)."""
+        """Fetch the preemptible walks: the completed batches if any exist
+        (the write frontier stays to receive reshuffled walks), otherwise
+        the detached write frontier itself (§III-C)."""
         full = self.full_batches(partition)
         if full:
             return self._take(partition, full * self.batch_capacity)
         return self.pop_all(partition)
 
-    def evict_batch(self, partition: int) -> WalkBatch:
-        """Remove up to one batch of walks for transfer back to the host."""
+    def evict_batch(self, partition: int) -> WalkArrays:
+        """Remove up to one batch of walks for transfer back to the host.
+
+        Returns an exact-size copy: the host keeps it, and the buffer
+        region it came from may be reused by a later compaction.
+        """
         count = int(self.counts[partition])
         if count == 0:
             raise IndexError(f"partition {partition} has no walks to evict")
-        take = min(count, self.batch_capacity)
-        walks = self._take(partition, take)
-        batch = WalkBatch(self.batch_capacity, partition)
-        batch.append(walks)
-        return batch
+        return self._take(partition, min(count, self.batch_capacity)).copy()
 
     def iter_walks(self) -> Iterator[WalkArrays]:
         """All walk contents (testing helper for conservation checks)."""

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.walks.batch import WalkBatch
 from repro.walks.pool import DeviceWalkPool, HostWalkPool
 from repro.walks.state import WalkArrays
 
@@ -33,20 +32,18 @@ class TestHostWalkPool:
         pool = HostWalkPool(4, 2)
         pool.append_walks(0, walks(1, 2, 3))
         batch = pool.pop_batch(0)
-        assert batch.size == 2
+        assert len(batch) == 2
         assert pool.counts[0] == 1
 
     def test_push_batch(self):
         pool = HostWalkPool(4, 2)
-        batch = WalkBatch(capacity=2, partition=2)
-        batch.append(walks(5))
-        pool.push_batch(batch)
+        pool.push_batch(2, walks(5))
         assert pool.counts[2] == 1
 
     def test_partitions_with_walks(self):
         pool = HostWalkPool(4, 2)
         pool.append_walks(3, walks(1))
-        assert pool.partitions_with_walks().tolist() == [3]
+        assert np.flatnonzero(pool.counts).tolist() == [3]
 
     def test_partition_out_of_range(self):
         pool = HostWalkPool(2, 2)
@@ -66,6 +63,11 @@ class TestHostWalkPool:
         with pytest.raises(ValueError):
             HostWalkPool(0, 2)
 
+    @pytest.mark.parametrize("capacity", [0, -3])
+    def test_batch_capacity_validated_at_construction(self, capacity):
+        with pytest.raises(ValueError, match="batch_capacity"):
+            HostWalkPool(4, capacity)
+
 
 class TestDeviceWalkPool:
     def make(self, partitions=4, capacity=4, walks_cap=100):
@@ -74,10 +76,9 @@ class TestDeviceWalkPool:
     def test_append_and_accounting(self):
         pool = self.make(capacity=4)
         pool.append_walks(0, walks(1, 2, 3, 4, 5))
-        assert pool.num_walks(0) == 5
+        assert pool.counts[0] == 5
         assert pool.full_batches(0) == 1
-        assert pool.frontier_size(0) == 1
-        assert pool.has_cached_batches(0)
+        assert pool.counts[0] % pool.batch_capacity == 1
         assert pool.cached_walks == 5
 
     def test_pop_all_drains(self):
@@ -85,51 +86,45 @@ class TestDeviceWalkPool:
         pool.append_walks(2, walks(1, 2, 3, first_id=5))
         out = pool.pop_all(2)
         assert out.id_set() == {5, 6, 7}
-        assert pool.num_walks(2) == 0
+        assert pool.counts[2] == 0
         assert len(pool.pop_all(2)) == 0
 
     def test_fifo_order(self):
         pool = self.make(capacity=2)
         pool.append_walks(0, walks(1, 2))
         pool.append_walks(0, walks(3, 4))
-        first = pool.pop_full_batches(0)
+        first = pool.pop_preemptible(0)
         assert first.vertices.tolist() == [1, 2, 3, 4]
 
     def test_pop_full_batches_leaves_frontier(self):
         pool = self.make(capacity=2)
         pool.append_walks(0, walks(1, 2, 3))
-        out = pool.pop_full_batches(0)
+        out = pool.pop_preemptible(0)
         assert len(out) == 2
-        assert pool.frontier_size(0) == 1
-        assert not pool.has_cached_batches(0)
-
-    def test_pop_full_batches_requires_full(self):
-        pool = self.make(capacity=4)
-        pool.append_walks(0, walks(1))
-        with pytest.raises(IndexError):
-            pool.pop_full_batches(0)
+        assert pool.counts[0] == 1
+        assert pool.full_batches(0) == 0
 
     def test_pop_preemptible_prefers_full(self):
         pool = self.make(capacity=2)
         pool.append_walks(0, walks(1, 2, 3))
         out = pool.pop_preemptible(0)
         assert len(out) == 2  # full batch only, frontier stays
-        assert pool.num_walks(0) == 1
+        assert pool.counts[0] == 1
 
     def test_pop_preemptible_falls_back_to_frontier(self):
         pool = self.make(capacity=4)
         pool.append_walks(0, walks(1))
         out = pool.pop_preemptible(0)
         assert len(out) == 1
-        assert pool.num_walks(0) == 0
+        assert pool.counts[0] == 0
 
     def test_evict_batch(self):
         pool = self.make(capacity=2, walks_cap=4)
         pool.append_walks(1, walks(1, 2, 3, first_id=0))
         batch = pool.evict_batch(1)
-        assert batch.partition == 1
-        assert batch.size == 2
-        assert pool.num_walks(1) == 1
+        assert batch.ids.tolist() == [0, 1]
+        assert len(batch) == 2
+        assert pool.counts[1] == 1
 
     def test_evict_empty_raises(self):
         with pytest.raises(IndexError):
@@ -139,20 +134,18 @@ class TestDeviceWalkPool:
         pool = self.make(capacity=2, walks_cap=4)
         pool.append_walks(0, walks(1, 2, 3, 4, 5, 6))
         assert pool.overflow == 2
-        assert pool.free_capacity() == 0
+        assert pool.cached_walks > pool.capacity_walks
         pool.evict_batch(0)
         assert pool.overflow == 0
 
     def test_load_batch(self):
         pool = self.make(capacity=4)
-        batch = WalkBatch(capacity=4, partition=3)
-        batch.append(walks(9, 8))
-        pool.load_batch(batch)
-        assert pool.num_walks(3) == 2
+        pool.load_batch(3, walks(9, 8))
+        assert pool.counts[3] == 2
 
     def test_load_empty_batch_noop(self):
         pool = self.make()
-        pool.load_batch(WalkBatch(capacity=4, partition=0))
+        pool.load_batch(0, WalkArrays.empty())
         assert pool.cached_walks == 0
 
     def test_reserved_bytes_bound(self):
@@ -169,10 +162,10 @@ class TestDeviceWalkPool:
             pool.append_walks(0, walks(*range(3), first_id=next_id))
             next_id += 3
             if round_idx % 2:
-                popped += len(pool.pop_full_batches(0))
-        assert pool.num_walks(0) == next_id - popped
+                popped += len(pool.pop_preemptible(0))
+        assert pool.counts[0] == next_id - popped
         pool.append_walks(0, walks(7, first_id=next_id))
-        assert pool.num_walks(0) == next_id - popped + 1
+        assert pool.counts[0] == next_id - popped + 1
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -215,11 +208,11 @@ def test_device_pool_conserves_walks(ops):
         elif op == "pop_all":
             removed |= pool.pop_all(part).id_set()
         elif op == "preempt":
-            if pool.full_batches(part) or pool.num_walks(part):
+            if pool.full_batches(part) or pool.counts[part]:
                 removed |= pool.pop_preemptible(part).id_set()
         elif op == "evict":
-            if pool.num_walks(part):
-                removed |= pool.evict_batch(part).contents().id_set()
+            if pool.counts[part]:
+                removed |= pool.evict_batch(part).id_set()
         # Global accounting always consistent.
         cached = set()
         for chunk in pool.iter_walks():
@@ -234,7 +227,35 @@ class TestFrontierAccounting:
         pool = DeviceWalkPool(2, batch_capacity=4, capacity_walks=100)
         pool.append_walks(0, walks(1, 2, 3, 4, 5, 6))
         assert pool.full_batches(0) == 1
-        assert pool.frontier_size(0) == 2
-        pool.pop_full_batches(0)
+        assert pool.counts[0] % pool.batch_capacity == 2
+        pool.pop_preemptible(0)
         assert pool.full_batches(0) == 0
-        assert pool.frontier_size(0) == 2
+        assert pool.counts[0] % pool.batch_capacity == 2
+
+
+def test_host_memory_follows_walks_not_batch_capacity():
+    """A held one-walk evicted batch costs its walk, not B slots.
+
+    With B = 4 096 a capacity-B batch would reserve 4 096 x 20 B = 80 KiB
+    of host memory; an exact-size one costs a few hundred bytes of array
+    headers.
+    """
+    import tracemalloc
+
+    capacity = 4096
+    device = DeviceWalkPool(1, capacity, 4 * capacity)
+    host = HostWalkPool(1, capacity)
+    device.append_walks(0, walks(0))  # allocate the device buffer first
+    host.push_batch(0, device.evict_batch(0))
+    held = 1000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for walk_id in range(1, held + 1):
+            device.append_walks(0, walks(walk_id, first_id=walk_id))
+            host.push_batch(0, device.evict_batch(0))
+        per_batch = (tracemalloc.get_traced_memory()[0] - before) / held
+    finally:
+        tracemalloc.stop()
+    assert host.num_batches(0) == held + 1
+    assert per_batch < 4096

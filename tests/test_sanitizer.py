@@ -668,11 +668,11 @@ class TestResidencyAtTheWrite:
     def test_evict_to_host_and_reload_is_not_a_departure(self):
         sanitizer, hosts, devices = two_shards()
         devices[0].append_walks(0, WalkArrays.fresh([1, 2, 3]))
-        hosts[0].push_batch(devices[0].evict_batch(0))
+        hosts[0].push_batch(0, devices[0].evict_batch(0))
         # Walk 0 sits in device 0's *host* pool now — still resident.
         devices[1].append_walks(0, WalkArrays.fresh([4]))
         one_violation(sanitizer, RULE_CROSS_DEVICE)
-        devices[0].load_batch(hosts[0].pop_batch(0))
+        devices[0].load_batch(0, hosts[0].pop_batch(0))
         sanitizer.unbind()
         one_violation(sanitizer, RULE_CROSS_DEVICE)
 

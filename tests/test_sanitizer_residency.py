@@ -104,7 +104,7 @@ class Cluster:
         """``StageContext.release_partition``'s pool part."""
         groups = []
         while self.hosts[shard].has_walks(part):
-            groups.append(copied(self.hosts[shard].pop_batch(part).drain()))
+            groups.append(copied(self.hosts[shard].pop_batch(part)))
         if self.devices[shard].has_walks(part):
             groups.append(copied(self.devices[shard].pop_all(part)))
         return groups
@@ -128,10 +128,10 @@ class Cluster:
             self.scatter(dst, copied(device.pop_preemptible(part)), part)
         elif op == "evict":
             if device.has_walks(part):
-                host.push_batch(device.evict_batch(part))
+                host.push_batch(part, device.evict_batch(part))
         elif op == "load":
             if host.has_walks(part):
-                device.load_batch(host.pop_batch(part))
+                device.load_batch(part, host.pop_batch(part))
         elif op == "handoff":
             for group in self.drain(src, part):
                 self.hosts[dst].append_walks(part, group)

@@ -60,7 +60,7 @@ def build_ctx(graph, config, num_walks=96, length=4):
 
 def first_populated(ctx):
     """A partition index that got seeded walks."""
-    return int(ctx.host.partitions_with_walks()[0])
+    return int(np.flatnonzero(ctx.host.counts)[0])
 
 
 class TestGraphServer:
@@ -109,7 +109,7 @@ class TestGraphServer:
         )
         ctx, __ = build_ctx(small_graph, config)
         server = GraphServer(ctx)
-        parts = [int(p) for p in ctx.host.partitions_with_walks()[:3]]
+        parts = [int(p) for p in np.flatnonzero(ctx.host.counts)[:3]]
         assert len(parts) == 3
         for part in parts:
             server.serve(part)
@@ -203,7 +203,7 @@ class TestComputeDispatcher:
         dispatcher = ComputeDispatcher(ctx)
         loader = WalkLoader(ctx)
         evicted = []
-        for part in [int(p) for p in ctx.host.partitions_with_walks()]:
+        for part in [int(p) for p in np.flatnonzero(ctx.host.counts)]:
             contents, __ = loader.stream(part)
             dispatcher.dispatch(part, contents, earliest=0.0, zero_copy=False)
             assert ctx.device.overflow == 0

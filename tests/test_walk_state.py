@@ -1,9 +1,9 @@
-"""Unit tests for walk state arrays and batches."""
+"""Unit tests for walk state arrays and walk batches."""
 
 import numpy as np
 import pytest
 
-from repro.walks.batch import WalkBatch
+from repro.walks.pool import DeviceWalkPool, HostWalkPool
 from repro.walks.state import WalkArrays, index_bytes_per_walk
 
 
@@ -55,54 +55,59 @@ class TestWalkArrays:
 
 
 class TestWalkBatch:
+    """A walk batch is a plain WalkArrays of 1..B walks."""
+
     def test_append_until_full(self):
-        batch = WalkBatch(capacity=3, partition=0)
-        walks = WalkArrays.fresh(np.array([1, 2, 3, 4]))
-        written = batch.append(walks)
-        assert written == 3
-        assert batch.is_full
-        assert batch.free_space == 0
+        pool = HostWalkPool(1, batch_capacity=3)
+        pool.append_walks(0, WalkArrays.fresh(np.array([1, 2, 3, 4])))
+        assert [len(b) for b in pool.iter_walks()] == [3, 1]
 
     def test_append_with_start(self):
-        batch = WalkBatch(capacity=4, partition=0)
-        walks = WalkArrays.fresh(np.array([1, 2, 3]))
-        assert batch.append(walks, start=2) == 1
-        assert batch.vertices[0] == 3
-
-    def test_append_start_beyond_end(self):
-        batch = WalkBatch(capacity=4, partition=0)
-        with pytest.raises(ValueError):
-            batch.append(WalkArrays.fresh(np.array([1])), start=5)
+        pool = HostWalkPool(1, batch_capacity=4)
+        pool.append_walks(0, WalkArrays.fresh(np.array([9, 9, 9])))
+        pool.append_walks(0, WalkArrays.fresh(np.array([1, 2, 3])))
+        # The tail takes one walk; the rollover batch starts at the next.
+        tail, rollover = pool.iter_walks()
+        assert tail.vertices.tolist() == [9, 9, 9, 1]
+        assert rollover.vertices[0] == 2
 
     def test_drain_transfers_ownership(self):
-        batch = WalkBatch(capacity=4, partition=2)
-        batch.append(WalkArrays.fresh(np.array([7, 8])))
-        drained = batch.drain()
+        pool = HostWalkPool(4, batch_capacity=4)
+        pool.append_walks(2, WalkArrays.fresh(np.array([7, 8])))
+        drained = pool.pop_batch(2)
         assert drained.vertices.tolist() == [7, 8]
-        assert batch.is_empty
+        assert not pool.has_walks(2)
+        assert pool.num_batches(2) == 0
 
     def test_contents_copies(self):
-        batch = WalkBatch(capacity=4, partition=0)
-        batch.append(WalkArrays.fresh(np.array([7])))
-        contents = batch.contents()
-        contents.vertices[0] = 99
-        assert batch.vertices[0] == 7
-        assert batch.size == 1  # contents() does not drain
+        source = WalkArrays.fresh(np.array([7]))
+        pool = HostWalkPool(1, batch_capacity=4)
+        pool.append_walks(0, source)
+        source.vertices[0] = 99
+        assert pool.pop_batch(0).vertices[0] == 7
+        device = DeviceWalkPool(1, batch_capacity=4, capacity_walks=4)
+        device.append_walks(0, WalkArrays.fresh(np.array([7])))
+        evicted = device.evict_batch(0)
+        assert not np.shares_memory(evicted.vertices, device._buffers[0][0])
 
     def test_nbytes(self):
-        batch = WalkBatch(capacity=8, partition=0)
-        batch.append(WalkArrays.fresh(np.array([1, 2, 3])))
-        assert batch.nbytes(8) == 24
-        assert batch.nbytes(16) == 48
+        device = DeviceWalkPool(1, batch_capacity=8, capacity_walks=8)
+        device.append_walks(0, WalkArrays.fresh(np.array([1, 2, 3])))
+        batch = device.evict_batch(0)
+        # Exact size: 3 walks of int64 vertex + int32 steps + int64 id.
+        assert batch.vertices.nbytes + batch.steps.nbytes == 3 * 12
+        assert batch.ids.nbytes == 3 * 8
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            WalkBatch(capacity=0, partition=0)
-        with pytest.raises(ValueError):
-            WalkBatch(capacity=4, partition=-1)
+            HostWalkPool(1, batch_capacity=0)
+        with pytest.raises(IndexError):
+            HostWalkPool(1, batch_capacity=4).push_batch(
+                -1, WalkArrays.fresh(np.array([1]))
+            )
 
     def test_len(self):
-        batch = WalkBatch(capacity=4, partition=0)
-        assert len(batch) == 0
-        batch.append(WalkArrays.fresh(np.array([1])))
-        assert len(batch) == 1
+        device = DeviceWalkPool(1, batch_capacity=4, capacity_walks=4)
+        device.append_walks(0, WalkArrays.fresh(np.array([1])))
+        assert len(device.evict_batch(0)) == 1
+        assert len(WalkArrays.empty()) == 0
