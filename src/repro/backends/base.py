@@ -38,6 +38,7 @@ from repro.algorithms.base import BatchRunResult, RandomWalkAlgorithm
 from repro.core.config import EngineConfig
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphPartition, PartitionedGraph
+from repro.walks.reshuffle import group_order
 from repro.walks.state import WalkArrays
 
 
@@ -196,12 +197,11 @@ class ExecutionBackend(abc.ABC):
         """Run one batch against one partition (the walk-updating kernel)."""
 
     def group_order(self, partition_ids: np.ndarray) -> np.ndarray:
-        """Stable order grouping walks by partition (the reshuffle kernel).
-
-        Must equal ``np.argsort(partition_ids, kind="stable")``.
-        """
+        """Stable order grouping walks by partition (the reshuffle kernel):
+        the counting sort :func:`repro.walks.reshuffle.group_order`, which
+        equals ``np.argsort(partition_ids, kind="stable")``."""
         started = time.perf_counter()
-        order = np.argsort(partition_ids, kind="stable")
+        order = group_order(partition_ids)
         self.measured.group_seconds += time.perf_counter() - started
         return order
 

@@ -63,7 +63,6 @@ class MultiprocessBackend(ExecutionBackend):
         self._weights: Optional[np.ndarray] = None
         self._starts: Optional[np.ndarray] = None
         self._p_bounds: Optional[np.ndarray] = None
-        self._part_lut: Optional[np.ndarray] = None
         self._path: Optional[np.ndarray] = None
         self._term: Optional[np.ndarray] = None
         self._exit: Optional[np.ndarray] = None
@@ -129,13 +128,6 @@ class MultiprocessBackend(ExecutionBackend):
             bounds = [p.start for p in self.pgraph.partitions]
             bounds.append(graph.num_vertices)
             self._p_bounds = np.asarray(bounds, dtype=np.int64)
-            # Direct vertex -> partition table: O(1) lookups beat binary
-            # search over the (steps x walks) path table by a wide margin.
-            self._part_lut = np.searchsorted(
-                self._p_bounds[:-1],
-                np.arange(graph.num_vertices, dtype=np.int64),
-                side="right",
-            )
             self._path = self._shared_array((rows, n), np.int64)
             self._term = self._shared_array((n,), np.int32)
             self._run_workers(n)
@@ -226,8 +218,8 @@ class MultiprocessBackend(ExecutionBackend):
                 assert impl is not None
                 nv = np.empty_like(v)
                 dead = np.empty(v.size, dtype=bool)
-                assert self._part_lut is not None
-                part_of = self._part_lut[v] - 1
+                assert self.pgraph is not None
+                part_of = self.pgraph.lut[v]
                 for p in np.unique(part_of):
                     sel = part_of == p
                     rng.set_context(active[sel], steps[sel])
@@ -276,10 +268,9 @@ class MultiprocessBackend(ExecutionBackend):
         ``t``, next leaves the partition it occupies at step ``t`` (or
         terminates) — a backward recurrence over the path table."""
         assert self._path is not None and self._term is not None
-        assert self._p_bounds is not None
         rows, n = self._path.shape
-        assert self._part_lut is not None
-        part = self._part_lut[self._path]
+        assert self.pgraph is not None
+        part = self.pgraph.lut[self._path]
         term = self._term.astype(np.int64)
         ex = np.empty((rows, n), dtype=np.int64)
         ex[rows - 1] = rows - 1

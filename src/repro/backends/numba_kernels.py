@@ -314,25 +314,6 @@ def _advance_inverse_py(
 _advance_inverse: Any = _jit(parallel=True)(_advance_inverse_py)
 
 
-def _group_order_py(keys: np.ndarray, num_partitions: int) -> np.ndarray:
-    """Stable counting sort == ``np.argsort(keys, kind="stable")``."""
-    n = keys.shape[0]
-    counts = np.zeros(num_partitions + 1, dtype=np.int64)
-    for i in range(n):
-        counts[keys[i] + 1] += 1
-    for p in range(num_partitions):
-        counts[p + 1] += counts[p]
-    order = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        k = keys[i]
-        order[counts[k]] = i
-        counts[k] += 1
-    return order
-
-
-_group_order: Any = _jit()(_group_order_py)
-
-
 class NumbaBackend(ExecutionBackend):
     """JIT-compiled lane-interleaved step loops (requires numba)."""
 
@@ -427,21 +408,6 @@ class NumbaBackend(ExecutionBackend):
             partition, n, result, time.perf_counter() - started
         )
         return result
-
-    def group_order(self, partition_ids: np.ndarray) -> np.ndarray:
-        started = time.perf_counter()
-        num = self.pgraph.num_partitions if self.pgraph is not None else 0
-        keys = np.ascontiguousarray(partition_ids, dtype=np.int64)
-        if keys.size == 0 or num == 0 or int(keys.min()) < 0 or int(
-            keys.max()
-        ) >= num:
-            # Out-of-range ids: fall back so the reshuffler raises its
-            # usual range error on the sorted view.
-            order = np.argsort(partition_ids, kind="stable")
-        else:
-            order = _group_order(keys, num)
-        self.measured.group_seconds += time.perf_counter() - started
-        return order
 
 
 register_backend(BACKEND_NUMBA, NumbaBackend)

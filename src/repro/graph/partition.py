@@ -8,7 +8,8 @@ properties the engine relies on:
 
 * a partition's bytes are one contiguous CSR slice (single ``memcpy``),
 * every partition fits in one graph-pool block (the block size), and
-* ``vertex -> partition`` lookup is a binary search over interval starts.
+* ``vertex -> partition`` lookup is a LUT: one gather from a ``|V|``-entry
+  table in the narrowest signed dtype that holds ``P``.
 
 A vertex whose edges alone exceed the block size gets a partition of its own
 (the paper notes such vertices could be split further; we keep them whole and
@@ -92,8 +93,14 @@ class PartitionedGraph:
             raise ValueError("need at least one partition")
         self.graph = graph
         self.partitions = partitions
-        self._starts = np.asarray([p.start for p in partitions], dtype=np.int64)
         self._validate()
+        # Vertex -> partition LUT; -P fits the narrowest signed dtype that
+        # also holds 0..P-1 (int8 up to P = 128, int16 up to 32 768), so
+        # grouping by these keys is NumPy's radix sort.
+        self.lut = np.repeat(
+            np.arange(len(partitions), dtype=np.min_scalar_type(-len(partitions))),
+            [p.num_vertices for p in partitions],
+        )
 
     def _validate(self) -> None:
         prev_stop = 0
@@ -117,14 +124,25 @@ class PartitionedGraph:
         return Bytes(max(p.nbytes for p in self.partitions))
 
     def find_partition(self, vertex: int) -> int:
-        """Partition index of ``vertex`` via binary search (paper §III-B)."""
+        """Partition index of ``vertex`` (paper §III-B)."""
         if not 0 <= vertex < self.graph.num_vertices:
             raise IndexError(f"vertex {vertex} out of range")
-        return int(np.searchsorted(self._starts, vertex, side="right") - 1)
+        return int(self.lut[vertex])
 
     def find_partitions(self, vertices: np.ndarray) -> np.ndarray:
-        """Vectorized ``find_partition`` for an array of vertex ids."""
-        return np.searchsorted(self._starts, vertices, side="right") - 1
+        """Vectorized ``find_partition``: partition ids in the LUT's dtype.
+
+        Raises ``IndexError`` on any vertex outside ``[0, |V|)`` — a
+        negative id would otherwise wrap to the last partition.
+        """
+        vertices = np.asarray(vertices, dtype=np.int64)
+        # One reduction checks both ends: as uint64 a negative id is huge.
+        if vertices.size and vertices.view(np.uint64).max() >= self.lut.size:
+            raise IndexError(
+                f"vertices out of range [0, {self.lut.size}): "
+                f"min={vertices.min()}, max={vertices.max()}"
+            )
+        return self.lut[vertices]
 
     def partition_of(self, vertex: int) -> GraphPartition:
         return self.partitions[self.find_partition(vertex)]

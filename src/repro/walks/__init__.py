@@ -7,14 +7,13 @@ a batch can always be fully updated given that one partition.  A batch is
 a plain :class:`WalkArrays`: its boundaries are kept because each batch is
 one host↔device transfer.  A host pool holds everything as a deque of
 batches per partition, whose tail is the append-only *write frontier*; a
-device pool caches at most ``m_w`` walks in one append buffer per
-partition.
+device pool caches at most ``m_w`` walks in one struct-of-arrays arena,
+a segment per partition.
 """
 
 from repro.walks.state import WalkArrays
 from repro.walks.pool import HostWalkPool, DeviceWalkPool
 from repro.walks.reshuffle import (
-    LocalIndex,
     group_by_partition,
     TwoLevelReshuffler,
     DirectWriteReshuffler,
@@ -24,7 +23,6 @@ __all__ = [
     "WalkArrays",
     "HostWalkPool",
     "DeviceWalkPool",
-    "LocalIndex",
     "group_by_partition",
     "TwoLevelReshuffler",
     "DirectWriteReshuffler",

@@ -11,17 +11,21 @@ batches per partition whose tail is the write frontier.  The boundaries
 are kept because each batch is one transfer; host memory follows the walks
 held, not batches × B.
 
-The *device* pool caches at most ``m_w`` walks in one contiguous append
-buffer per partition (inserts are slice assignments at the tail, pops are
-slice views from the head).  Its batch accounting is derived from walk
-counts — ``full = count // B`` completed batches, ``count % B`` walks in
-the write frontier.
+The *device* pool caches at most ``m_w`` walks in one struct-of-arrays
+arena (``vertices`` / ``steps`` / ``ids``) with a segment per partition:
+``[base, base + cap)`` holds live walks ``[head, tail)``, and the tail is
+the write frontier.  A reshuffle fills every frontier with one scatter per
+array; only a segment about to overflow takes the Python make-room path.
+Batch accounting is derived from walk counts — ``full = count // B``
+completed batches, ``count % B`` in the frontier.  A pop returns views of
+the arena, valid until the next insert into the *same* partition: other
+partitions' inserts never write there, and a rebuild allocates new arrays.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, Optional, Protocol, Sequence
+from typing import Deque, Dict, Iterator, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -151,12 +155,17 @@ class HostWalkPool:
             yield from queue
 
 
+#: Smallest segment a move or rebuild hands a partition, in walks.
+_MIN_SEGMENT = 128
+
+
 class DeviceWalkPool:
-    """GPU-memory walk cache: one append buffer per partition, m_w cap.
+    """GPU-memory walk cache: one SoA arena, a segment per partition, m_w cap.
 
     ``capacity_walks`` bounds the number of walk states cached; the
     ``(2P + 1)B`` bound of the paper's frontier and free-batch reservation
     (§III-B memory usage analysis) is reported by :meth:`reserved_bytes`.
+    ``counts[p]`` always equals ``tail[p] - head[p]``.
     """
 
     def __init__(
@@ -173,45 +182,60 @@ class DeviceWalkPool:
         self.capacity_walks = capacity_walks
         #: optional sanitizer hook (see :class:`DeviceObserver`).
         self.observer: Optional[DeviceObserver] = None
-        # Per-partition contiguous append buffers (vertices, steps, ids,
-        # head, tail): inserts are slice assignments at the tail, pops are
-        # slice views from the head — both O(1) per call.  counts[p] always
-        # equals tail - head.
-        self._buffers: Dict[int, list] = {}
         self.counts = np.zeros(num_partitions, dtype=np.int64)
+        self.head = self.tail = np.zeros(num_partitions, dtype=np.int64)
+        self._rebuild(self.counts[:0], self.counts[:0])  # segments at the floor
 
-    def _buffer(self, partition: int, extra: int) -> list:
-        """The partition's buffer with >= ``extra`` free tail slots."""
-        buffer = self._buffers.get(partition)
-        if buffer is None:
-            cap = max(4 * self.batch_capacity, extra)
-            buffer = [
-                np.empty(cap, dtype=np.int64),
-                np.empty(cap, dtype=np.int32),
-                np.empty(cap, dtype=np.int64),
-                0,  # head
-                0,  # tail
-            ]
-            self._buffers[partition] = buffer
-            return buffer
-        head, tail = buffer[3], buffer[4]
-        cap = buffer[0].size
-        if tail + extra <= cap:
-            return buffer
-        live = tail - head
-        if live + extra <= cap and head >= cap // 2:
-            # Compact: shift the live region to the front.
-            for k in range(3):
-                buffer[k][:live] = buffer[k][head:tail]
-            buffer[3], buffer[4] = 0, live
-            return buffer
-        new_cap = max(cap * 2, live + extra)
-        for k in range(3):
-            grown = np.empty(new_cap, dtype=buffer[k].dtype)
-            grown[:live] = buffer[k][head:tail]
-            buffer[k] = grown
-        buffer[3], buffer[4] = 0, live
-        return buffer
+    def _rebuild(self, parts: np.ndarray, sizes: np.ndarray) -> None:
+        """New arrays with room for ``sizes[k]`` more walks in ``parts[k]``
+        for every group at once, each segment at 1.5x what it needs."""
+        live = self.tail - self.head
+        need = live.copy()
+        need[parts] += sizes
+        cap = np.maximum(need + need // 2, _MIN_SEGMENT)
+        base = np.cumsum(cap) - cap
+        self._end = int(cap.sum())
+        # A quarter of slack past the segments absorbs moves until the next
+        # rebuild; slots never written cost no resident memory.
+        size = self._end + self._end // 4
+        arena = [np.empty(size, dtype=t) for t in (np.int64, np.int32, np.int64)]
+        for p in np.flatnonzero(live).tolist():
+            lo, hi, to = self.head[p], self.tail[p], base[p]
+            for new, old in zip(arena, (self.vertices, self.steps, self.ids)):
+                new[to : to + hi - lo] = old[lo:hi]
+        self.vertices, self.steps, self.ids = arena
+        self.base, self.cap = base, cap
+        self.head, self.tail = base.copy(), base + live
+
+    def _make_room(self, parts: np.ndarray, sizes: np.ndarray) -> None:
+        """Give each segment ``parts[k]`` ``sizes[k]`` free tail slots.
+
+        A short segment is compacted in place when that copies no more
+        walks than it frees, else moved to the arena end (the last segment
+        grows where it is) at twice what it needs.  When the end is
+        reached, one rebuild reserves every group of the call: it moves
+        segments this loop already made room in.
+        """
+        ends = self.base[parts] + self.cap[parts]
+        for k in np.flatnonzero(self.tail[parts] + sizes > ends).tolist():
+            p, need = int(parts[k]), int(sizes[k])
+            head, tail, to, cap = (
+                int(a[p]) for a in (self.head, self.tail, self.base, self.cap)
+            )
+            live = tail - head
+            if live + need > cap or head - to < live:
+                if to + cap != self._end:
+                    to = self._end
+                cap = max(2 * (live + need), _MIN_SEGMENT)
+                if to + cap > self.ids.size:
+                    self._rebuild(parts, sizes)
+                    return
+                self._end = to + cap
+                self.base[p], self.cap[p] = to, cap
+            if to != head:  # overlap (a segment growing in place) is safe
+                for array in (self.vertices, self.steps, self.ids):
+                    array[to : to + live] = array[head:tail]
+            self.head[p], self.tail[p] = to, to + live
 
     # ------------------------------------------------------------------
     # Accounting
@@ -243,57 +267,67 @@ class DeviceWalkPool:
     # ------------------------------------------------------------------
     # Frontier writes (first-level walk-index cache, §III-C)
     # ------------------------------------------------------------------
-    def append_walks(self, partition: int, walks: WalkArrays) -> None:
-        """Append updated walks to the partition's frontier (rollover-safe).
+    def _append(
+        self, p: int, vertices: np.ndarray, steps: np.ndarray, ids: np.ndarray
+    ) -> None:
+        n = ids.size
+        if self.tail[p] + n > self.base[p] + self.cap[p]:
+            self._make_room(np.array([p]), np.array([n]))
+        tail = int(self.tail[p])
+        self.vertices[tail : tail + n] = vertices
+        self.steps[tail : tail + n] = steps
+        self.ids[tail : tail + n] = ids
+        self.tail[p] = tail + n
+        self.counts[p] += n
 
-        The caller must not mutate ``walks`` afterwards (reshuffled groups
-        are freshly sorted copies, so this holds throughout the engine).
-        """
-        n = len(walks)
-        if not n:
+    def append_walks(self, partition: int, walks: WalkArrays) -> None:
+        """Append walks to the partition's frontier (copies them in)."""
+        if not len(walks):
             return
         if not 0 <= partition < self.num_partitions:
             raise IndexError(f"partition {partition} out of range")
-        buffer = self._buffer(partition, n)
-        tail = buffer[4]
-        buffer[0][tail : tail + n] = walks.vertices
-        buffer[1][tail : tail + n] = walks.steps
-        buffer[2][tail : tail + n] = walks.ids
-        buffer[4] = tail + n
-        self.counts[partition] += n
+        self._append(partition, walks.vertices, walks.steps, walks.ids)
         if self.observer is not None:
             self.observer.device_appended(self, (partition,), walks.ids)
 
     def scatter_sorted(
-        self,
-        parts: list,
-        sizes: np.ndarray,
-        vertices: np.ndarray,
-        steps: np.ndarray,
-        ids: np.ndarray,
-        starts: np.ndarray,
-        stops: np.ndarray,
+        self, parts: Union[np.ndarray, Sequence[int]], sizes: np.ndarray,
+        vertices: np.ndarray, steps: np.ndarray, ids: np.ndarray,
+        starts: np.ndarray, stops: np.ndarray,
+        order: Optional[np.ndarray] = None,
     ) -> None:
-        """Bulk frontier insert of partition-sorted walks (reshuffle hot path).
+        """Bulk frontier insert of partition-grouped walks (reshuffle hot path).
 
-        ``parts[k]`` receives the slice ``[starts[k], stops[k])`` of the
-        sorted payload arrays, and the slices tile the payload in order.
-        Semantically identical to calling :meth:`append_walks` per group;
-        one vectorized count update, one observer call.
-        """
-        for k, part in enumerate(parts):
-            lo = starts[k]
-            hi = stops[k]
-            n = hi - lo
-            buffer = self._buffer(part, n)
-            tail = buffer[4]
-            buffer[0][tail : tail + n] = vertices[lo:hi]
-            buffer[1][tail : tail + n] = steps[lo:hi]
-            buffer[2][tail : tail + n] = ids[lo:hi]
-            buffer[4] = tail + n
-        np.add.at(self.counts, parts, sizes)
+        ``parts[k]`` (distinct) receives sorted positions ``[starts[k],
+        stops[k])``; the slices tile the payload.  The payload is in sorted
+        order, or with ``order`` unsorted: position ``j`` is walk
+        ``order[j]`` (a stable grouping, so one group is the payload as is).
+        Same result as :meth:`append_walks` per group, but one write per
+        payload array, one count update and one observer call."""
+        groups = np.asarray(parts)
+        if groups.size == 1:
+            lo, hi = starts[0], stops[0]
+            self._append(
+                int(groups[0]), vertices[lo:hi], steps[lo:hi], ids[lo:hi]
+            )
+        else:
+            tail = self.tail[groups]
+            if (tail + sizes > self.base[groups] + self.cap[groups]).any():
+                self._make_room(groups, sizes)
+                tail = self.tail[groups]
+            # Sorted position j of group k goes to tail[k] + j - starts[k].
+            dest = np.repeat(tail - starts, sizes)
+            dest += np.arange(dest.size)
+            if order is not None:
+                by_rank, dest = dest, np.empty_like(dest)
+                dest[order] = by_rank
+            self.vertices[dest] = vertices
+            self.steps[dest] = steps
+            self.ids[dest] = ids
+            self.tail[groups] = tail + sizes
+            self.counts[groups] += sizes
         if self.observer is not None:
-            self.observer.device_appended(self, parts, ids)
+            self.observer.device_appended(self, groups.tolist(), ids)
 
     # ------------------------------------------------------------------
     # Batch load / fetch / evict
@@ -303,27 +337,22 @@ class DeviceWalkPool:
         self.append_walks(partition, walks)
 
     def _take(self, partition: int, count: int) -> WalkArrays:
-        """Remove the oldest ``count`` walks of a partition (FIFO).
-
-        Returns zero-copy views of the buffer region.  The region is not
-        reused until a later insert compacts or grows the buffer, so the
-        caller may mutate the views while it processes them (the engine
-        finishes each popped group synchronously before further pool ops on
-        the partition).
-        """
-        buffer = self._buffers[partition]
-        head, tail = buffer[3], buffer[4]
+        """Remove the oldest ``count`` walks of a partition (FIFO) as views
+        of the arena, which the caller may mutate until its next insert into
+        this partition (the engine finishes each popped group first)."""
+        head, tail = int(self.head[partition]), int(self.tail[partition])
         if self.observer is not None:
             # Fired before ``count`` is validated: live ids only.
             self.observer.device_taken(
                 self, partition, count, tail - head,
-                buffer[2][head : min(head + count, tail)],
+                self.ids[head : min(head + count, tail)],
             )
         stop = head + count
-        out = WalkArrays(
-            buffer[0][head:stop], buffer[1][head:stop], buffer[2][head:stop]
-        )
-        buffer[3] = stop
+        out = self._view(head, stop)
+        if stop == tail:  # emptied: the next insert starts at the base
+            self.head[partition] = self.tail[partition] = self.base[partition]
+        else:
+            self.head[partition] = stop
         self.counts[partition] -= count
         return out
 
@@ -350,8 +379,8 @@ class DeviceWalkPool:
     def evict_batch(self, partition: int) -> WalkArrays:
         """Remove up to one batch of walks for transfer back to the host.
 
-        Returns an exact-size copy: the host keeps it, and the buffer
-        region it came from may be reused by a later compaction.
+        Returns an exact-size copy: the host keeps it, and the arena slots
+        it came from are reused by later inserts.
         """
         count = int(self.counts[partition])
         if count == 0:
@@ -360,11 +389,8 @@ class DeviceWalkPool:
 
     def iter_walks(self) -> Iterator[WalkArrays]:
         """All walk contents (testing helper for conservation checks)."""
-        for buffer in self._buffers.values():
-            head, tail = buffer[3], buffer[4]
-            if tail > head:
-                yield WalkArrays(
-                    buffer[0][head:tail],
-                    buffer[1][head:tail],
-                    buffer[2][head:tail],
-                )
+        for p in np.flatnonzero(self.tail > self.head).tolist():
+            yield self._view(self.head[p], self.tail[p])
+
+    def _view(self, lo: int, hi: int) -> WalkArrays:
+        return WalkArrays(self.vertices[lo:hi], self.steps[lo:hi], self.ids[lo:hi])

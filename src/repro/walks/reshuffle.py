@@ -13,13 +13,13 @@ Two implementations are modeled:
 
 Both produce identical walk placements; they differ only in the modeled
 kernel time (see :meth:`repro.gpu.kernels.KernelModel.reshuffle_time`).
-:class:`LocalIndex` is a faithful, testable port of the shared-memory data
-structure itself.
+Host-side, the grouping is the same counting sort (:func:`group_order`),
+and one :meth:`DeviceWalkPool.scatter_sorted` writes every frontier.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -29,43 +29,22 @@ from repro.walks.pool import DeviceWalkPool
 from repro.walks.state import WalkArrays
 
 
-class LocalIndex:
-    """The shared-memory structure of Algorithm 1 (one SM's view).
+def group_order(partition_ids: np.ndarray) -> np.ndarray:
+    """The stable order grouping walks by partition, by counting.
 
-    ``add(part, tid)`` mimics ``pos = atomicAdd(&localLen[part], 1);
-    invertedMap.add(part, pos, tid)``; ``sorted_entries`` mimics
-    ``invertedMap.sort()`` via counting sort over the prefix sums of the
-    local counters, yielding ``(part, pos, tid)`` triples ordered so that
-    threads writing to the same frontier get adjacent target addresses.
+    Equals ``np.argsort(partition_ids, kind="stable")``, which NumPy runs as
+    a radix (counting) sort on keys of at most 16 bits.  Callers pass the
+    keys of ``find_partitions`` in its LUT dtype, which is that narrow up to
+    P = 32 768; wider keys are comparison-sorted.
     """
+    return np.argsort(partition_ids, kind="stable")
 
-    def __init__(self, num_partitions: int) -> None:
-        if num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        self.num_partitions = num_partitions
-        self.local_len = np.zeros(num_partitions, dtype=np.int64)
-        self._entries: List[Tuple[int, int, int]] = []
 
-    def add(self, partition: int, tid: int) -> int:
-        """Atomic-add into the local counter; returns the walk's local pos."""
-        if not 0 <= partition < self.num_partitions:
-            raise IndexError(f"partition {partition} out of range")
-        pos = int(self.local_len[partition])
-        self.local_len[partition] += 1
-        self._entries.append((partition, pos, tid))
-        return pos
-
-    def sorted_entries(self) -> List[Tuple[int, int, int]]:
-        """Counting-sort the inverted map by (partition, pos)."""
-        prefix = np.zeros(self.num_partitions + 1, dtype=np.int64)
-        np.cumsum(self.local_len, out=prefix[1:])
-        out: List[Tuple[int, int, int]] = [None] * len(self._entries)  # type: ignore
-        for part, pos, tid in self._entries:
-            out[int(prefix[part]) + pos] = (part, pos, tid)
-        return out
-
-    def __len__(self) -> int:
-        return len(self._entries)
+def _runs(sorted_parts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(partition, start, stop)`` arrays of each run of equal ids."""
+    boundaries = np.flatnonzero(sorted_parts[1:] != sorted_parts[:-1]) + 1
+    starts = np.concatenate(([0], boundaries))
+    return sorted_parts[starts], starts, np.append(boundaries, sorted_parts.size)
 
 
 def group_by_partition(
@@ -74,29 +53,23 @@ def group_by_partition(
     """Split walks into per-target-partition groups (vectorized).
 
     ``partition_ids[i]`` is the partition that ``walks[i]`` now belongs to
-    (``findPartition`` of Algorithm 1).  Uses a stable counting-sort-style
-    grouping, matching what the two-level local index produces after merge.
+    (``findPartition`` of Algorithm 1).  Uses the stable counting sort
+    :func:`group_order`, matching what the two-level local index produces
+    after merge; the groups are views of one sorted copy.
     """
     if partition_ids.shape != (len(walks),):
         raise ValueError("partition_ids must align with walks")
     if not len(walks):
         return {}
-    order = np.argsort(partition_ids, kind="stable")
-    sorted_parts = partition_ids[order]
-    # Sort the payload once; per-group WalkArrays are zero-copy views.
-    vertices = walks.vertices[order]
-    steps = walks.steps[order]
-    ids = walks.ids[order]
-    boundaries = np.nonzero(np.diff(sorted_parts))[0] + 1
-    starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [len(walks)]])
-    groups: Dict[int, WalkArrays] = {}
-    for lo, hi in zip(starts, stops):
-        part = int(sorted_parts[lo])
-        groups[part] = WalkArrays(
-            vertices[lo:hi], steps[lo:hi], ids[lo:hi]
+    order = group_order(partition_ids)
+    ordered = walks.select(order)
+    parts, starts, stops = (a.tolist() for a in _runs(partition_ids[order]))
+    return {
+        part: WalkArrays(
+            ordered.vertices[lo:hi], ordered.steps[lo:hi], ordered.ids[lo:hi]
         )
-    return groups
+        for part, lo, hi in zip(parts, starts, stops)
+    }
 
 
 class _BaseReshuffler:
@@ -113,7 +86,7 @@ class _BaseReshuffler:
         self.kernel_model = kernel_model
         self.num_partitions = num_partitions
         #: execution backend supplying (and wall-clock measuring) the
-        #: grouping order; ``None`` = inline stable argsort.
+        #: grouping order; ``None`` = :func:`group_order` inline.
         self._backend = backend
         # Per-walk cost is constant for a fixed P and mode; precompute the
         # serial (1-lane) per-walk duration so the hot path is one multiply.
@@ -149,7 +122,7 @@ class _BaseReshuffler:
         if self._backend is not None:
             order = self._backend.group_order(partition_ids)
         else:
-            order = np.argsort(partition_ids, kind="stable")
+            order = group_order(partition_ids)
         sorted_parts = partition_ids[order]
         # Guard against corrupted lookups: a negative id would silently wrap
         # into the last partition's counters.
@@ -158,17 +131,13 @@ class _BaseReshuffler:
                 f"partition ids out of range [0, {self.num_partitions}): "
                 f"min={sorted_parts[0]}, max={sorted_parts[-1]}"
             )
-        vertices = walks.vertices[order]
-        steps = walks.steps[order]
-        ids = walks.ids[order]
-        boundaries = np.nonzero(sorted_parts[1:] != sorted_parts[:-1])[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        stops = np.concatenate([boundaries, [n]])
-        parts = sorted_parts[starts].tolist()
+        parts, starts, stops = _runs(sorted_parts)
+        # Unsorted payload: the pool writes each walk to its slot via order.
         pool.scatter_sorted(
-            parts, stops - starts, vertices, steps, ids, starts, stops
+            parts, stops - starts, walks.vertices, walks.steps, walks.ids,
+            starts, stops, order,
         )
-        return self.seconds_for(n), len(parts)
+        return self.seconds_for(n), parts.size
 
 
 class TwoLevelReshuffler(_BaseReshuffler):

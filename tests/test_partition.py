@@ -91,6 +91,28 @@ class TestFindPartition:
         with pytest.raises(IndexError):
             pg.find_partition(-1)
 
+    def test_vectorized_out_of_range_raises(self, small_graph):
+        """A vertex past either end raises with the offending min / max,
+        instead of landing in the last partition."""
+        pg = partition_by_range(small_graph, 4096)
+        v = small_graph.num_vertices
+        with pytest.raises(IndexError, match=f"min={v}, max={v + 5}"):
+            pg.find_partitions(np.array([v, v + 5]))
+        with pytest.raises(IndexError, match="min=-1, max=3"):
+            pg.find_partitions(np.array([3, -1]))
+
+    def test_lut_matches_binary_search_on_every_vertex(self, small_graph):
+        for block in (1024, 4096, 1 << 20):
+            pg = partition_by_range(small_graph, block)
+            vertices = np.arange(small_graph.num_vertices)
+            starts = np.asarray([p.start for p in pg.partitions])
+            expected = np.searchsorted(starts, vertices, side="right") - 1
+            found = pg.find_partitions(vertices)
+            assert np.array_equal(found, expected)
+            # The narrowest signed dtype that holds P.
+            assert found.dtype == np.min_scalar_type(-pg.num_partitions)
+            assert np.iinfo(found.dtype).min <= -pg.num_partitions
+
     def test_partition_sizes(self, small_graph):
         pg = partition_by_range(small_graph, 4096)
         sizes = pg.partition_sizes()

@@ -2,6 +2,8 @@
 
 The central invariant is *walk conservation*: no walk is ever lost or
 duplicated by loading, eviction, frontier rollover, or scatter insertion.
+The device arena is also checked op by op against a reference model: a
+dict of per-partition FIFO lists.
 """
 
 import numpy as np
@@ -259,3 +261,180 @@ def test_host_memory_follows_walks_not_batch_capacity():
         tracemalloc.stop()
     assert host.num_batches(0) == held + 1
     assert per_batch < 4096
+
+
+# ----------------------------------------------------------------------
+# The device arena against a reference model: per-partition FIFO lists.
+# ----------------------------------------------------------------------
+def walk_state(ids):
+    """Vertices and steps derived from the ids, so contents are checkable."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return WalkArrays(ids * 7 % 1009, ids % 53, ids)
+
+
+class ArenaModel:
+    """Drives a :class:`DeviceWalkPool` and a dict of FIFO lists in step.
+
+    ``held`` keeps every popped view with a snapshot: a view must stay
+    byte-identical until the next insert into its own partition.
+    """
+
+    def __init__(self, partitions, batch):
+        self.pool = DeviceWalkPool(partitions, batch, capacity_walks=1 << 30)
+        self.fifo = {p: [] for p in range(partitions)}
+        self.next_id = 0
+        self.held = []
+
+    def fresh(self, n):
+        walks = walk_state(np.arange(self.next_id, self.next_id + n))
+        self.next_id += n
+        return walks
+
+    def inserted(self, parts):
+        self.held = [(p, v, s) for p, v, s in self.held if p not in parts]
+        for __, view, snapshot in self.held:
+            for array, copy in zip((view.vertices, view.steps, view.ids), snapshot):
+                assert np.array_equal(array, copy), "a popped view was overwritten"
+
+    def scatter(self, targets, sorted_payload):
+        """One reshuffle-style call: walk i goes to partition targets[i]."""
+        walks = self.fresh(len(targets))
+        targets = np.asarray(targets, dtype=np.int64)
+        order = np.argsort(targets, kind="stable")
+        sorted_parts = targets[order]
+        boundaries = np.flatnonzero(sorted_parts[1:] != sorted_parts[:-1]) + 1
+        starts = np.concatenate(([0], boundaries))
+        stops = np.append(boundaries, len(targets))
+        parts = sorted_parts[starts]
+        if sorted_payload:
+            walks, order = walks.select(order), None
+        self.pool.scatter_sorted(
+            parts, stops - starts, walks.vertices, walks.steps, walks.ids,
+            starts, stops, order,
+        )
+        first = self.next_id - len(targets)
+        for offset, part in enumerate(targets.tolist()):
+            self.fifo[part].append(first + offset)
+        self.inserted(set(parts.tolist()))
+
+    def append(self, part, n, load):
+        walks = self.fresh(n)
+        (self.pool.load_batch if load else self.pool.append_walks)(part, walks)
+        self.fifo[part].extend(walks.ids.tolist())
+        self.inserted({part})
+
+    def take(self, part, op):
+        fifo = self.fifo[part]
+        if op == "pop_all":
+            out, expected = self.pool.pop_all(part), len(fifo)
+        elif op == "preempt":
+            full = len(fifo) // self.pool.batch_capacity
+            out = self.pool.pop_preemptible(part)
+            expected = full * self.pool.batch_capacity if full else len(fifo)
+        else:
+            if not fifo:
+                return
+            out = self.pool.evict_batch(part)
+            expected = min(len(fifo), self.pool.batch_capacity)
+        assert out.ids.tolist() == fifo[:expected]
+        assert np.array_equal(out.vertices, walk_state(out.ids).vertices)
+        assert np.array_equal(out.steps, walk_state(out.ids).steps)
+        del fifo[:expected]
+        if op != "evict" and len(out):
+            copies = (out.vertices.copy(), out.steps.copy(), out.ids.copy())
+            self.held.append((part, out, copies))
+
+    def check(self):
+        pool = self.pool
+        assert pool.counts.tolist() == [len(f) for f in self.fifo.values()]
+        assert np.array_equal(pool.counts, pool.tail - pool.head)
+        for part, fifo in self.fifo.items():
+            live = pool._view(pool.head[part], pool.tail[part])
+            assert live.ids.tolist() == fifo
+            assert np.array_equal(live.vertices, walk_state(fifo).vertices)
+            assert np.array_equal(live.steps, walk_state(fifo).steps)
+
+
+def arena_ops(partitions):
+    hot = st.integers(0, partitions - 1)
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("scatter"),
+                st.lists(hot, min_size=1, max_size=4),
+                st.integers(1, 400),
+                st.booleans(),
+                st.integers(0, 2**31),
+            ),
+            st.tuples(
+                st.sampled_from(["append", "load"]), hot, st.integers(1, 300)
+            ),
+            st.tuples(st.sampled_from(["pop_all", "preempt", "evict"]), hot),
+        ),
+        max_size=30,
+    )
+
+
+@st.composite
+def arena_cases(draw):
+    partitions = draw(st.integers(1, 300))
+    return partitions, draw(st.integers(1, 64)), draw(arena_ops(partitions))
+
+
+def run_arena(partitions, batch, ops):
+    model = ArenaModel(partitions, batch)
+    for op in ops:
+        if op[0] == "scatter":
+            __, hot, n, sorted_payload, seed = op
+            pick = np.random.default_rng(seed).integers(0, len(hot), size=n)
+            model.scatter(np.asarray(hot)[pick], sorted_payload)
+        elif op[0] in ("append", "load"):
+            model.append(op[1], op[2], load=op[0] == "load")
+        else:
+            model.take(op[1], op[0])
+        model.check()
+    return model
+
+
+@given(case=arena_cases())
+@settings(max_examples=150, deadline=None)
+def test_device_arena_matches_fifo_model(case):
+    """Counts, exact FIFO contents and returned ids after every op; popped
+    views survive inserts into other partitions (make-room, moves and
+    rebuilds included: up to 400 walks an op into 1-4 hot partitions)."""
+    run_arena(*case)
+
+
+def test_make_room_takes_every_path():
+    """Each make-room outcome on a 16-partition arena (segments start at
+    the 128-walk floor, plus a quarter of slack), checked against the model
+    after every op."""
+    model = ArenaModel(16, batch=10)
+    pool = model.pool
+
+    def do(action, *args):
+        action(*args)
+        model.check()
+
+    # The last segment grows where it is: no copy, the arena end moves.
+    do(model.append, 15, 130, False)
+    assert (pool.base[15], pool.cap[15]) == (15 * 128, 260)
+    # A short segment whose dead head is smaller than its live walks moves
+    # to the arena end at twice what it needs.
+    do(model.append, 0, 120, False)
+    do(model.take, 0, "evict")
+    do(model.append, 0, 15, False)
+    assert (pool.base[0], pool.cap[0]) == (15 * 128 + 260, 250)
+    # One whose dead head is as large as its live walks compacts in place.
+    do(model.append, 1, 120, False)
+    for __ in range(6):
+        do(model.take, 1, "evict")
+    do(model.append, 1, 20, False)
+    assert (pool.base[1], pool.head[1], pool.counts[1]) == (128, 128, 80)
+    # Past the slack, one rebuild reserves every group of the call ...
+    arena = pool.ids
+    do(model.scatter, [2] * 300 + [3] * 300, False)
+    assert pool.ids is not arena
+    assert (pool.cap[2:4] >= 300).all()
+    # ... so the neighbours of both segments stay intact.
+    do(model.scatter, [3, 4] * 100, True)

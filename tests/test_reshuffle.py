@@ -1,5 +1,7 @@
 """Unit and property tests for walk reshuffling (§III-C, Algorithm 1)."""
 
+from typing import List, Tuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,51 @@ from repro.gpu.kernels import KernelModel
 from repro.walks.pool import DeviceWalkPool
 from repro.walks.reshuffle import (
     DirectWriteReshuffler,
-    LocalIndex,
     TwoLevelReshuffler,
     group_by_partition,
+    group_order,
 )
 from repro.walks.state import WalkArrays
+
+
+class LocalIndex:
+    """The shared-memory structure of Algorithm 1 (one SM's view).
+
+    ``add(part, tid)`` mimics ``pos = atomicAdd(&localLen[part], 1);
+    invertedMap.add(part, pos, tid)``; ``sorted_entries`` mimics
+    ``invertedMap.sort()`` via counting sort over the prefix sums of the
+    local counters, yielding ``(part, pos, tid)`` triples ordered so that
+    threads writing to the same frontier get adjacent target addresses.
+    A faithful port kept as the oracle for :func:`group_order`.
+    """
+
+    def __init__(self, num_partitions: int) -> None:
+        if num_partitions < 1:
+            raise ValueError("num_partitions must be >= 1")
+        self.num_partitions = num_partitions
+        self.local_len = np.zeros(num_partitions, dtype=np.int64)
+        self._entries: List[Tuple[int, int, int]] = []
+
+    def add(self, partition: int, tid: int) -> int:
+        """Atomic-add into the local counter; returns the walk's local pos."""
+        if not 0 <= partition < self.num_partitions:
+            raise IndexError(f"partition {partition} out of range")
+        pos = int(self.local_len[partition])
+        self.local_len[partition] += 1
+        self._entries.append((partition, pos, tid))
+        return pos
+
+    def sorted_entries(self) -> List[Tuple[int, int, int]]:
+        """Counting-sort the inverted map by (partition, pos)."""
+        prefix = np.zeros(self.num_partitions + 1, dtype=np.int64)
+        np.cumsum(self.local_len, out=prefix[1:])
+        out: List[Tuple[int, int, int]] = [None] * len(self._entries)  # type: ignore
+        for part, pos, tid in self._entries:
+            out[int(prefix[part]) + pos] = (part, pos, tid)
+        return out
+
+    def __len__(self) -> int:
+        return len(self._entries)
 
 
 class TestLocalIndex:
@@ -46,6 +88,33 @@ class TestLocalIndex:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             LocalIndex(0)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
+@given(
+    partitions=st.sampled_from([1, 7, 233, 40_000]),
+    n=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_group_order_is_the_stable_argsort(dtype, partitions, n, seed):
+    """The counting sort equals ``np.argsort(kind="stable")`` and the
+    shared-memory local index's order, for any key width that holds P."""
+    top = min(partitions, np.iinfo(dtype).max + 1)
+    keys = np.random.default_rng(seed).integers(0, top, size=n).astype(dtype)
+    order = group_order(keys)
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    index = LocalIndex(top)
+    for tid, part in enumerate(keys.tolist()):
+        index.add(part, tid)
+    assert order.tolist() == [tid for __, __, tid in index.sorted_entries()]
+
+
+def test_group_order_empty_and_wide_keys():
+    assert group_order(np.empty(0, dtype=np.int64)).size == 0
+    # Keys past int16 (P >= 32 768) take the comparison-sort fallback.
+    keys = np.array([40_000, 3, 40_000, -5, 3], dtype=np.int64)
+    assert group_order(keys).tolist() == [3, 1, 4, 0, 2]
 
 
 class TestGroupByPartition:

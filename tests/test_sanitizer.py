@@ -645,7 +645,7 @@ class TestResidencyAtTheWrite:
         devices[0].append_walks(0, WalkArrays.fresh([1, 2, 3]))
         # Storage past the tail is uninitialised; make it hostile so an
         # observer indexing with it would raise (or wreck its table).
-        devices[0]._buffers[0][2][3:] = np.iinfo(np.int64).max
+        devices[0].ids[devices[0].tail[0] :] = np.iinfo(np.int64).max
         devices[0]._take(0, 5)
         one_violation(sanitizer, RULE_DOUBLE_CONSUME)
         # The three live walks did leave device 0: landing them on

@@ -88,7 +88,7 @@ class TestWalkBatch:
         device = DeviceWalkPool(1, batch_capacity=4, capacity_walks=4)
         device.append_walks(0, WalkArrays.fresh(np.array([7])))
         evicted = device.evict_batch(0)
-        assert not np.shares_memory(evicted.vertices, device._buffers[0][0])
+        assert not np.shares_memory(evicted.vertices, device.vertices)
 
     def test_nbytes(self):
         device = DeviceWalkPool(1, batch_capacity=8, capacity_walks=8)
