@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -52,16 +52,25 @@ def uniform_neighbors(
     vertices with no out-edges (their ``next_vertices`` entry is the vertex
     itself).  All ``vertices`` must lie inside ``partition``.
     """
+    offsets = partition.offsets
     local = vertices - partition.start
-    starts = partition.offsets[local]
-    degrees = partition.offsets[local + 1] - starts
+    starts = offsets.take(local)
+    degrees = offsets[1:].take(local)
+    degrees -= starts
     dead_end = degrees == 0
-    # rng.random() < 1.0 strictly, so floor(r * deg) <= deg - 1; the minimum
-    # clamp only guards the deg == 0 placeholder.
-    pick = (rng.random(vertices.size) * degrees).astype(np.int64)
-    safe = np.where(dead_end, 0, starts + np.minimum(pick, degrees - 1))
-    next_vertices = partition.targets[safe]
-    return np.where(dead_end, vertices, next_vertices), dead_end
+    # rng.random() < 1.0 strictly, so floor(r * deg) <= deg - 1: the pick
+    # stays inside the vertex's own edges without a clamp.
+    pick = degrees.astype(np.float64)
+    pick *= rng.random(vertices.size)
+    edge = pick.astype(np.int64)
+    edge += starts
+    # A dead end's edge is the next vertex's first, or one past the
+    # partition's edges for its last vertex (clipped): read, then put back.
+    next_vertices = partition.targets.take(edge, mode="clip")
+    holes = dead_end.nonzero()[0]
+    if holes.size:
+        next_vertices[holes] = vertices[holes]
+    return next_vertices, dead_end
 
 
 class RandomWalkAlgorithm(abc.ABC):
@@ -124,7 +133,8 @@ class RandomWalkAlgorithm(abc.ABC):
 
         ``steps`` holds pre-increment counts.  Returns ``(new_vertices,
         terminated)``; the caller increments ``walked_steps`` and handles
-        partition crossings.
+        partition crossings.  The input arrays may be the batch's own
+        storage, so they are read, never written.
         """
 
     def on_start(self, walks: WalkArrays, graph: CSRGraph) -> None:
@@ -155,40 +165,52 @@ class RandomWalkAlgorithm(abc.ABC):
         Mutates ``walks`` in place (vertices and steps).  This is the
         semantic core of the walk-updating kernel (Algorithm 1, line 4).
         """
-        n = len(walks)
-        if n == 0:
+        if len(walks) == 0:
             return BatchRunResult(0, 0, np.zeros(0, dtype=bool))
-        alive = np.ones(n, dtype=bool)
-        # Walks still stepping (alive AND inside the partition).
-        idx = np.arange(n, dtype=np.int64)
+        # A counter RNG hashes each walk id once per kernel; later rounds
+        # carry the survivors' keys.
+        counter: Any = rng if hasattr(rng, "lane_keys") else None
+        keys = None if counter is None else counter.lane_keys(walks.ids)
+        start = partition.start
+        width = np.uint64(partition.stop - start)
+        # Round 1 steps every walk on the batch's own arrays; rounds 2+
+        # gather the survivors, whose positions in ``walks`` are ``idx``.
+        ids, vertices, steps = walks.ids, walks.vertices, walks.steps
+        idx: Optional[np.ndarray] = None
         total_steps = 0
         rounds = 0
-        set_context = getattr(rng, "set_context", None)
-        while idx.size:
-            ids = walks.ids[idx]
-            if set_context is not None:
-                set_context(ids, walks.steps[idx])
+        while True:
+            if keys is not None:
+                counter.set_context(ids, steps, keys)
             new_v, terminated = self.step_once(
-                walks.vertices[idx],
-                walks.steps[idx],
-                ids,
-                partition,
-                rng,
-                graph,
+                vertices, steps, ids, partition, rng, graph
             )
-            walks.vertices[idx] = new_v
-            walks.steps[idx] += 1
-            total_steps += int(idx.size)
+            steps += 1
+            running = ~terminated
+            if idx is None:
+                vertices[:] = new_v
+                alive = running
+            else:
+                walks.vertices[idx] = new_v
+                walks.steps[idx] = steps
+                if terminated.any():
+                    alive[idx[terminated]] = False
+            total_steps += int(ids.size)
             rounds += 1
             self.observe(new_v, ids, terminated)
-            if terminated.any():
-                alive[idx[terminated]] = False
-            keep = (
-                ~terminated
-                & (new_v >= partition.start)
-                & (new_v < partition.stop)
-            )
-            idx = idx[keep]
+            # One unsigned compare: a vertex below ``start`` wraps high.
+            offset = np.subtract(new_v, start, dtype=np.int64)
+            keep = offset.view(np.uint64) < width
+            keep &= running
+            survivors = keep.nonzero()[0]
+            if survivors.size == 0:
+                break
+            idx = survivors if idx is None else idx[survivors]
+            ids = ids[survivors]
+            vertices = walks.vertices[idx]
+            steps = steps[survivors]
+            if keys is not None:
+                keys = keys[survivors]
         # Every walk surviving round k has taken exactly k steps, so the
         # longest serial chain equals the number of rounds.
         return BatchRunResult(total_steps, rounds, alive)

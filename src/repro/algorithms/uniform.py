@@ -108,7 +108,8 @@ class UniformSampling(RandomWalkAlgorithm):
             )
         else:
             new_v, dead_end = uniform_neighbors(partition, vertices, rng)
-        terminated = dead_end | (steps + 1 >= self.length)
+        terminated = steps >= self.length - 1
+        terminated |= dead_end
         if self.paths is not None:
             self.paths[ids, steps + 1] = new_v
         return new_v, terminated

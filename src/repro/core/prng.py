@@ -14,6 +14,17 @@ draw_index)`` through a splitmix64-style hash.  It exposes the small
 ``EngineConfig(rng_mode="counter")`` drops in without touching algorithm
 code.
 
+Draw ``d`` of walk ``w`` at step ``s`` is ``splitmix64(key)`` with::
+
+    key = (seed + splitmix64(w)) + splitmix64(s + salt) + d * gamma  (mod 2**64)
+
+and each term is computed where it changes: the *lane key* ``seed +
+splitmix64(w)`` is constant for a walk's life, so the kernel loop hashes it
+once per kernel (:meth:`CounterRNG.lane_keys`) and carries it with the
+lanes; the step hash is read from a module table grown on demand; the draw
+offset is a Python integer.  A context is ``lane key + step hash``, built
+once per round, and a draw is one in-place splitmix64 over a copy of it.
+
 Initialization draws (start-vertex selection) happen before any walk
 context exists and run once in a fixed order, so they fall back to an
 ordinary seeded ``Generator``.
@@ -50,6 +61,10 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
+_GAMMA_INT = 0x9E3779B97F4A7C15
+#: Added to a walk's step before hashing, so step ``s`` and walk id ``s``
+#: hash differently.
+_STEP_SALT = 0x632BE59BD9B4E019
 
 
 def derive_seed(seed: Optional[int], stream: str) -> int:
@@ -90,15 +105,68 @@ def seeded_rng(
 
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer (uint64 -> well-mixed uint64)."""
-    x = x.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        x += _GAMMA
-        x ^= x >> np.uint64(30)
-        x *= _MIX1
-        x ^= x >> np.uint64(27)
-        x *= _MIX2
-        x ^= x >> np.uint64(31)
+    x = np.asarray(x).astype(np.uint64)
+    x += _GAMMA
+    _finalize(x, np.empty_like(x))
     return x
+
+
+def _finalize(x: np.ndarray, scratch: np.ndarray) -> None:
+    """splitmix64's mixing rounds, in place on uint64 ``x``.
+
+    Array arithmetic wraps modulo 2**64 without overflow checks, so no
+    ``errstate`` is needed; ``scratch`` holds the shifted copies.
+    """
+    np.right_shift(x, 30, out=scratch)
+    x ^= scratch
+    x *= _MIX1
+    np.right_shift(x, 27, out=scratch)
+    x ^= scratch
+    x *= _MIX2
+    np.right_shift(x, 31, out=scratch)
+    x ^= scratch
+
+
+def _unit_floats(x: np.ndarray) -> np.ndarray:
+    """53-bit mantissa conversion of uint64 ``x`` to [0, 1), same as numpy's.
+
+    After the shift every value fits 53 bits, so the int64 view converts
+    exactly, and faster than uint64 does.
+    """
+    x >>= 11
+    out = x.view(np.int64).astype(np.float64)
+    out *= 2.0 ** -53
+    return out
+
+
+#: ``splitmix64(s + _STEP_SALT)`` for steps ``0 .. size - 1``; see
+#: :func:`_step_hashes`.
+_step_table = splitmix64(
+    np.arange(128, dtype=np.uint64) + np.uint64(_STEP_SALT)
+)
+
+
+def _step_hashes(steps: np.ndarray) -> np.ndarray:
+    """``splitmix64(step + salt)`` per lane, gathered from the step table.
+
+    The table caches a pure function of the step, so every RNG of the
+    process shares it.  It doubles until it covers the largest step asked
+    for: 8 bytes per step any walk has reached.  Steps are gathered as
+    ``intp``: an ``int32`` index array takes NumPy's slow fancy-indexing
+    path (about 3x the cast plus gather).
+    """
+    global _step_table
+    index = steps.astype(np.intp, copy=False)
+    try:
+        return _step_table[index]
+    except IndexError:
+        size = _step_table.size
+        while size <= int(index.max()):
+            size *= 2
+        _step_table = splitmix64(
+            np.arange(size, dtype=np.uint64) + np.uint64(_STEP_SALT)
+        )
+        return _step_table[index]
 
 
 class CounterRNG:
@@ -112,44 +180,53 @@ class CounterRNG:
     """
 
     def __init__(self, seed: Optional[int]) -> None:
-        self.seed = np.uint64((seed or 0) & 0xFFFFFFFFFFFFFFFF)
-        self._ids: Optional[np.ndarray] = None
-        self._steps: Optional[np.ndarray] = None
+        self.seed = np.uint64((seed or 0) & _SEED_MASK)
+        #: ``lane key + step hash`` per context lane.
+        self._context: Optional[np.ndarray] = None
         self._draw = 0
         self._init_rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
-    def set_context(self, ids: np.ndarray, steps: np.ndarray) -> None:
-        """Bind the walk lanes about to step (kernel loop hook)."""
-        self._ids = ids.astype(np.uint64, copy=False)
-        self._steps = steps.astype(np.uint64, copy=False)
-        self._draw = 0
+    def lane_keys(self, ids: np.ndarray) -> np.ndarray:
+        """``seed + splitmix64(id)`` per walk: its key for life."""
+        keys = splitmix64(ids)
+        keys += self.seed
+        return keys
 
-    def clear_context(self) -> None:
-        self._ids = None
-        self._steps = None
+    def set_context(
+        self,
+        ids: np.ndarray,
+        steps: np.ndarray,
+        keys: Optional[np.ndarray] = None,
+    ) -> None:
+        """Bind the walk lanes about to step (kernel loop hook).
+
+        ``keys`` is ``lane_keys(ids)`` when the caller carries it already.
+        """
+        if keys is None:
+            keys = self.lane_keys(ids)
+        self._context = keys + _step_hashes(steps)
+        self._draw = 0
 
     @property
     def has_context(self) -> bool:
-        return self._ids is not None
+        return self._context is not None
 
     def _uint64(self, size: int) -> np.ndarray:
-        if self._ids is None:
+        context = self._context
+        if context is None:
             raise RuntimeError("CounterRNG draw without walk context")
-        if size != self._ids.size:
+        if size != context.size:
             raise ValueError(
-                f"counter draws must cover all {self._ids.size} context "
+                f"counter draws must cover all {context.size} context "
                 f"lanes, got size={size}"
             )
-        with np.errstate(over="ignore"):
-            key = (
-                self.seed
-                + splitmix64(self._ids)
-                + splitmix64(self._steps + np.uint64(0x632BE59BD9B4E019))
-                + np.uint64(self._draw) * _GAMMA
-            )
+        # splitmix64's leading ``+ gamma`` folds into the draw offset.
+        offset = ((self._draw + 1) * _GAMMA_INT) & _SEED_MASK
         self._draw += 1
-        return splitmix64(key)
+        x = context + np.uint64(offset)
+        _finalize(x, np.empty_like(x))
+        return x
 
     # ------------------------------------------------------------------
     # Generator-compatible surface
@@ -158,8 +235,7 @@ class CounterRNG:
         """Uniform floats in [0, 1), one per context lane."""
         if not self.has_context:
             return self._init_rng.random(size)
-        # 53-bit mantissa conversion, same as numpy's.
-        return (self._uint64(size) >> np.uint64(11)) * (2.0 ** -53)
+        return _unit_floats(self._uint64(size))
 
     def integers(
         self,
@@ -180,9 +256,11 @@ class CounterRNG:
             raise ValueError("high must exceed low")
         # Multiply-shift bounded mapping (negligible modulo bias for the
         # span sizes used here: vertex counts << 2^64).
-        draws = self._uint64(int(size))
-        scaled = (draws >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        return (np.int64(low) + (scaled * span).astype(np.int64)).astype(dtype)
+        scaled = _unit_floats(self._uint64(int(size)))
+        scaled *= span
+        out = scaled.astype(np.int64)
+        out += np.int64(low)
+        return out.astype(dtype, copy=False)
 
 
 class TenantCounterRNG(CounterRNG):
@@ -192,13 +270,14 @@ class TenantCounterRNG(CounterRNG):
     into one engine run.  Bit-identical replay per *query* requires each
     lane to hash exactly the key it would hash in a standalone
     ``CounterRNG(query_seed)`` run: ``(query_seed, local_walk_id, step,
-    draw)``.  This subclass carries two side tables indexed by the
-    coalesced run's *global* walk id — the owning query's seed and the
-    walk's id local to that query — and substitutes them into the key
-    whenever the kernel loop binds a context.  Context-free
-    initialization draws keep the base-class fallback generator; the
-    coalesced wrapper never uses it (start vertices are drawn per query
-    from each query's own seeded stream).
+    draw)``.  This subclass takes two side tables indexed by the coalesced
+    run's *global* walk id — the owning query's seed and the walk's id
+    local to that query — and folds them once into a lane-key table,
+    ``query_seed + splitmix64(local_walk_id)``, so a global walk's lane
+    key is one gather.  Context-free initialization draws keep the
+    base-class fallback generator; the coalesced wrapper never uses it
+    (start vertices are drawn per query from each query's own seeded
+    stream).
     """
 
     def __init__(
@@ -214,43 +293,13 @@ class TenantCounterRNG(CounterRNG):
             raise ValueError(
                 "lane_seeds and lane_locals must have identical shapes"
             )
-        self._lane_seeds = lane_seeds
-        self._lane_locals = lane_locals
-        self._ctx_seeds: Optional[np.ndarray] = None
-        self._ctx_locals: Optional[np.ndarray] = None
+        self._lane_keys = splitmix64(lane_locals)
+        self._lane_keys += lane_seeds
 
-    def set_context(self, ids: np.ndarray, steps: np.ndarray) -> None:
-        gids = ids.astype(np.int64, copy=False)
-        if gids.size and int(gids.max()) >= self._lane_seeds.size:
+    def lane_keys(self, ids: np.ndarray) -> np.ndarray:
+        if ids.size and int(ids.max()) >= self._lane_keys.size:
             raise ValueError(
-                f"walk id {int(gids.max())} beyond the tenant lane table "
-                f"({self._lane_seeds.size} lanes)"
+                f"walk id {int(ids.max())} beyond the tenant lane table "
+                f"({self._lane_keys.size} lanes)"
             )
-        self._ctx_seeds = self._lane_seeds[gids]
-        self._ctx_locals = self._lane_locals[gids]
-        super().set_context(ids, steps)
-
-    def clear_context(self) -> None:
-        self._ctx_seeds = None
-        self._ctx_locals = None
-        super().clear_context()
-
-    def _uint64(self, size: int) -> np.ndarray:
-        if self._ids is None or self._ctx_seeds is None:
-            raise RuntimeError("CounterRNG draw without walk context")
-        if size != self._ids.size:
-            raise ValueError(
-                f"counter draws must cover all {self._ids.size} context "
-                f"lanes, got size={size}"
-            )
-        if self._steps is None:
-            raise RuntimeError("CounterRNG draw without walk context")
-        with np.errstate(over="ignore"):
-            key = (
-                self._ctx_seeds
-                + splitmix64(self._ctx_locals)
-                + splitmix64(self._steps + np.uint64(0x632BE59BD9B4E019))
-                + np.uint64(self._draw) * _GAMMA
-            )
-        self._draw += 1
-        return splitmix64(key)
+        return self._lane_keys[ids]

@@ -34,7 +34,7 @@ from repro.core.engine import LightTrafficEngine
 from repro.core.prng import seeded_rng
 from repro.core.stats import RunStats
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import GraphPartition
+from repro.graph.partition import GraphPartition, PartitionedGraph
 from repro.serve.queries import WalkQuery
 from repro.walks.state import WalkArrays
 
@@ -267,6 +267,7 @@ def run_standalone(
     seed: int,
     config: EngineConfig,
     vertex_types: Optional[np.ndarray] = None,
+    partitioned: Optional[PartitionedGraph] = None,
 ) -> StandaloneOutcome:
     """Execute one query on its own engine run (the parity reference).
 
@@ -274,13 +275,16 @@ def run_standalone(
     query's derived seed — the exact stream the coalesced path keys per
     lane.  Non-coalescible queries (node2vec) run sequentially; the
     serve path executes them through this very function, so parity is
-    by construction.
+    by construction.  ``partitioned`` is ``graph`` already partitioned
+    at ``config.partition_bytes``; the engine partitions it otherwise.
     """
     algorithm = RecordingAlgorithm(
         query.make_algorithm(graph, vertex_types), query.walks
     )
     cfg = standalone_config(config, seed, query.coalescible)
-    stats = LightTrafficEngine(graph, algorithm, cfg).run(query.walks)
+    stats = LightTrafficEngine(
+        graph, algorithm, cfg, partitioned=partitioned
+    ).run(query.walks)
     return StandaloneOutcome(
         final_vertices=algorithm.final_vertices,
         steps_taken=algorithm.steps_taken,

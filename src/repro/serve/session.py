@@ -46,6 +46,7 @@ from repro.core.metrics import MetricsCollector
 from repro.core.prng import derive_seed, seeded_rng
 from repro.core.stats import RunStats
 from repro.graph.csr import CSRGraph
+from repro.graph.partition import partition_by_range
 from repro.serve.batch import CoalescedBatch, run_standalone
 from repro.serve.queries import (
     KIND_METAPATH,
@@ -225,6 +226,11 @@ class ServeSession:
             raise ValueError("max_batch_walks must be >= 1")
         self.max_batch_walks = max_batch_walks
         self.vertex_types = vertex_types
+        #: the graph partitioned once; every engine run of the session
+        #: shares it (batches only change the seed and the RNG mode).
+        self.partitioned = partition_by_range(
+            graph, self.config.partition_bytes
+        )
 
     # ------------------------------------------------------------------
     def _submissions(
@@ -303,9 +309,9 @@ class ServeSession:
                 ),
                 rng_mode="counter",
             )
-            stats = LightTrafficEngine(self.graph, coalesced, cfg).run(
-                coalesced.total_walks
-            )
+            stats = LightTrafficEngine(
+                self.graph, coalesced, cfg, partitioned=self.partitioned
+            ).run(coalesced.total_walks)
             slices = [
                 (
                     coalesced.final_vertices[coalesced.lane_slice(i)],
@@ -320,6 +326,7 @@ class ServeSession:
             head.seed,
             self.config,
             vertex_types=self.vertex_types,
+            partitioned=self.partitioned,
         )
         return [
             (outcome.final_vertices, outcome.steps_taken)

@@ -25,7 +25,7 @@ partitions' inserts never write there, and a rebuild allocates new arrays.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, Optional, Protocol, Sequence, Union
+from typing import Deque, Dict, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -291,43 +291,41 @@ class DeviceWalkPool:
             self.observer.device_appended(self, (partition,), walks.ids)
 
     def scatter_sorted(
-        self, parts: Union[np.ndarray, Sequence[int]], sizes: np.ndarray,
+        self, parts: np.ndarray, sizes: np.ndarray,
         vertices: np.ndarray, steps: np.ndarray, ids: np.ndarray,
-        starts: np.ndarray, stops: np.ndarray,
-        order: Optional[np.ndarray] = None,
+        starts: np.ndarray, stops: np.ndarray, order: np.ndarray,
     ) -> None:
         """Bulk frontier insert of partition-grouped walks (reshuffle hot path).
 
-        ``parts[k]`` (distinct) receives sorted positions ``[starts[k],
-        stops[k])``; the slices tile the payload.  The payload is in sorted
-        order, or with ``order`` unsorted: position ``j`` is walk
-        ``order[j]`` (a stable grouping, so one group is the payload as is).
-        Same result as :meth:`append_walks` per group, but one write per
-        payload array, one count update and one observer call."""
-        groups = np.asarray(parts)
-        if groups.size == 1:
+        ``order`` is a stable grouping of the unsorted payload: sorted
+        position ``j`` is walk ``order[j]``, and ``parts[k]`` (distinct)
+        receives sorted positions ``[starts[k], stops[k])``, slices that
+        tile the payload (so one group is the payload as is).  Same result
+        as :meth:`append_walks` per group, but one write per payload array,
+        one count update and one observer call."""
+        if parts.size == 1:
             lo, hi = starts[0], stops[0]
             self._append(
-                int(groups[0]), vertices[lo:hi], steps[lo:hi], ids[lo:hi]
+                int(parts[0]), vertices[lo:hi], steps[lo:hi], ids[lo:hi]
             )
         else:
-            tail = self.tail[groups]
-            if (tail + sizes > self.base[groups] + self.cap[groups]).any():
-                self._make_room(groups, sizes)
-                tail = self.tail[groups]
-            # Sorted position j of group k goes to tail[k] + j - starts[k].
-            dest = np.repeat(tail - starts, sizes)
-            dest += np.arange(dest.size)
-            if order is not None:
-                by_rank, dest = dest, np.empty_like(dest)
-                dest[order] = by_rank
+            tail = self.tail[parts]
+            if (tail + sizes > self.base[parts] + self.cap[parts]).any():
+                self._make_room(parts, sizes)
+                tail = self.tail[parts]
+            # Sorted position j of group k goes to tail[k] + j - starts[k];
+            # walk order[j] is the one at sorted position j.
+            by_rank = np.repeat(tail - starts, sizes)
+            by_rank += np.arange(by_rank.size)
+            dest = np.empty_like(by_rank)
+            dest[order] = by_rank
             self.vertices[dest] = vertices
             self.steps[dest] = steps
             self.ids[dest] = ids
-            self.tail[groups] = tail + sizes
-            self.counts[groups] += sizes
+            self.tail[parts] = tail + sizes
+            self.counts[parts] += sizes
         if self.observer is not None:
-            self.observer.device_appended(self, groups.tolist(), ids)
+            self.observer.device_appended(self, parts.tolist(), ids)
 
     # ------------------------------------------------------------------
     # Batch load / fetch / evict

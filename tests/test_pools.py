@@ -296,7 +296,7 @@ class ArenaModel:
             for array, copy in zip((view.vertices, view.steps, view.ids), snapshot):
                 assert np.array_equal(array, copy), "a popped view was overwritten"
 
-    def scatter(self, targets, sorted_payload):
+    def scatter(self, targets):
         """One reshuffle-style call: walk i goes to partition targets[i]."""
         walks = self.fresh(len(targets))
         targets = np.asarray(targets, dtype=np.int64)
@@ -306,8 +306,6 @@ class ArenaModel:
         starts = np.concatenate(([0], boundaries))
         stops = np.append(boundaries, len(targets))
         parts = sorted_parts[starts]
-        if sorted_payload:
-            walks, order = walks.select(order), None
         self.pool.scatter_sorted(
             parts, stops - starts, walks.vertices, walks.steps, walks.ids,
             starts, stops, order,
@@ -363,7 +361,6 @@ def arena_ops(partitions):
                 st.just("scatter"),
                 st.lists(hot, min_size=1, max_size=4),
                 st.integers(1, 400),
-                st.booleans(),
                 st.integers(0, 2**31),
             ),
             st.tuples(
@@ -385,9 +382,9 @@ def run_arena(partitions, batch, ops):
     model = ArenaModel(partitions, batch)
     for op in ops:
         if op[0] == "scatter":
-            __, hot, n, sorted_payload, seed = op
+            __, hot, n, seed = op
             pick = np.random.default_rng(seed).integers(0, len(hot), size=n)
-            model.scatter(np.asarray(hot)[pick], sorted_payload)
+            model.scatter(np.asarray(hot)[pick])
         elif op[0] in ("append", "load"):
             model.append(op[1], op[2], load=op[0] == "load")
         else:
@@ -433,8 +430,8 @@ def test_make_room_takes_every_path():
     assert (pool.base[1], pool.head[1], pool.counts[1]) == (128, 128, 80)
     # Past the slack, one rebuild reserves every group of the call ...
     arena = pool.ids
-    do(model.scatter, [2] * 300 + [3] * 300, False)
+    do(model.scatter, [2] * 300 + [3] * 300)
     assert pool.ids is not arena
     assert (pool.cap[2:4] >= 300).all()
     # ... so the neighbours of both segments stay intact.
-    do(model.scatter, [3, 4] * 100, True)
+    do(model.scatter, [3, 4] * 100)

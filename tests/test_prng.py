@@ -1,7 +1,11 @@
 """Tests for counter-based per-walk randomness (scheduling-independent)."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import (
     Node2Vec,
@@ -11,7 +15,14 @@ from repro.algorithms import (
 )
 from repro.core.config import COPY_EXPLICIT, COPY_ZERO, EngineConfig
 from repro.core.engine import run_walks
-from repro.core.prng import CounterRNG, derive_seed, seeded_rng, splitmix64
+from repro.core import prng
+from repro.core.prng import (
+    CounterRNG,
+    TenantCounterRNG,
+    derive_seed,
+    seeded_rng,
+    splitmix64,
+)
 from repro.graph import generators
 
 
@@ -126,8 +137,6 @@ class TestCounterRNG:
 
     def test_integers_bounds(self):
         rng = self.make(n=1000)
-        rng._ids = np.arange(1000, dtype=np.uint64)
-        rng._steps = np.zeros(1000, dtype=np.uint64)
         values = rng.integers(0, 7, size=1000)
         assert values.min() >= 0 and values.max() <= 6
         assert len(np.unique(values)) == 7  # all buckets hit
@@ -249,3 +258,203 @@ def test_alias_weighted_supported_in_counter_mode():
     algo = UniformSampling(length=3, weighted=True, sampler="alias")
     stats = run_walks(graph, algo, 10, config)
     assert stats.total_steps == 30
+
+
+# ----------------------------------------------------------------------
+# The key decomposition against the formula it replaced: three splitmix64
+# calls per draw, ``splitmix64(seed + splitmix64(id) + splitmix64(step +
+# salt) + draw * gamma)``, kept here verbatim as the oracle.
+# ----------------------------------------------------------------------
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
+STEP_SALT = np.uint64(0x632BE59BD9B4E019)
+MASK = 0xFFFFFFFFFFFFFFFF
+
+
+def oracle_splitmix64(x):
+    x = x.astype(np.uint64, copy=True)
+    with np.errstate(over="ignore"):
+        x += GAMMA
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+    return x
+
+
+def oracle_uint64(seeds, ids, steps, draw):
+    """``seeds`` is one seed per lane (a tenant's) or a scalar."""
+    with np.errstate(over="ignore"):
+        key = (
+            seeds
+            + oracle_splitmix64(ids.astype(np.uint64))
+            + oracle_splitmix64(steps.astype(np.uint64) + STEP_SALT)
+            + np.uint64(draw) * GAMMA
+        )
+    return oracle_splitmix64(key)
+
+
+def oracle_draw(kind, bounds, seeds, ids, steps, draw):
+    raw = oracle_uint64(seeds, ids, steps, draw)
+    if kind == "random":
+        return (raw >> np.uint64(11)) * (2.0 ** -53)
+    low, high = bounds
+    scaled = (raw >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    return (np.int64(low) + (scaled * (high - low)).astype(np.int64)).astype(
+        np.int64
+    )
+
+
+@contextmanager
+def initial_step_table():
+    """Shrink the module's step table to its import-time size, so steps
+    past it make this example grow the table; restore afterwards."""
+    grown = prng._step_table
+    prng._step_table = INITIAL_STEP_TABLE.copy()
+    try:
+        yield
+    finally:
+        prng._step_table = grown
+
+
+INITIAL_STEP_TABLE = prng._step_table[:128].copy()
+
+
+@st.composite
+def rng_cases(draw):
+    lanes = draw(st.integers(1, 40))
+    seed = draw(st.sampled_from([None, 0, 1, MASK]) | st.integers(0, MASK))
+    tenant = draw(st.booleans())
+    if tenant:
+        table = draw(st.integers(lanes, 3 * lanes))
+        ids = draw(
+            st.lists(st.integers(0, table - 1), min_size=lanes, max_size=lanes)
+        )
+        lane_seeds = draw(
+            st.lists(
+                st.sampled_from([0, MASK]) | st.integers(0, MASK),
+                min_size=table, max_size=table,
+            )
+        )
+        lane_locals = draw(
+            st.lists(st.integers(0, 2**63), min_size=table, max_size=table)
+        )
+        tables = (
+            np.array(lane_seeds, dtype=np.uint64),
+            np.array(lane_locals, dtype=np.uint64),
+        )
+    else:
+        ids = draw(
+            st.lists(st.integers(0, 2**62), min_size=lanes, max_size=lanes)
+        )
+        tables = None
+    # Past the 128-entry initial table: the first such context grows it.
+    steps = draw(
+        st.lists(
+            st.integers(0, 127) | st.integers(128, 3000),
+            min_size=lanes, max_size=lanes,
+        )
+    )
+    step_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    # Subset contexts, as the multiprocess backend binds them.
+    subset = draw(st.lists(st.booleans(), min_size=lanes, max_size=lanes))
+    draws = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["random", "integers"]),
+                st.integers(-50, 50),
+                st.integers(1, 10**9),
+            ),
+            max_size=5,
+        )
+    )
+    return (
+        seed, tables, np.array(ids, dtype=np.int64),
+        np.array(steps, dtype=step_dtype), np.array(subset, dtype=bool), draws,
+    )
+
+
+def disagreement(case):
+    """Bind every context form of ``case``; the first draw that differs."""
+    seed, tables, ids, steps, subset, draws = case
+    if tables is None:
+        rng = CounterRNG(seed)
+        seeds = np.uint64((seed or 0) & MASK)
+        locals_ = ids
+    else:
+        rng = TenantCounterRNG(seed, *tables)
+        seeds, locals_ = tables[0][ids], tables[1][ids]
+    lane = np.flatnonzero(subset)
+    contexts = {
+        "set_context(ids, steps)": (np.arange(ids.size), None),
+        "set_context(ids, steps, keys)": (np.arange(ids.size), "keys"),
+        "subset set_context(ids, steps)": (lane, None),
+        "subset set_context(ids, steps, keys)": (lane, "keys"),
+    }
+    keys = rng.lane_keys(ids)
+    for form, (sel, with_keys) in contexts.items():
+        if sel.size == 0:
+            continue
+        lane_seeds = seeds if np.ndim(seeds) == 0 else seeds[sel]
+        rng.set_context(
+            ids[sel], steps[sel], keys[sel] if with_keys else None
+        )
+        for index, (kind, low, span) in enumerate(draws):
+            bounds = (low, low + span)
+            if kind == "random":
+                got = rng.random(sel.size)
+            else:
+                got = rng.integers(*bounds, size=sel.size)
+            want = oracle_draw(
+                kind, bounds, lane_seeds, locals_[sel], steps[sel], index
+            )
+            if got.dtype != want.dtype or not np.array_equal(got, want):
+                return f"{form}: draw {index} ({kind}) {got} != {want}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=rng_cases())
+def test_counter_draws_match_the_three_hash_formula(case):
+    with initial_step_table():
+        assert disagreement(case) is None
+
+
+# Seeded mutants of the step hash: each must be told apart by the oracle.
+def dropped_salt(steps):
+    return oracle_splitmix64(steps.astype(np.uint64))
+
+
+def stale_step_table(steps):
+    """Grows the table by repeating its entries instead of hashing."""
+    index = steps.astype(np.intp)
+    if int(index.max()) >= prng._step_table.size:
+        prng._step_table = np.resize(prng._step_table, int(index.max()) + 1)
+    return prng._step_table[index]
+
+
+MUTANT_CASE = (
+    7, None, np.array([3, 2**40], dtype=np.int64),
+    np.array([5, 700], dtype=np.int32), np.array([False, True]),
+    [("random", 0, 1), ("integers", 0, 1000)],
+)
+
+
+@pytest.mark.parametrize("mutant", [dropped_salt, stale_step_table])
+def test_step_hash_mutants_are_told_apart(mutant, monkeypatch):
+    with initial_step_table():
+        assert disagreement(MUTANT_CASE) is None
+    with initial_step_table():
+        monkeypatch.setattr(prng, "_step_hashes", mutant)
+        assert disagreement(MUTANT_CASE) is not None
+
+
+def test_step_table_grows_past_its_initial_size():
+    with initial_step_table():
+        rng = CounterRNG(1)
+        rng.set_context(np.array([4]), np.array([5000], dtype=np.int32))
+        assert prng._step_table.size > 5000
+        want = oracle_draw(
+            "random", None, np.uint64(1), np.array([4]), np.array([5000]), 0
+        )
+        assert np.array_equal(rng.random(1), want)

@@ -91,13 +91,15 @@ class Cluster:
         n = len(walks)
         if not n:
             return
-        targets = np.sort((first_part + np.arange(n)) % PARTITIONS)
-        boundaries = np.nonzero(targets[1:] != targets[:-1])[0] + 1
+        targets = (first_part + np.arange(n)) % PARTITIONS
+        order = np.argsort(targets, kind="stable")
+        grouped = targets[order]
+        boundaries = np.nonzero(grouped[1:] != grouped[:-1])[0] + 1
         starts = np.concatenate([[0], boundaries])
         stops = np.concatenate([boundaries, [n]])
         self.devices[shard].scatter_sorted(
-            targets[starts].tolist(), stops - starts,
-            walks.vertices, walks.steps, walks.ids, starts, stops,
+            grouped[starts], stops - starts,
+            walks.vertices, walks.steps, walks.ids, starts, stops, order,
         )
 
     def drain(self, shard: int, part: int) -> List[WalkArrays]:
