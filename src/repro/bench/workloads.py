@@ -124,11 +124,15 @@ def load_dataset(name: str) -> CSRGraph:
     # REPRO_SCALE halves the vertex count per factor-of-2 shrink.
     scale = max(8, spec.rmat_scale + int(round(math.log2(shrink))))
     path = _disk_cache_path(name, scale)
+    graph: Optional[CSRGraph] = None
     if os.path.exists(path):
         from repro.graph.io import load_csr
 
-        graph = load_csr(path)
-    else:
+        try:
+            graph = load_csr(path)
+        except ValueError:
+            pass  # an unreadable cache file is a miss: rebuild and overwrite it
+    if graph is None:
         graph = generators.rmat(
             scale=scale,
             edge_factor=spec.edge_factor,

@@ -544,7 +544,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    graph = _load_graph(args)
+    try:
+        graph = _load_graph(args)
+    except (OSError, ValueError) as exc:
+        # A missing, unreadable or malformed --graph file.
+        print(str(exc), file=sys.stderr)
+        return 2
     try:
         engine = harness.build_system(
             args.system, graph, args.algorithm,

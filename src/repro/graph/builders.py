@@ -13,6 +13,9 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
+#: Largest vertex count whose ``src * n + dst`` edge keys fit ``int64``.
+MAX_KEYED_VERTICES = 3_037_000_499  # floor(sqrt(2**63 - 1))
+
 
 def _as_edge_array(edges: Iterable[Tuple[int, int]]) -> np.ndarray:
     arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
@@ -22,6 +25,22 @@ def _as_edge_array(edges: Iterable[Tuple[int, int]]) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("edges must be an (n, 2) array of (source, target)")
     return arr
+
+
+def _edge_keys(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:
+    """One ``int64`` key per edge, ``src * num_vertices + dst``.
+
+    For ids in ``[0, num_vertices)`` the key order is the lexicographic
+    ``(src, dst)`` order; it fits ``int64`` while ``num_vertices**2 < 2**63``.
+    """
+    if num_vertices > MAX_KEYED_VERTICES:
+        raise ValueError(
+            f"{num_vertices} vertices exceed the edge-key limit of "
+            f"{MAX_KEYED_VERTICES} (num_vertices**2 must stay below 2**63)"
+        )
+    keys = src * num_vertices
+    keys += dst
+    return keys
 
 
 def preprocess_edges(
@@ -36,27 +55,50 @@ def preprocess_edges(
     Returns ``(edges, num_vertices, id_map)`` where ``edges`` is the cleaned
     ``(n, 2)`` array, ``num_vertices`` counts the surviving vertices and
     ``id_map`` maps new vertex ids back to the original ids (identity when
-    ``compact_ids`` is false).
+    ``compact_ids`` is false).  With ``remove_duplicates`` the edges come
+    out sorted by ``(source, target)``; otherwise they keep input order
+    (reverse edges after all forward ones).
     """
     arr = _as_edge_array(edges)
     if arr.size and arr.min() < 0:
         raise ValueError("vertex ids must be non-negative")
-    if undirected and arr.size:
-        arr = np.concatenate([arr, arr[:, ::-1]], axis=0)
-    if remove_self_loops and arr.size:
-        arr = arr[arr[:, 0] != arr[:, 1]]
-    if remove_duplicates and arr.size:
-        arr = np.unique(arr, axis=0)
-    if arr.size == 0:
+    src, dst = arr[:, 0], arr[:, 1]
+    # A self loop is its own reverse, so filtering before symmetrising keeps
+    # the order and holds fewer copies of the edge list.
+    if remove_self_loops:
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+    if undirected:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    if src.size == 0:
         return np.empty((0, 2), dtype=np.int64), 0, np.empty(0, dtype=np.int64)
+    num_vertices = int(max(src.max(), dst.max())) + 1
     if compact_ids:
-        used = np.unique(arr)
-        remap = np.empty(int(used.max()) + 1, dtype=np.int64)
-        remap[used] = np.arange(used.size)
-        arr = remap[arr]
-        return arr, int(used.size), used
-    num_vertices = int(arr.max()) + 1
-    return arr, num_vertices, np.arange(num_vertices, dtype=np.int64)
+        # The ids that occur, in increasing order, and their new dense ids.
+        present = np.zeros(num_vertices, dtype=bool)
+        present[src] = True
+        present[dst] = True
+        id_map = present.nonzero()[0]
+        remap = np.empty(num_vertices, dtype=np.int64)
+        remap[id_map] = np.arange(id_map.size)
+        src = remap[src]
+        dst = remap[dst]
+        num_vertices = int(id_map.size)
+    if remove_duplicates:
+        keys = _edge_keys(src, dst, num_vertices)
+        del src, dst
+        keys.sort()
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        cleaned = np.empty((keys.size, 2), dtype=np.int64)
+        np.divmod(keys, num_vertices, out=(cleaned[:, 0], cleaned[:, 1]))
+    else:
+        cleaned = np.stack([src, dst], axis=1)
+    if not compact_ids:
+        id_map = np.arange(num_vertices, dtype=np.int64)
+    return cleaned, num_vertices, id_map
 
 
 def from_edges(
@@ -78,6 +120,9 @@ def from_edges(
         optional per-edge weights aligned with ``edges``.
     sort_neighbors:
         keep each neighbor list sorted (enables binary-search ``has_edge``).
+
+    Edges are ordered by a stable sort, so parallel edges keep their input
+    order (and their weights with them).
     """
     arr = _as_edge_array(edges)
     if num_vertices is None:
@@ -90,22 +135,17 @@ def from_edges(
         if weight_arr.shape != (arr.shape[0],):
             raise ValueError("weights must align with edges")
 
-    if sort_neighbors and arr.size:
-        order = np.lexsort((arr[:, 1], arr[:, 0]))
-    elif arr.size:
-        order = np.argsort(arr[:, 0], kind="stable")
-    else:
-        order = np.empty(0, dtype=np.int64)
-    arr = arr[order]
+    src, dst = arr[:, 0], arr[:, 1]
+    # Timsort (NumPy's stable int64 sort) is linear on already-sorted keys,
+    # which is what preprocess_edges hands over.
+    keys = _edge_keys(src, dst, num_vertices) if sort_neighbors else src
+    order = np.argsort(keys, kind="stable")
+    del keys
+    targets = dst[order]
     if weight_arr is not None:
         weight_arr = weight_arr[order]
-
-    counts = np.bincount(arr[:, 0], minlength=num_vertices) if arr.size else (
-        np.zeros(num_vertices, dtype=np.int64)
-    )
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    targets = arr[:, 1].copy() if arr.size else np.empty(0, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
     return CSRGraph(offsets, targets, weight_arr, name=name)
 
 

@@ -68,7 +68,11 @@ def rmat(
         src += go_down
         dst += right
     edges = np.stack([src, dst], axis=1)
+    # Hold one copy of the raw edges while cleaning and none while building
+    # the CSR: the build's peak memory is set here, not by the draws.
+    del src, dst
     cleaned, n, __ = preprocess_edges(edges, undirected=undirected)
+    del edges
     return from_edges(cleaned, num_vertices=n, name=name)
 
 
@@ -99,7 +103,10 @@ def barabasi_albert(
     """Preferential-attachment graph (each new vertex attaches ``attach`` edges).
 
     Uses the repeated-endpoint trick for preferential attachment, so it runs
-    in O(|E|) without per-step degree bookkeeping.
+    in O(|E|) without per-step degree bookkeeping: ``repeated`` lists both
+    endpoints of every edge so far, so a uniform draw from it picks a
+    vertex with probability proportional to its degree.  Read in pairs it
+    is also the edge list.
     """
     if attach < 1:
         raise ValueError("attach must be >= 1")
@@ -108,18 +115,20 @@ def barabasi_albert(
     rng = _rng(seed)
     # Start from a small clique of `attach + 1` vertices.
     seed_vertices = attach + 1
-    repeated = []
-    edges = []
-    for v in range(seed_vertices):
-        for u in range(v):
-            edges.append((v, u))
-            repeated.extend((v, u))
+    clique = [(v, u) for v in range(seed_vertices) for u in range(v)]
+    repeated = np.empty(
+        2 * (len(clique) + attach * (num_vertices - seed_vertices)), dtype=np.int64
+    )
+    count = 2 * len(clique)
+    repeated[:count] = np.asarray(clique, dtype=np.int64).ravel()
     for v in range(seed_vertices, num_vertices):
-        pool = np.asarray(repeated, dtype=np.int64)
-        choices = rng.choice(pool, size=attach, replace=True)
-        for u in np.unique(choices):
-            edges.append((v, int(u)))
-            repeated.extend((v, int(u)))
+        choices = rng.choice(repeated[:count], size=attach, replace=True)
+        targets = np.unique(choices)
+        end = count + 2 * targets.size
+        repeated[count:end:2] = v
+        repeated[count + 1 : end : 2] = targets
+        count = end
+    edges = repeated[:count].reshape(-1, 2)
     cleaned, n, __ = preprocess_edges(edges, undirected=True)
     return from_edges(cleaned, num_vertices=n, name=name)
 

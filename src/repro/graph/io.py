@@ -9,6 +9,9 @@ distributed.
 from __future__ import annotations
 
 import os
+import tokenize
+import zipfile
+import zlib
 from typing import Optional, Union
 
 import numpy as np
@@ -17,6 +20,21 @@ from repro.graph.builders import from_edges, preprocess_edges
 from repro.graph.csr import CSRGraph
 
 PathLike = Union[str, "os.PathLike[str]"]
+
+#: What reading a damaged ``.npz`` raises: zipfile and zlib on the archive
+#: (``RuntimeError`` for a flipped encryption or compression-method flag),
+#: numpy's ``.npy`` header parser (tokenize / ``literal_eval``) on a member,
+#: and ``CSRGraph`` on arrays that do not form a CSR graph.
+_CORRUPT_FILE_ERRORS = (
+    ValueError,
+    EOFError,
+    OSError,
+    RuntimeError,
+    SyntaxError,
+    tokenize.TokenError,
+    zipfile.BadZipFile,
+    zlib.error,
+)
 
 
 def save_edge_list(graph: CSRGraph, path: PathLike, header: bool = True) -> None:
@@ -86,7 +104,12 @@ def load_edge_list(
 
 
 def save_csr(graph: CSRGraph, path: PathLike) -> None:
-    """Save the CSR arrays to a compressed ``.npz`` file."""
+    """Save the CSR arrays to a compressed ``.npz`` file.
+
+    Like :func:`numpy.savez_compressed`, ``.npz`` is appended to a path
+    without it.  The file is written beside the target and renamed over
+    it, so a reader never sees a partly written graph.
+    """
     payload = {
         "offsets": graph.offsets,
         "targets": graph.targets,
@@ -94,12 +117,40 @@ def save_csr(graph: CSRGraph, path: PathLike) -> None:
     }
     if graph.weights is not None:
         payload["weights"] = graph.weights
-    np.savez_compressed(path, **payload)
+    target = os.fspath(path)
+    if not target.endswith(".npz"):
+        target += ".npz"
+    partial = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+        os.replace(partial, target)
+    finally:
+        if os.path.exists(partial):  # only when the write or rename failed
+            os.remove(partial)
 
 
 def load_csr(path: PathLike) -> CSRGraph:
-    """Load a graph saved by :func:`save_csr`."""
-    with np.load(path, allow_pickle=False) as data:
-        weights = data["weights"] if "weights" in data.files else None
-        name = str(data["name"]) if "name" in data.files else ""
-        return CSRGraph(data["offsets"], data["targets"], weights, name=name)
+    """Load a graph saved by :func:`save_csr`.
+
+    A file that is not a readable CSR archive (truncated, not an ``.npz``,
+    missing ``offsets`` / ``targets``, or with invalid CSR arrays) raises
+    :class:`ValueError` naming ``path``.
+    """
+    with open(path, "rb") as handle:
+        try:
+            # np.load's own zip test; anything else it would try to unpickle.
+            if handle.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+                raise ValueError("not an .npz archive")
+            handle.seek(0)
+            with np.load(handle, allow_pickle=False) as data:
+                missing = [k for k in ("offsets", "targets") if k not in data.files]
+                if missing:
+                    raise ValueError(f"no {' or '.join(missing)} array")
+                weights = data["weights"] if "weights" in data.files else None
+                name = str(data["name"]) if "name" in data.files else ""
+                return CSRGraph(data["offsets"], data["targets"], weights, name=name)
+        except _CORRUPT_FILE_ERRORS as exc:
+            raise ValueError(
+                f"{os.fspath(path)}: not a valid CSR graph file: {exc!s:.200}"
+            ) from exc

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.builders import from_adjacency, from_edges, preprocess_edges
+from repro.graph.builders import (
+    MAX_KEYED_VERTICES,
+    _edge_keys,
+    from_adjacency,
+    from_edges,
+    preprocess_edges,
+)
 
 
 class TestPreprocessEdges:
@@ -93,6 +99,35 @@ class TestFromEdges:
         g = from_edges([(1, 5), (0, 9), (1, 2)], num_vertices=10,
                        sort_neighbors=False)
         assert g.neighbors(1).tolist() == [5, 2]
+
+
+class TestEdgeKeyBound:
+    """Edge keys are ``src * n + dst`` in ``int64``: ``n * n < 2**63``."""
+
+    def test_limit_is_the_largest_safe_vertex_count(self):
+        assert MAX_KEYED_VERTICES**2 < 2**63 <= (MAX_KEYED_VERTICES + 1) ** 2
+
+    def test_largest_key_at_the_limit_does_not_wrap(self):
+        top = np.array([MAX_KEYED_VERTICES - 1], dtype=np.int64)
+        keys = _edge_keys(top, top, MAX_KEYED_VERTICES)
+        assert int(keys[0]) == MAX_KEYED_VERTICES**2 - 1
+
+    def test_one_past_the_limit_raises(self):
+        zero = np.zeros(1, dtype=np.int64)
+        with pytest.raises(ValueError, match=str(MAX_KEYED_VERTICES)):
+            _edge_keys(zero, zero, MAX_KEYED_VERTICES + 1)
+
+    def test_preprocess_uncompacted_ids_past_the_limit(self):
+        # max id + 1 == MAX_KEYED_VERTICES + 1 vertices; raised before the
+        # identity id map of that size is allocated.
+        with pytest.raises(ValueError, match="edge-key limit"):
+            preprocess_edges(
+                [(0, MAX_KEYED_VERTICES)], undirected=False, compact_ids=False
+            )
+
+    def test_from_edges_num_vertices_past_the_limit(self):
+        with pytest.raises(ValueError, match="edge-key limit"):
+            from_edges([(0, 1)], num_vertices=MAX_KEYED_VERTICES + 1)
 
 
 class TestFromAdjacency:

@@ -229,6 +229,26 @@ class TestRun:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [("truncated.npz", None), ("junk.npz", b"junk"), ("absent.npz", None),
+         ("bad.txt", b"0 1\n7\n")],
+    )
+    def test_run_rejects_unreadable_graph_file(
+        self, graph_file, tmp_path, capsys, name, content
+    ):
+        path = tmp_path / name
+        if name == "truncated.npz":
+            data = Path(graph_file).read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        elif content is not None:
+            path.write_bytes(content)
+        code = main(["run", "--graph", str(path), "--walks", "100"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_run_nextdoor_rejects_graph_beyond_device_memory(
         self, tmp_path, capsys
     ):

@@ -1,5 +1,7 @@
 """Unit tests for synthetic graph generators."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,15 @@ class TestBarabasiAlbert:
     def test_hub_emerges(self):
         g = barabasi_albert(120, attach=2, seed=2)
         assert g.max_degree > 4 * g.degrees().mean()
+
+    def test_linear_time(self):
+        # The endpoint pool is one preallocated buffer (~0.4 s on a 2-CPU
+        # box); rebuilding it from a list per vertex took ~46 s.  The bound
+        # is loose on purpose.
+        started = time.perf_counter()
+        g = barabasi_albert(20_000, attach=4, seed=1)
+        assert time.perf_counter() - started < 5.0
+        assert g.num_vertices == 20_000
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Unit tests for graph IO (edge lists, binary CSR)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,64 @@ class TestBinaryCSRRoundtrip:
         loaded = load_csr(path)
         assert np.array_equal(loaded.offsets, medium_graph.offsets)
         assert np.array_equal(loaded.targets, medium_graph.targets)
+
+
+class TestDamagedCSRFile:
+    """A bad graph file is a ValueError naming the path, never a raw error."""
+
+    def test_truncated_file(self, tmp_path, small_graph):
+        path = tmp_path / "t.npz"
+        save_csr(small_graph, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ValueError, match="t.npz"):
+            load_csr(path)
+
+    def test_not_an_archive(self, tmp_path):
+        path = tmp_path / "junk.npz"
+        path.write_bytes(b"not a graph")
+        with pytest.raises(ValueError, match="junk.npz.*not an .npz archive"):
+            load_csr(path)
+
+    def test_missing_targets_array(self, tmp_path):
+        path = tmp_path / "m.npz"
+        np.savez(path, offsets=np.array([0, 0], dtype=np.int64))
+        with pytest.raises(ValueError, match="m.npz.*no targets array"):
+            load_csr(path)
+
+    def test_bad_offsets(self, tmp_path):
+        path = tmp_path / "o.npz"
+        np.savez(
+            path,
+            offsets=np.array([0, 2, 1], dtype=np.int64),
+            targets=np.array([1], dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="o.npz.*non-decreasing"):
+            load_csr(path)
+
+    def test_missing_file_stays_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_csr(tmp_path / "absent.npz")
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_the_old_file(self, tmp_path, small_graph,
+                                             monkeypatch):
+        path = tmp_path / "g.npz"
+        save_csr(small_graph, path)
+        before = path.read_bytes()
+
+        def crash(handle, **arrays):
+            handle.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez_compressed", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_csr(generators.ring(5), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["g.npz"]
+
+    def test_suffix_appended_like_numpy(self, tmp_path, small_graph):
+        save_csr(small_graph, tmp_path / "plain")
+        assert os.listdir(tmp_path) == ["plain.npz"]
+        assert load_csr(tmp_path / "plain.npz") == small_graph

@@ -42,6 +42,19 @@ class TestRegistry:
         assert a.num_vertices > 1000
         assert a.degrees().min() >= 1
 
+    def test_unreadable_cache_file_is_rebuilt(self, tmp_path, monkeypatch):
+        from repro.bench import workloads
+        from repro.graph.io import load_csr
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_SCALE", "0.125")  # lj-sim at scale 9
+        monkeypatch.setattr(workloads, "_CACHE", {})
+        path = tmp_path / "lj-sim-s9.npz"
+        path.write_bytes(b"PK\x03\x04 truncated")
+        graph = load_dataset("lj-sim")
+        assert graph.num_vertices > 100
+        assert load_csr(path) == graph  # the bad file was overwritten
+
 
 class TestUserScale:
     def test_default(self, monkeypatch):
