@@ -8,16 +8,14 @@ refactor aggressively without corrupting the cost model:
   causality, PCIe duplex/stream affinity, partition residency, walk-batch
   lifecycle and global walk conservation.  Enabled per run via
   ``EngineConfig(sanitize=True)`` / ``repro run --sanitize``.
-* :mod:`~repro.analysis.static` — the multi-pass static-analysis
-  framework behind ``repro lint``: the ported house rules plus, under
-  ``--strict``, a unit-of-measure pass over the cost stack and a
-  cross-stage aliasing pass over the pipeline, all sharing one symbol
-  table, one :class:`~repro.analysis.static.findings.Finding` type, one
-  waiver syntax and one suppression baseline.
+* :mod:`~repro.analysis.static` — the static analysis behind
+  ``repro lint``: one always-on rule set (six house rules plus the
+  cross-stage ``unpublished-mutation`` rule) sharing one
+  :class:`~repro.analysis.static.findings.Finding` type and one waiver
+  syntax.
 """
 
 from repro.analysis.static import Finding, analyze_paths
-from repro.analysis.static.findings import Finding as LintViolation
 from repro.analysis.static.runner import lint_paths, run_lint
 from repro.analysis.sanitizer import STREAM_AFFINITY, Sanitizer, format_summary
 from repro.analysis.violations import (
@@ -39,7 +37,6 @@ from repro.analysis.violations import (
 __all__ = [
     "ALL_RULES",
     "Finding",
-    "LintViolation",
     "analyze_paths",
     "RULE_CROSS_DEVICE",
     "RULE_DOUBLE_CONSUME",

@@ -1,53 +1,28 @@
-"""Multi-pass static-analysis framework (``repro lint``).
+"""The repo-specific static analysis behind ``repro lint``.
 
-Built on a shared per-module symbol table, def-use dataflow core and
-project-wide call graph
-(:mod:`~repro.analysis.static.dataflow`); every pass produces the same
-:class:`~repro.analysis.static.findings.Finding` type, suppressible by
-``# lint: allow-<rule>`` waivers or the committed baseline file.
+One rule set, always on: the cheap per-file house rules, plus the
+cross-stage rule that caught a defect no runtime test can see (the
+audit of every former rule is in DESIGN.md §3f).  Every rule produces
+the same :class:`~repro.analysis.static.findings.Finding` type,
+suppressible only by a ``# lint: allow-<rule>`` waiver on the flagged
+line.
 
 Passes:
 
-* :mod:`~repro.analysis.static.houserules` — the four original repo
-  rules (RNG factory, timestamp equality, frozen events, event-handler
-  coverage); always on.
-* :mod:`~repro.analysis.static.unitcheck` — unit-of-measure checking
-  over the cost stack (``--strict``).
-* :mod:`~repro.analysis.static.aliasing` — cross-stage StageContext
-  aliasing / unpublished-mutation checking (``--strict``).
-* :mod:`~repro.analysis.static.rngcheck` — interprocedural RNG
-  discipline: raw generators, entropy-derived seeds and unkeyed draw
-  routines reachable from engine/backend code (``--strict``).
-* :mod:`~repro.analysis.static.effects` — observer purity: transitive
-  write effects and re-entrant emission of bus subscribers
-  (``--strict``).
-* :mod:`~repro.analysis.static.protocol` — event-protocol conformance
-  between emit sites, handlers and the event dataclasses
-  (``--strict``).
-* :mod:`~repro.analysis.static.typestate` — resource-lifecycle
-  conformance against declarative protocol state machines (backend
-  bind/seed/advance/close, SharedMemory create/close/unlink, serve
-  sessions, bus subscribe-before-emit) plus exception-path leak
-  checking (``--strict``).
-* :mod:`~repro.analysis.static.taint` — client-input flow checking
-  from query fields and CLI arguments to allocation sizes, seed
-  derivation and CSR indexing, with ``__post_init__`` validators and
-  ``validated()`` as sanitizers (``--strict``).
+* :mod:`~repro.analysis.static.houserules` — six per-file rules: RNG
+  factory, timestamp equality, frozen events, event-handler coverage,
+  device-failure conservation, no simulated time in backends.
+* :mod:`~repro.analysis.static.aliasing` — ``unpublished-mutation``:
+  a stage mutating shared ``StageContext`` state without publishing an
+  event.
 
-``repro lint --strict --sarif PATH`` additionally writes the findings
-as a SARIF 2.1.0 log (:mod:`~repro.analysis.static.sarif`) for GitHub
+``repro lint --sarif PATH`` additionally writes the findings as a SARIF
+2.1.0 log (:mod:`~repro.analysis.static.sarif`) for GitHub
 code-scanning upload.
 """
 
-from repro.analysis.static.aliasing import (
-    RULE_UNDECLARED,
-    RULE_UNPUBLISHED,
-)
-from repro.analysis.static.effects import (
-    RULE_HANDLER_EMIT,
-    RULE_IMPURE_SUBSCRIBER,
-)
-from repro.analysis.static.findings import Baseline, Finding
+from repro.analysis.static.aliasing import RULE_UNPUBLISHED
+from repro.analysis.static.findings import Finding
 from repro.analysis.static.houserules import (
     RULE_BACKEND_SIM_TIME,
     RULE_FLOAT_EQ,
@@ -55,75 +30,26 @@ from repro.analysis.static.houserules import (
     RULE_HANDLER_COVERAGE,
     RULE_RNG,
 )
-from repro.analysis.static.protocol import (
-    RULE_DEVICE_COVERAGE,
-    RULE_UNHANDLED_EVENT,
-    RULE_UNKNOWN_FIELD,
-)
-from repro.analysis.static.rngcheck import (
-    RULE_NONDET_SEED,
-    RULE_RAW_RNG,
-    RULE_UNKEYED_DRAW,
-)
 from repro.analysis.static.runner import (
-    DEFAULT_BASELINE,
     PASSES,
     analyze_paths,
     lint_paths,
     run_lint,
 )
-from repro.analysis.static.sarif import sarif_log, validate_sarif, write_sarif
-from repro.analysis.static.taint import (
-    RULE_TAINTED_INDEX,
-    RULE_TAINTED_SEED,
-    RULE_UNVALIDATED_SIZE,
-)
-from repro.analysis.static.typestate import (
-    RULE_LEAKED_RESOURCE,
-    RULE_TYPESTATE_ORDER,
-    RULE_USE_AFTER_CLOSE,
-)
-from repro.analysis.static.unitcheck import (
-    RULE_CYCLES_SECONDS,
-    RULE_RETURN_MISMATCH,
-    RULE_RETURN_UNTYPED,
-    RULE_UNIT_MIX,
-)
+from repro.analysis.static.sarif import sarif_log, write_sarif
 
 __all__ = [
-    "Baseline",
-    "DEFAULT_BASELINE",
     "Finding",
     "PASSES",
     "RULE_BACKEND_SIM_TIME",
-    "RULE_CYCLES_SECONDS",
-    "RULE_DEVICE_COVERAGE",
     "RULE_FLOAT_EQ",
     "RULE_FROZEN_EVENT",
     "RULE_HANDLER_COVERAGE",
-    "RULE_HANDLER_EMIT",
-    "RULE_IMPURE_SUBSCRIBER",
-    "RULE_LEAKED_RESOURCE",
-    "RULE_NONDET_SEED",
-    "RULE_RAW_RNG",
-    "RULE_RETURN_MISMATCH",
-    "RULE_RETURN_UNTYPED",
     "RULE_RNG",
-    "RULE_TAINTED_INDEX",
-    "RULE_TAINTED_SEED",
-    "RULE_TYPESTATE_ORDER",
-    "RULE_UNDECLARED",
-    "RULE_UNHANDLED_EVENT",
-    "RULE_UNIT_MIX",
-    "RULE_UNKEYED_DRAW",
-    "RULE_UNKNOWN_FIELD",
     "RULE_UNPUBLISHED",
-    "RULE_UNVALIDATED_SIZE",
-    "RULE_USE_AFTER_CLOSE",
     "analyze_paths",
     "lint_paths",
     "run_lint",
     "sarif_log",
-    "validate_sarif",
     "write_sarif",
 ]

@@ -30,15 +30,13 @@ Model
   or calls — directly or transitively, resolved by method name over the
   analyzed tree — a method that does.
 
-Rules
------
-* ``unpublished-mutation`` — actor A mutates a context field that at
-  least one *other* actor also touches, and neither A's method nor
-  anything it calls publishes an event: invisible cross-stage
-  communication.
-* ``undeclared-context-field`` — an actor touches a context attribute
-  the context class does not declare (dataclass field, method or
-  property): likely a typo silently creating new shared state.
+Rule
+----
+``unpublished-mutation`` — actor A mutates a context field that at
+least one *other* actor also touches, and neither A's method nor
+anything it calls publishes an event: invisible cross-stage
+communication.  It caught the walk-seeding code mutating the host pools
+without an event; ``WalksSeeded`` is the fix.
 """
 
 from __future__ import annotations
@@ -49,16 +47,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.static.dataflow import (
     AbstractInterpreter,
-    FunctionScope,
     ModuleInfo,
-    SymbolTable,
 )
 from repro.analysis.static.findings import Finding
 
 PASS_NAME = "aliasing"
 
 RULE_UNPUBLISHED = "unpublished-mutation"
-RULE_UNDECLARED = "undeclared-context-field"
 
 #: The shared-context class this pass audits.
 CONTEXT_CLASS = "StageContext"
@@ -260,13 +255,6 @@ def _event_name(call: ast.Call) -> str:
     return "<event>"
 
 
-def _declared_fields(table: SymbolTable) -> Optional[Set[str]]:
-    symbol = table.classes.get(CONTEXT_CLASS)
-    if symbol is None:
-        return None
-    return set(symbol.fields) | set(symbol.methods)
-
-
 def _effective_publishers(facts: Sequence[MethodFacts]) -> Set[str]:
     """Qualnames that publish directly or via calls, to a fixed point."""
     by_name: Dict[str, List[MethodFacts]] = {}
@@ -292,12 +280,9 @@ def _effective_publishers(facts: Sequence[MethodFacts]) -> Set[str]:
     return publishing
 
 
-def run_pass(
-    modules: Sequence[ModuleInfo], table: SymbolTable
-) -> List[Finding]:
+def run_pass(modules: Sequence[ModuleInfo]) -> List[Finding]:
     """Run the cross-stage aliasing pass over parsed modules."""
     facts: List[MethodFacts] = []
-    module_of: Dict[int, ModuleInfo] = {}
     for module in modules:
         for scope in module.functions():
             is_ctx_class = scope.owner == CONTEXT_CLASS
@@ -315,35 +300,10 @@ def run_pass(
                 # facts only for call-graph publish propagation.
                 method.reads.clear()
                 method.writes.clear()
-            if method.reads or method.writes or method.publishes:
+            if method.reads or method.writes or method.calls:
                 facts.append(method)
-                module_of[id(method)] = module
-            elif method.publishes or method.calls:
-                facts.append(method)  # call-graph node only
-                module_of[id(method)] = module
 
     findings: List[Finding] = []
-
-    # -- undeclared-context-field --------------------------------------
-    declared = _declared_fields(table)
-    if declared is not None:
-        for method in facts:
-            for name, line in sorted(
-                {**method.reads, **method.writes}.items()
-            ):
-                if name not in declared:
-                    findings.append(
-                        Finding(
-                            method.module,
-                            line,
-                            RULE_UNDECLARED,
-                            f"{method.qualname} accesses undeclared"
-                            f" {CONTEXT_CLASS} field {name!r}",
-                            PASS_NAME,
-                        )
-                    )
-
-    # -- unpublished-mutation ------------------------------------------
     actors_of: Dict[str, Set[str]] = {}
     writers_of: Dict[str, List[MethodFacts]] = {}
     for method in facts:

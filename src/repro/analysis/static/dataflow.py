@@ -1,44 +1,34 @@
-"""Shared per-module symbol tables and the def-use dataflow core.
+"""Parsed modules, import aliases and the def-use dataflow core.
 
-Every pass of the static framework works from the same parsed picture of
-the tree, built once per run:
+Every rule of ``repro lint`` works from the same parsed picture of the
+tree, built once per run:
 
 * :class:`ModuleInfo` — one parsed module: AST, source, waiver comments.
-* :class:`SymbolTable` — the cross-module index: function/method return
-  annotations (``transfer_time -> Seconds``), class definitions with
-  their declared fields, and the set of ``EngineEvent`` subclasses.
+* :func:`import_aliases` / :func:`canonical_name` — resolve a local name
+  through the module's imports (``nprng.default_rng`` after ``from
+  numpy import random as nprng`` is ``numpy.random.default_rng``).
 * :class:`AbstractInterpreter` — a flow-sensitive walker over one
-  function body maintaining an environment of abstract values.  Passes
-  subclass it and supply the domain (:meth:`eval_expr`, :meth:`merge`);
-  the walker handles assignment, branching (both arms evaluated on
-  copies of the environment, then merged) and loops (body evaluated
-  once — enough for the intraprocedural unit checks, and it guarantees
-  each defect site is reported exactly once).
-* :class:`CallGraph` — the project-wide interprocedural layer: one
-  node per function/method, edges resolved from call sites (bare names
-  against module-level functions, ``self.m()`` through the class-shape
-  index's MRO, other attribute calls by method name over the analyzed
-  tree) plus the *bus* edges — a ``bus.emit(Event(...))`` site links to
-  every ``on_<snake(Event)>`` handler, so reachability queries follow
-  control flow through the event bus exactly as the runtime does.
+  function body maintaining an environment of abstract values.  A rule
+  subclasses it and supplies the domain (:meth:`eval_expr`,
+  :meth:`merge`); the walker handles assignment, branching (both arms
+  evaluated on copies of the environment, then merged) and loops (body
+  evaluated once, so each defect site is reported exactly once).
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Dict,
     Generic,
-    Iterable,
     Iterator,
     List,
     Optional,
     Sequence,
     Set,
-    Tuple,
     TypeVar,
     Union,
 )
@@ -65,27 +55,6 @@ def dotted(node: ast.AST) -> str:
     if isinstance(node, ast.Name):
         parts.append(node.id)
     return ".".join(reversed(parts))
-
-
-def annotation_name(node: Optional[ast.AST]) -> Optional[str]:
-    """The trailing simple name of an annotation (``units.Seconds`` →
-    ``Seconds``; string annotations are unquoted; ``Optional[X]`` → X)."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        try:
-            node = ast.parse(node.value, mode="eval").body
-        except SyntaxError:
-            return None
-    if isinstance(node, ast.Subscript):
-        base = dotted(node.value).rsplit(".", 1)[-1]
-        if base == "Optional":
-            return annotation_name(node.slice)
-        return base
-    name = dotted(node)
-    if not name:
-        return None
-    return name.rsplit(".", 1)[-1]
 
 
 def iter_python_files(paths: Sequence[PathInput]) -> Iterator[Path]:
@@ -151,120 +120,6 @@ def _walk_functions(
 
 
 # ---------------------------------------------------------------------------
-# Cross-module symbol table
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ClassSymbol:
-    """Declared shape of one class: fields, methods, bases."""
-
-    name: str
-    module: str
-    bases: List[str] = field(default_factory=list)
-    fields: Set[str] = field(default_factory=set)
-    methods: Set[str] = field(default_factory=set)
-
-
-class SymbolTable:
-    """The cross-module index every pass shares.
-
-    ``method_returns`` maps a simple function/method name to the set of
-    return-annotation names seen anywhere in the analyzed tree; a name
-    resolves to a unit only when all annotations agree
-    (:meth:`unique_return`).
-    """
-
-    def __init__(self) -> None:
-        self.method_returns: Dict[str, Set[str]] = {}
-        self.classes: Dict[str, ClassSymbol] = {}
-        self.event_types: Dict[str, int] = {}
-
-    @classmethod
-    def build(cls, modules: Iterable[ModuleInfo]) -> "SymbolTable":
-        table = cls()
-        for module in modules:
-            table._index_module(module)
-        return table
-
-    def _index_module(self, module: ModuleInfo) -> None:
-        for scope in module.functions():
-            ann = annotation_name(scope.node.returns)
-            if ann is not None:
-                self.method_returns.setdefault(scope.node.name, set()).add(
-                    ann
-                )
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            symbol = self.classes.setdefault(
-                node.name, ClassSymbol(node.name, module.rel)
-            )
-            symbol.bases = [
-                dotted(base).rsplit(".", 1)[-1] for base in node.bases
-            ]
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    symbol.fields.add(stmt.target.id)
-                elif isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            symbol.fields.add(target.id)
-                elif isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    symbol.methods.add(stmt.name)
-            if "EngineEvent" in symbol.bases:
-                self.event_types[node.name] = node.lineno
-
-    def unique_return(self, func_name: str) -> Optional[str]:
-        """Return-annotation name if every definition agrees, else None."""
-        annotations = self.method_returns.get(func_name)
-        if annotations is not None and len(annotations) == 1:
-            return next(iter(annotations))
-        return None
-
-    def mro(self, class_name: str) -> List[str]:
-        """Name-resolution order of a class over the analyzed tree.
-
-        Breadth-first over declared bases, restricted to classes the
-        table has seen; external bases (``Protocol``, ABCs from other
-        packages) terminate the walk.
-        """
-        order: List[str] = []
-        queue = [class_name]
-        seen: Set[str] = set()
-        while queue:
-            name = queue.pop(0)
-            if name in seen:
-                continue
-            seen.add(name)
-            symbol = self.classes.get(name)
-            if symbol is None:
-                continue
-            order.append(name)
-            queue.extend(symbol.bases)
-        return order
-
-    def inherits_from(self, class_name: str, base: str) -> bool:
-        """Whether ``class_name`` transitively declares ``base``."""
-        if class_name == base:
-            return False
-        queue = list(self.classes.get(class_name, ClassSymbol("", "")).bases)
-        seen: Set[str] = set()
-        while queue:
-            name = queue.pop(0)
-            if name in seen:
-                continue
-            seen.add(name)
-            if name == base:
-                return True
-            queue.extend(self.classes.get(name, ClassSymbol("", "")).bases)
-        return False
-
-
-# ---------------------------------------------------------------------------
 # Flow-sensitive abstract interpretation
 # ---------------------------------------------------------------------------
 
@@ -298,9 +153,6 @@ class AbstractInterpreter(Generic[V]):
 
     def on_assign(self, target: ast.expr, value: V, node: ast.stmt) -> None:
         """Called for attribute/subscript stores (env handles plain names)."""
-
-    def on_return(self, node: ast.Return, value: Optional[V]) -> None:
-        """Called at every ``return`` with the returned abstract value."""
 
     # -- walker ---------------------------------------------------------
     def run(self, body: Sequence[ast.stmt]) -> None:
@@ -359,9 +211,6 @@ class AbstractInterpreter(Generic[V]):
                 if stmt.value is not None
                 else self.top()
             )
-            annotated = self.value_from_annotation(stmt.annotation)
-            if annotated is not None:
-                value = annotated
             self._bind_target(stmt.target, value, stmt)
         elif isinstance(stmt, ast.AugAssign):
             combined = self.eval_expr(
@@ -410,15 +259,9 @@ class AbstractInterpreter(Generic[V]):
             self.env = self._merge_envs(arms)
             self.exec_block(stmt.orelse)
             self.exec_block(stmt.finalbody)
-        elif isinstance(stmt, ast.Return):
-            value = (
+        elif isinstance(stmt, (ast.Return, ast.Expr)):
+            if stmt.value is not None:
                 self.eval_expr(stmt.value)
-                if stmt.value is not None
-                else None
-            )
-            self.on_return(stmt, value)
-        elif isinstance(stmt, ast.Expr):
-            self.eval_expr(stmt.value)
         elif isinstance(stmt, (ast.Raise, ast.Assert, ast.Delete)):
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
@@ -428,10 +271,6 @@ class AbstractInterpreter(Generic[V]):
         ):
             pass  # nested scopes are analyzed as their own functions
         # pass/break/continue/global/import: nothing to evaluate
-
-    def value_from_annotation(self, node: ast.expr) -> Optional[V]:
-        """Abstract value carried by a type annotation (domain hook)."""
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -474,355 +313,3 @@ def canonical_name(dotted_name: str, aliases: Dict[str, str]) -> str:
     if resolved is None:
         return dotted_name
     return f"{resolved}.{rest}" if rest else resolved
-
-
-# ---------------------------------------------------------------------------
-# Project-wide call graph
-# ---------------------------------------------------------------------------
-
-#: attribute-call names too generic to resolve by name over the tree
-#: (container/stdlib methods; resolving them would wire every class
-#: defining e.g. ``update`` into every caller's reachable set).
-GENERIC_CALL_NAMES = frozenset(
-    {
-        "append",
-        "add",
-        "clear",
-        "copy",
-        "count",
-        "discard",
-        "extend",
-        "format",
-        "get",
-        "index",
-        "insert",
-        "items",
-        "join",
-        "keys",
-        "pop",
-        "popleft",
-        "remove",
-        "setdefault",
-        "sort",
-        "split",
-        "startswith",
-        "endswith",
-        "strip",
-        "update",
-        "values",
-        "astype",
-        "sum",
-        "min",
-        "max",
-        "mean",
-        "reshape",
-        "tolist",
-    }
-)
-
-
-@dataclass
-class CallRef:
-    """One call site inside a function body, pre-resolution."""
-
-    #: ``name`` (bare ``f()``), ``self`` (``self.m()``) or ``attr``
-    #: (any other ``obj.m()``).
-    kind: str
-    name: str
-    line: int
-
-
-@dataclass
-class FunctionNode:
-    """One call-graph node: a function/method plus its outgoing refs."""
-
-    uid: str
-    scope: FunctionScope
-    module: ModuleInfo
-    calls: List[CallRef] = field(default_factory=list)
-    #: event class names emitted on a bus from this body (``<event>``
-    #: when the emitted expression is not a direct constructor call).
-    emits: List[Tuple[str, int]] = field(default_factory=list)
-
-
-def function_uid(module: ModuleInfo, scope: FunctionScope) -> str:
-    return f"{module.rel}::{scope.qualname}"
-
-
-def bus_handler_event(
-    scope: FunctionScope, table: SymbolTable
-) -> Optional[str]:
-    """Event type a function handles via the bus naming convention.
-
-    ``on_<snake(E)>`` for a known event type ``E`` — unless the first
-    parameter's annotation names a *different* type, which marks the
-    method as a direct-call hook that merely shares the naming
-    convention (e.g. a backend's ``on_walks_seeded(walks: WalkArrays)``
-    fed by the engine, not the bus).
-    """
-    name = scope.node.name
-    if not name.startswith("on_"):
-        return None
-    event = next(
-        (e for e in table.event_types if "on_" + snake_case(e) == name),
-        None,
-    )
-    if event is None:
-        return None
-    args = scope.node.args
-    params = [*args.posonlyargs, *args.args]
-    if scope.owner is not None and params and params[0].arg in (
-        "self",
-        "cls",
-    ):
-        params = params[1:]
-    if params:
-        ann = annotation_name(params[0].annotation)
-        if ann is not None and ann not in (event, "EngineEvent", "Any"):
-            return None
-    return event
-
-
-def iter_own_nodes(
-    fn: Union[ast.FunctionDef, ast.AsyncFunctionDef]
-) -> Iterator[ast.AST]:
-    """Every AST node of a function body, excluding nested defs/classes.
-
-    Nested functions and classes are their own :class:`FunctionScope`
-    nodes; attributing their calls to the enclosing function would
-    double-count edges.
-    """
-    stack: List[ast.AST] = list(fn.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            stack.append(child)
-
-
-@dataclass(frozen=True)
-class TryRegion:
-    """One enclosing ``try`` statement plus which region holds the node.
-
-    ``region`` is ``"body"`` / ``"handler"`` / ``"else"`` / ``"final"``
-    — exception-edge reasoning cares: only code in the *body* region is
-    covered by that try's handlers and finalizer.
-    """
-
-    stmt: ast.Try
-    region: str
-
-
-def try_scopes(
-    fn: Union[ast.FunctionDef, ast.AsyncFunctionDef]
-) -> Dict[int, Tuple[TryRegion, ...]]:
-    """Map ``id(node)`` -> enclosing try regions, innermost last.
-
-    Covers every node of the function body except nested defs/classes
-    (which are their own scopes).  The exception-edge extension the
-    lifecycle pass builds on: a statement is *protected* by a try when
-    its region stack contains that try's ``body``.
-    """
-    scopes: Dict[int, Tuple[TryRegion, ...]] = {}
-
-    def walk_stmts(
-        stmts: Sequence[ast.stmt], stack: Tuple[TryRegion, ...]
-    ) -> None:
-        for stmt in stmts:
-            scopes[id(stmt)] = stack
-            walk(stmt, stack)
-
-    def walk(node: ast.AST, stack: Tuple[TryRegion, ...]) -> None:
-        if isinstance(node, ast.Try):
-            walk_stmts(node.body, stack + (TryRegion(node, "body"),))
-            for handler in node.handlers:
-                walk_stmts(
-                    handler.body, stack + (TryRegion(node, "handler"),)
-                )
-            walk_stmts(node.orelse, stack + (TryRegion(node, "else"),))
-            walk_stmts(node.finalbody, stack + (TryRegion(node, "final"),))
-            return
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            scopes[id(child)] = stack
-            walk(child, stack)
-
-    walk_stmts(fn.body, ())
-    return scopes
-
-
-def is_frozen_dataclass(node: ast.ClassDef) -> bool:
-    """Whether a class is decorated ``@dataclass(frozen=True)``."""
-    for deco in node.decorator_list:
-        if isinstance(deco, ast.Call):
-            name = dotted(deco.func).rsplit(".", 1)[-1]
-            if name != "dataclass":
-                continue
-            for kw in deco.keywords:
-                if (
-                    kw.arg == "frozen"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is True
-                ):
-                    return True
-    return False
-
-
-def is_bus_expr(node: ast.expr) -> bool:
-    """Whether an expression conventionally names an event bus."""
-    if isinstance(node, ast.Name):
-        return node.id == "bus" or node.id.endswith("_bus")
-    if isinstance(node, ast.Attribute):
-        return node.attr == "bus" or node.attr.endswith("_bus")
-    return False
-
-
-def emitted_event_name(call: ast.Call) -> str:
-    """Event class constructed by an ``emit(...)`` call, or ``<event>``."""
-    if call.args:
-        arg = call.args[0]
-        if isinstance(arg, ast.Call):
-            return dotted(arg.func).rsplit(".", 1)[-1] or "<event>"
-    return "<event>"
-
-
-class CallGraph:
-    """Interprocedural call resolution over the analyzed tree.
-
-    Resolution is intentionally name-based (no type inference): bare
-    calls bind to module-level functions (same module first, then a
-    global match), constructor calls to ``__init__``, ``self.m()``
-    through the class-shape MRO, and other attribute calls to every
-    class defining that method — except :data:`GENERIC_CALL_NAMES`,
-    whose ubiquity would drown the graph in false edges.  The result
-    over-approximates real control flow, which is the right polarity
-    for reachability gating (a raw RNG is flagged if it *may* run under
-    the engine) and is refined per-pass where precision matters.
-    """
-
-    def __init__(self) -> None:
-        self.nodes: Dict[str, FunctionNode] = {}
-        self._module_funcs: Dict[str, Dict[str, str]] = {}
-        self._global_funcs: Dict[str, List[str]] = {}
-        self._methods: Dict[Tuple[str, str], List[str]] = {}
-        self._methods_by_name: Dict[str, List[str]] = {}
-        self.table: SymbolTable = SymbolTable()
-
-    @classmethod
-    def build(
-        cls, modules: Iterable[ModuleInfo], table: SymbolTable
-    ) -> "CallGraph":
-        graph = cls()
-        graph.table = table
-        for module in modules:
-            for scope in module.functions():
-                node = FunctionNode(function_uid(module, scope), scope, module)
-                graph.nodes[node.uid] = node
-                if scope.owner is None:
-                    graph._module_funcs.setdefault(module.rel, {})[
-                        scope.node.name
-                    ] = node.uid
-                    graph._global_funcs.setdefault(
-                        scope.node.name, []
-                    ).append(node.uid)
-                else:
-                    graph._methods.setdefault(
-                        (scope.owner, scope.node.name), []
-                    ).append(node.uid)
-                    graph._methods_by_name.setdefault(
-                        scope.node.name, []
-                    ).append(node.uid)
-                graph._collect_refs(node)
-        return graph
-
-    def _collect_refs(self, node: FunctionNode) -> None:
-        for sub in iter_own_nodes(node.scope.node):
-            if not isinstance(sub, ast.Call):
-                continue
-            func = sub.func
-            if isinstance(func, ast.Name):
-                node.calls.append(CallRef("name", func.id, sub.lineno))
-            elif isinstance(func, ast.Attribute):
-                if func.attr == "emit" and is_bus_expr(func.value):
-                    node.emits.append((emitted_event_name(sub), sub.lineno))
-                    continue
-                if (
-                    isinstance(func.value, ast.Name)
-                    and func.value.id == "self"
-                ):
-                    node.calls.append(CallRef("self", func.attr, sub.lineno))
-                else:
-                    node.calls.append(CallRef("attr", func.attr, sub.lineno))
-
-    # -- resolution -----------------------------------------------------
-    def resolve(
-        self, node: FunctionNode, ref: CallRef, dynamic: bool = True
-    ) -> List[str]:
-        """Candidate callee uids for one call site.
-
-        ``dynamic=False`` restricts to the precise edges (bare names and
-        ``self.m()``), for passes where a false edge means a false
-        positive rather than a missed root.
-        """
-        if ref.kind == "name":
-            local = self._module_funcs.get(node.module.rel, {}).get(ref.name)
-            if local is not None:
-                return [local]
-            if ref.name in self.table.classes:
-                return self._method_in_mro(ref.name, "__init__")
-            return list(self._global_funcs.get(ref.name, []))
-        if ref.kind == "self":
-            if node.scope.owner is None:
-                return []
-            return self._method_in_mro(node.scope.owner, ref.name)
-        if not dynamic or ref.name in GENERIC_CALL_NAMES:
-            return []
-        return list(self._methods_by_name.get(ref.name, []))
-
-    def _method_in_mro(self, class_name: str, method: str) -> List[str]:
-        for owner in self.table.mro(class_name):
-            uids = self._methods.get((owner, method))
-            if uids:
-                return list(uids)
-        return []
-
-    def handlers_of(self, event_name: str) -> List[str]:
-        """Uids of every ``on_<snake(event_name)>`` handler in the tree."""
-        handler = "on_" + snake_case(event_name)
-        return list(self._methods_by_name.get(handler, [])) + list(
-            self._global_funcs.get(handler, [])
-        )
-
-    def reachable(
-        self,
-        roots: Iterable[str],
-        dynamic: bool = True,
-        bus_edges: bool = True,
-    ) -> Set[str]:
-        """Every node reachable from ``roots`` (roots included).
-
-        ``bus_edges=True`` follows synchronous event delivery: a node
-        emitting ``E`` reaches every ``on_<snake(E)>`` handler.
-        """
-        seen: Set[str] = set()
-        queue = [uid for uid in roots if uid in self.nodes]
-        while queue:
-            uid = queue.pop()
-            if uid in seen:
-                continue
-            seen.add(uid)
-            node = self.nodes[uid]
-            for ref in node.calls:
-                queue.extend(self.resolve(node, ref, dynamic=dynamic))
-            if bus_edges:
-                for event_name, _ in node.emits:
-                    if event_name != "<event>":
-                        queue.extend(self.handlers_of(event_name))
-        return seen

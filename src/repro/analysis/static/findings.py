@@ -1,28 +1,16 @@
-"""Unified finding records, waivers and the suppression baseline.
+"""The finding record and ``# lint: allow-<rule>`` waivers.
 
-Every pass of the static-analysis framework — the ported house rules,
-the unit-of-measure pass and the cross-stage aliasing pass — produces
-the same :class:`Finding` type, suppressible the same two ways:
-
-* a trailing ``# lint: allow-<rule>`` comment waives one rule on one
-  source line (deliberate, grep-able, reviewed with the code);
-* a committed :class:`Baseline` JSON file suppresses known findings so
-  ``repro lint --strict`` can gate CI on *new* findings only while a
-  justified backlog is burned down.
-
-Baseline entries key on ``(path, rule, message)`` rather than line
-numbers, so unrelated edits shifting a file do not resurrect suppressed
-findings; any drift in the finding itself (message text changes when
-the flagged expression changes) un-suppresses it.
+Every rule of ``repro lint`` produces the same :class:`Finding` type.
+The one way to suppress a finding is a trailing ``# lint:
+allow-<rule>`` comment on the flagged line: it waives one rule on one
+source line, and is grep-able and reviewed with the code it excuses.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Set
 
 _WAIVER_RE = re.compile(r"#\s*lint:\s*allow-([a-z0-9\-]+)")
 
@@ -35,8 +23,8 @@ class Finding:
     line: int
     rule: str
     message: str
-    #: which pass produced the finding (``house-rules`` / ``units`` /
-    #: ``aliasing``); cosmetic in text output, kept in JSON.
+    #: which pass produced the finding (``house-rules`` / ``aliasing``);
+    #: cosmetic in text output, kept in JSON.
     pass_name: str = ""
 
     def __str__(self) -> str:
@@ -51,10 +39,6 @@ class Finding:
             "pass": self.pass_name,
         }
 
-    def baseline_key(self) -> Tuple[str, str, str]:
-        """Line-insensitive identity used by the suppression baseline."""
-        return (self.path, self.rule, self.message)
-
 
 def waivers_by_line(source: str) -> Dict[int, Set[str]]:
     """``# lint: allow-<rule>`` comments, keyed by 1-based line number."""
@@ -64,78 +48,3 @@ def waivers_by_line(source: str) -> Dict[int, Set[str]]:
             waivers.setdefault(lineno, set()).add(match.group(1))
     return waivers
 
-
-def apply_waivers(
-    findings: Iterable[Finding], waivers: Dict[int, Set[str]]
-) -> List[Finding]:
-    """Drop findings waived on their own line."""
-    return [
-        f for f in findings if f.rule not in waivers.get(f.line, set())
-    ]
-
-
-class Baseline:
-    """A committed set of accepted findings (the suppression file).
-
-    The file is JSON so CI artifacts and humans read the same thing::
-
-        {
-          "comment": "why each entry is tolerated",
-          "findings": [
-            {"path": "...", "rule": "...", "message": "..."}
-          ]
-        }
-    """
-
-    def __init__(self, entries: Set[Tuple[str, str, str]]) -> None:
-        self.entries = entries
-
-    @classmethod
-    def empty(cls) -> "Baseline":
-        return cls(set())
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        """Read a baseline file; a missing or empty file is an empty
-        baseline (``touch lint-baseline.json`` is a valid opt-in)."""
-        if not path.exists():
-            return cls.empty()
-        text = path.read_text(encoding="utf-8")
-        if not text.strip():
-            return cls.empty()
-        payload = json.loads(text)
-        entries: Set[Tuple[str, str, str]] = set()
-        for row in payload.get("findings", []):
-            entries.add(
-                (str(row["path"]), str(row["rule"]), str(row["message"]))
-            )
-        return cls(entries)
-
-    @staticmethod
-    def save(path: Path, findings: Sequence[Finding], comment: str) -> None:
-        """Write ``findings`` as the new baseline (sorted, stable)."""
-        rows = sorted(
-            (
-                {"path": f.path, "rule": f.rule, "message": f.message}
-                for f in findings
-            ),
-            key=lambda r: (r["path"], r["rule"], r["message"]),
-        )
-        payload = {"comment": comment, "findings": rows}
-        path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-    def split(
-        self, findings: Sequence[Finding]
-    ) -> Tuple[List[Finding], List[Finding]]:
-        """Partition into (new, suppressed-by-baseline)."""
-        fresh: List[Finding] = []
-        known: List[Finding] = []
-        for finding in findings:
-            if finding.baseline_key() in self.entries:
-                known.append(finding)
-            else:
-                fresh.append(finding)
-        return fresh, known

@@ -1,17 +1,12 @@
-"""House-rules pass: the original repo-specific AST checks.
-
-These four rules predate the dataflow framework (they were
-``analysis/lint.py``); they are ported onto the shared
-:class:`~repro.analysis.static.dataflow.ModuleInfo` /
-:class:`~repro.analysis.static.dataflow.SymbolTable` plumbing so the
-whole linter has one :class:`Finding` type, one waiver syntax and one
-CLI path:
+"""House-rules pass: the repo-specific per-file AST checks.
 
 ``rng-factory``
     Every ``numpy`` generator must come from
     :func:`repro.core.prng.seeded_rng` (or ``CounterRNG``); direct
     ``np.random.default_rng`` / ``np.random.*`` calls and the stdlib
-    ``random`` module are banned outside ``core/prng.py``.  Ad-hoc
+    ``random`` module are banned outside ``core/prng.py``.  Call names
+    resolve through the module's imports, so ``nprng.default_rng``
+    after ``from numpy import random as nprng`` is caught too.  Ad-hoc
     generators fork untracked RNG streams and silently break
     counter-RNG replay and cross-system seed alignment.
 
@@ -63,12 +58,13 @@ from typing import List, Sequence, Set, Tuple
 
 from repro.analysis.static.dataflow import (
     ModuleInfo,
-    SymbolTable,
+    canonical_name,
     dotted,
+    import_aliases,
     snake_case,
 )
 from repro.analysis.static.findings import Finding
-from repro.core.prng import FACTORY_MODULE_SUFFIX, FACTORY_NAMES
+from repro.core.prng import FACTORY_MODULE_SUFFIX
 
 PASS_NAME = "house-rules"
 
@@ -85,12 +81,12 @@ BACKENDS_PACKAGE = "backends/"
 #: module paths banned inside the backends package (simulated time).
 SIMULATED_TIME_MODULES = ("gpu.timeline", "gpu.device")
 
-#: module path (as posix suffix) allowed to construct raw generators and
-#: the blessed factory surface — both shared with the interprocedural
-#: ``rng`` pass via :mod:`repro.core.prng` so the two linters can never
-#: disagree about what counts as sanctioned randomness.
+#: module path (as posix suffix) allowed to construct raw generators.
 RNG_FACTORY_MODULE = FACTORY_MODULE_SUFFIX
-RNG_FACTORY_NAMES = FACTORY_NAMES
+
+#: call-name prefixes of numpy's global random module, after import
+#: aliases are resolved (``np`` is kept for files that never import it).
+_NUMPY_RANDOM_PREFIXES = ("numpy.random.", "np.random.")
 
 #: identifiers treated as simulated timestamps by ``float-timestamp-eq``.
 TIMESTAMP_NAMES = re.compile(
@@ -144,6 +140,7 @@ class _FileVisitor(ast.NodeVisitor):
     def __init__(self, module: ModuleInfo, allow_rng: bool) -> None:
         self.module = module
         self.allow_rng = allow_rng
+        self.aliases = import_aliases(module)
         self.in_backends = _in_backends_package(module.rel)
         self.findings: List[Finding] = []
         self.handler_names: Set[str] = set()
@@ -219,11 +216,8 @@ class _FileVisitor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         if not self.allow_rng:
-            name = dotted(node.func)
-            if ".random." in f".{name}." and (
-                name.startswith("np.random")
-                or name.startswith("numpy.random")
-            ):
+            name = canonical_name(dotted(node.func), self.aliases)
+            if name.startswith(_NUMPY_RANDOM_PREFIXES):
                 self._report(
                     node,
                     RULE_RNG,
@@ -327,10 +321,8 @@ def _event_types(tree: ast.Module) -> List[Tuple[str, int]]:
     return out
 
 
-def run_pass(
-    modules: Sequence[ModuleInfo], table: SymbolTable
-) -> List[Finding]:
-    """Run the four house rules over parsed modules."""
+def run_pass(modules: Sequence[ModuleInfo]) -> List[Finding]:
+    """Run the six house rules over parsed modules."""
     findings: List[Finding] = []
     all_handlers: Set[str] = set()
     events_modules: List[ModuleInfo] = []

@@ -1,25 +1,17 @@
 """SARIF 2.1.0 emission for ``repro lint`` findings.
 
-``repro lint --strict --sarif lint.sarif`` writes a Static Analysis
-Results Interchange Format log so CI can upload findings to GitHub code
+``repro lint --sarif lint.sarif`` writes a Static Analysis Results
+Interchange Format log so CI can upload findings to GitHub code
 scanning (``github/codeql-action/upload-sarif``) and reviewers see them
-as inline annotations.  Baseline-suppressed findings are included with
-a SARIF ``suppressions`` entry (kind ``external``) rather than dropped,
-matching the JSON report's ``findings``/``suppressed`` split.
-
-The environment has no ``jsonschema`` package, so
-:func:`validate_sarif` structurally checks the invariants the 2.1.0
-schema imposes on exactly the subset we emit — version/schema pinning,
-driver and rule shape, result/location shape, and that every
-``ruleId`` is declared by the driver.  The round-trip test runs it over
-a freshly parsed log.
+as inline annotations.  ``tests/data/lint_golden.sarif`` pins the
+emitted bytes for one finding.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.static.findings import Finding
 
@@ -30,62 +22,21 @@ SARIF_SCHEMA = (
 )
 TOOL_NAME = "repro-lint"
 
-#: one-line help per rule, surfaced in the code-scanning UI.  Rules not
-#: listed fall back to a generic description — keeping this table soft
-#: means a new pass cannot break SARIF emission by forgetting an entry.
-RULE_DESCRIPTIONS: Dict[str, str] = {
-    "typestate-order": (
-        "Protocol method called from a lifecycle state that does not "
-        "allow it"
-    ),
-    "use-after-close": (
-        "Protocol method called after the object reached its terminal "
-        "state"
-    ),
-    "leaked-resource": (
-        "SharedMemory acquisition not released on every exception path"
-    ),
-    "unvalidated-size": (
-        "Client-controlled value reaches an allocation size or range "
-        "bound without validation"
-    ),
-    "tainted-seed": (
-        "Client-controlled value flows into seed derivation"
-    ),
-    "tainted-index": (
-        "Client-controlled value indexes a CSR array without bounds "
-        "validation"
-    ),
-    "raw-rng": "RNG constructed outside the seeded factory helpers",
-    "unkeyed-draw": "Random draw not keyed by (seed, walk, step, draw)",
-    "nondeterministic-seed": "Seed derived from a nondeterministic source",
-    "impure-bus-subscriber": "Bus handler mutates engine-side state",
-    "handler-calls-emit": "Bus handler emits re-entrantly",
-}
 
-
-def sarif_log(
-    fresh: Sequence[Finding], suppressed: Sequence[Finding]
-) -> Dict[str, object]:
+def sarif_log(findings: Sequence[Finding]) -> Dict[str, object]:
     """Build the SARIF 2.1.0 log object for one lint run."""
-    rule_ids = sorted(
-        {f.rule for f in fresh} | {f.rule for f in suppressed}
-    )
+    rule_ids = sorted({f.rule for f in findings})
     rule_index = {rule: index for index, rule in enumerate(rule_ids)}
     rules: List[Dict[str, object]] = [
         {
             "id": rule,
-            "shortDescription": {
-                "text": RULE_DESCRIPTIONS.get(
-                    rule, f"repro lint rule '{rule}'"
-                )
-            },
+            "shortDescription": {"text": f"repro lint rule '{rule}'"},
         }
         for rule in rule_ids
     ]
 
-    def result(finding: Finding, suppress: bool) -> Dict[str, object]:
-        entry: Dict[str, object] = {
+    def result(finding: Finding) -> Dict[str, object]:
+        return {
             "ruleId": finding.rule,
             "ruleIndex": rule_index[finding.rule],
             "level": "error",
@@ -102,16 +53,6 @@ def sarif_log(
                 }
             ],
         }
-        if suppress:
-            entry["suppressions"] = [
-                {
-                    "kind": "external",
-                    "justification": (
-                        "accepted in the committed lint-baseline.json"
-                    ),
-                }
-            ]
-        return entry
 
     return {
         "$schema": SARIF_SCHEMA,
@@ -127,155 +68,14 @@ def sarif_log(
                         "rules": rules,
                     }
                 },
-                "results": [result(f, False) for f in fresh]
-                + [result(f, True) for f in suppressed],
+                "results": [result(f) for f in findings],
             }
         ],
     }
 
 
-def write_sarif(
-    path: Path, fresh: Sequence[Finding], suppressed: Sequence[Finding]
-) -> None:
-    log = sarif_log(fresh, suppressed)
+def write_sarif(path: Path, findings: Sequence[Finding]) -> None:
+    log = sarif_log(findings)
     path.write_text(
         json.dumps(log, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-# ---------------------------------------------------------------------------
-# Structural validation (no jsonschema available in this environment)
-# ---------------------------------------------------------------------------
-
-def validate_sarif(log: object) -> List[str]:
-    """Problems that would fail the SARIF 2.1.0 schema; empty == valid.
-
-    Checks the constraints the official schema places on the subset
-    :func:`sarif_log` emits: required top-level members and their
-    types, run/tool/driver shape, declared rules, and result shape
-    (ruleId, message.text, physical locations with an artifact uri and
-    a positive integer startLine, ruleIndex consistency).
-    """
-    problems: List[str] = []
-
-    def expect(cond: bool, message: str) -> bool:
-        if not cond:
-            problems.append(message)
-        return cond
-
-    if not expect(isinstance(log, dict), "log must be a JSON object"):
-        return problems
-    assert isinstance(log, dict)
-    expect(log.get("version") == SARIF_VERSION, "version must be '2.1.0'")
-    schema = log.get("$schema", SARIF_SCHEMA)
-    expect(
-        isinstance(schema, str) and "sarif" in schema and "2.1.0" in schema,
-        "$schema must reference the SARIF 2.1.0 schema",
-    )
-    runs = log.get("runs")
-    if not expect(
-        isinstance(runs, list) and len(runs) >= 1, "runs must be a non-empty array"
-    ):
-        return problems
-    assert isinstance(runs, list)
-    for run_index, run in enumerate(runs):
-        prefix = f"runs[{run_index}]"
-        if not expect(isinstance(run, dict), f"{prefix} must be an object"):
-            continue
-        driver = run.get("tool", {}).get("driver") if isinstance(
-            run.get("tool"), dict
-        ) else None
-        if not expect(
-            isinstance(driver, dict), f"{prefix}.tool.driver is required"
-        ):
-            continue
-        assert isinstance(driver, dict)
-        expect(
-            isinstance(driver.get("name"), str) and driver["name"],
-            f"{prefix}.tool.driver.name must be a non-empty string",
-        )
-        rules = driver.get("rules", [])
-        declared: List[Optional[str]] = []
-        if expect(
-            isinstance(rules, list), f"{prefix}.tool.driver.rules must be an array"
-        ):
-            for rule_i, rule in enumerate(rules):
-                where = f"{prefix}.rules[{rule_i}]"
-                if not expect(
-                    isinstance(rule, dict) and isinstance(
-                        rule.get("id"), str
-                    ),
-                    f"{where} must declare a string id",
-                ):
-                    declared.append(None)
-                    continue
-                declared.append(rule["id"])
-        results = run.get("results", [])
-        if not expect(
-            isinstance(results, list), f"{prefix}.results must be an array"
-        ):
-            continue
-        for res_i, res in enumerate(results):
-            where = f"{prefix}.results[{res_i}]"
-            if not expect(isinstance(res, dict), f"{where} must be an object"):
-                continue
-            rule_id = res.get("ruleId")
-            expect(
-                isinstance(rule_id, str) and rule_id in declared,
-                f"{where}.ruleId must be declared in driver.rules",
-            )
-            index = res.get("ruleIndex")
-            if index is not None:
-                expect(
-                    isinstance(index, int)
-                    and 0 <= index < len(declared)
-                    and declared[index] == rule_id,
-                    f"{where}.ruleIndex must match the declared rule",
-                )
-            message = res.get("message")
-            expect(
-                isinstance(message, dict)
-                and isinstance(message.get("text"), str),
-                f"{where}.message.text is required",
-            )
-            expect(
-                res.get("level")
-                in (None, "none", "note", "warning", "error"),
-                f"{where}.level must be a SARIF level",
-            )
-            for loc_i, loc in enumerate(res.get("locations", [])):
-                lwhere = f"{where}.locations[{loc_i}]"
-                physical = (
-                    loc.get("physicalLocation")
-                    if isinstance(loc, dict)
-                    else None
-                )
-                if not expect(
-                    isinstance(physical, dict),
-                    f"{lwhere}.physicalLocation is required",
-                ):
-                    continue
-                assert isinstance(physical, dict)
-                artifact = physical.get("artifactLocation")
-                expect(
-                    isinstance(artifact, dict)
-                    and isinstance(artifact.get("uri"), str),
-                    f"{lwhere}.artifactLocation.uri is required",
-                )
-                region = physical.get("region")
-                if region is not None:
-                    start = region.get("startLine") if isinstance(
-                        region, dict
-                    ) else None
-                    expect(
-                        isinstance(start, int) and start >= 1,
-                        f"{lwhere}.region.startLine must be a positive int",
-                    )
-            for sup_i, sup in enumerate(res.get("suppressions", [])):
-                expect(
-                    isinstance(sup, dict)
-                    and sup.get("kind") in ("inSource", "external"),
-                    f"{where}.suppressions[{sup_i}].kind must be "
-                    "inSource or external",
-                )
-    return problems

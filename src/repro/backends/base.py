@@ -139,13 +139,12 @@ def require_lockstep_algorithm(
 class ExecutionBackend(abc.ABC):
     """Executes the two kernel inner loops the engine used to inline.
 
-    Lifecycle (a typestate contract, checked statically by
-    ``repro lint --strict`` rule ``typestate-order``): ``bind`` (once,
-    before the run) -> ``on_walks_seeded`` (once, with the freshly
-    seeded walk arrays) -> many ``advance`` / ``group_order`` calls from
-    the stages -> ``close``.  ``close`` is terminal and idempotent: a
-    closed backend may still report ``timings()``, but re-``bind``-ing
-    it raises (rule ``use-after-close``).  Implementations
+    Lifecycle: ``bind`` (once, before the run) -> ``on_walks_seeded``
+    (once, with the freshly seeded walk arrays) -> many ``advance`` /
+    ``group_order`` calls from the stages -> ``close``.  ``close`` is
+    terminal and idempotent: a closed backend may still report
+    ``timings()``, but re-``bind``-ing it raises
+    (``tests/test_backends.py::TestLifecycleAndLeaks``).  Implementations
     must mutate ``walks`` in place exactly like
     :meth:`~repro.algorithms.base.RandomWalkAlgorithm.advance_in_partition`
     and return an identical :class:`BatchRunResult` — the simulated cost

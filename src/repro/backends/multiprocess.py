@@ -115,7 +115,8 @@ class MultiprocessBackend(ExecutionBackend):
             )
         # Exception path: any failure after the first SharedMemory block
         # exists must release every block already registered, or the
-        # mappings outlive the process (`leaked-resource` lint rule).
+        # mappings outlive the process (tests/test_backends.py
+        # TestLifecycleAndLeaks injects a failure at each step).
         try:
             self._offsets = self._shared_copy(graph.offsets)
             self._targets = self._shared_copy(graph.targets)

@@ -51,14 +51,14 @@ Commands
     parity gate (every coalescible request re-run standalone must match
     bit-for-bit) enforced inside the bench.  Writes ``BENCH_serve.json``.
 ``lint``
-    Run the repo's static-analysis framework
-    (:mod:`repro.analysis.static`).  The default pass set is the cheap
-    house rules: RNG calls outside the ``core/prng.py`` factory, ``==``
-    on float timestamps, unfrozen event dataclasses, bus events without
-    a registered handler.  ``--strict`` adds the dataflow passes
-    (unit-of-measure over the cost stack, cross-stage aliasing over the
-    pipeline) and gates on the committed ``lint-baseline.json``;
-    ``--json`` writes the machine-readable findings report CI uploads.
+    Run the repo's static analysis (:mod:`repro.analysis.static`), one
+    always-on rule set: RNG calls outside the ``core/prng.py`` factory,
+    ``==`` on float timestamps, unfrozen event dataclasses, bus events
+    without a registered handler, device-failure paths without a
+    conservation check, simulated time in backends, and stages that
+    mutate shared context state without publishing an event.  Waive a
+    finding with ``# lint: allow-<rule>`` on its line; ``--json`` and
+    ``--sarif`` write the reports CI uploads.
 
 Examples
 --------
@@ -85,7 +85,7 @@ Examples
     python -m repro serve --kinds ppr,uniform --workers 4 --seed 11
     python -m repro bench serve --quick --out BENCH_serve.json
     python -m repro lint src/repro
-    python -m repro lint --strict --json lint-report.json src/repro
+    python -m repro lint --json lint-report.json --sarif lint.sarif src/repro
 """
 
 from __future__ import annotations
@@ -355,11 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
              "sources)",
     )
     lint.add_argument(
-        "--strict", action="store_true",
-        help="also run the dataflow passes (unit-of-measure, cross-stage "
-             "aliasing) and gate on the suppression baseline",
-    )
-    lint.add_argument(
         "--json", default=None, metavar="PATH", dest="json_path",
         help="write the machine-readable findings report to PATH",
     )
@@ -367,16 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sarif", default=None, metavar="PATH", dest="sarif_path",
         help="write the findings as a SARIF 2.1.0 log to PATH (for "
              "GitHub code-scanning upload)",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="suppression baseline for --strict (default: "
-             "lint-baseline.json when present)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the suppression baseline from the current findings "
-             "(a reviewed, committed action)",
     )
 
     gen = sub.add_parser("generate", help="generate a synthetic graph")
@@ -735,20 +720,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
     import os
 
     from repro.analysis import run_lint
-    from repro.analysis.static import DEFAULT_BASELINE
 
     # Default target: the installed repro package sources themselves.
     paths = args.paths or [os.path.dirname(os.path.abspath(__file__))]
-    baseline = args.baseline
-    if baseline is None and args.strict and os.path.exists(DEFAULT_BASELINE):
-        baseline = DEFAULT_BASELINE
     return run_lint(
-        paths,
-        strict=args.strict,
-        json_path=args.json_path,
-        baseline_path=baseline,
-        update_baseline=args.update_baseline,
-        sarif_path=args.sarif_path,
+        paths, json_path=args.json_path, sarif_path=args.sarif_path
     )
 
 

@@ -222,14 +222,14 @@ class DeviceRecoveredWalks(EngineEvent):
 
 
 @dataclass(frozen=True)
-class ShardRebalanced(EngineEvent):  # lint: allow-event-device-coverage
+class ShardRebalanced(EngineEvent):
     """The elastic controller moved partition ownership between shards.
 
-    One event per rebalance operation; cluster-scoped by design (hence
-    the device-coverage waiver) — a rebalance spans many shards at
-    once, and the per-pair payload movement is reported through the
-    ordinary ``WalksMigrated`` / ``WalksDelivered`` pair so the
-    migration-conservation machinery covers the rebalance path
+    One event per rebalance operation; cluster-scoped by design, so the
+    one iteration event without a device field — a rebalance spans many
+    shards at once, and the per-pair payload movement is reported
+    through the ordinary ``WalksMigrated`` / ``WalksDelivered`` pair so
+    the migration-conservation machinery covers the rebalance path
     unchanged.
     """
 
@@ -327,8 +327,7 @@ class EventBus:
     Lifecycle contract: register all subscribers *before* the first
     :meth:`emit` of the event type they care about — the bus keeps no
     history, so a late subscriber silently misses everything already
-    published.  ``repro lint --strict`` enforces this ordering
-    statically (rule ``typestate-order``).
+    published.
     """
 
     __slots__ = ("_handlers",)

@@ -33,26 +33,12 @@ ordinary seeded ``Generator``.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 import numpy as np
 
-#: The blessed RNG surface of this module, the single source of truth
-#: shared by the static passes (``house-rules`` ``rng-factory`` and the
-#: interprocedural ``rng`` pass): constructing randomness through any
-#: name *not* listed here, anywhere outside this module, is a lint
-#: finding.  Extending the factory surface means extending this tuple —
-#: which is exactly the review point the linters exist to create.
-FACTORY_NAMES: Tuple[str, ...] = (
-    "seeded_rng",
-    "derive_seed",
-    "splitmix64",
-    "CounterRNG",
-    "TenantCounterRNG",
-)
-
-#: Path suffix identifying this module to the static passes (the one
-#: file allowed to touch ``np.random`` directly).
+#: Path suffix identifying this module to the ``rng-factory`` lint rule
+#: (the one file allowed to touch ``np.random`` directly).
 FACTORY_MODULE_SUFFIX = "core/prng.py"
 
 #: splitmix64 constants.

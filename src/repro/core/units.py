@@ -10,27 +10,17 @@ alias:
 
 * the aliases are zero-cost at runtime (``Seconds(x) is x``);
 * mypy treats them as distinct types, so an annotated function cannot
-  return a raw expression without the author asserting its unit;
-* the static unit pass (:mod:`repro.analysis.static.unitcheck`) reads
-  these annotations as ground truth when inferring the dimension of an
-  expression, and flags arithmetic that mixes dimensions.
-
-Derived units are expressed as exponent vectors over the six base
-dimensions (:data:`BASE_DIMENSIONS`); :data:`UNIT_DIMENSIONS` maps every
-alias name to its vector, e.g. ``Hertz`` is ``cycles^1 * seconds^-1``
-so ``Cycles / Hertz`` cancels to ``Seconds`` under the pass's
-dimensional arithmetic.
+  return a raw expression without the author asserting its unit.
 
 Conversions between dimensions are spelled out by the helpers at the
 bottom — :func:`seconds_from_cycles` is the blessed cycles→seconds
-boundary (next to :meth:`repro.gpu.device.DeviceSpec.cycles_to_seconds`)
-and the thing the ``cycles-vs-seconds`` rule points at.
+boundary (next to :meth:`repro.gpu.device.DeviceSpec.cycles_to_seconds`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, NewType
+from typing import NewType
 
 # ---------------------------------------------------------------------------
 # Base quantities
@@ -72,34 +62,6 @@ BytesPerSecond = NewType("BytesPerSecond", float)
 StepsPerSecond = NewType("StepsPerSecond", float)
 
 
-#: The six base dimensions of the cost stack's unit lattice, with the
-#: short symbol the static pass uses in messages.
-BASE_DIMENSIONS: Mapping[str, str] = {
-    "seconds": "s",
-    "cycles": "cy",
-    "bytes": "B",
-    "cache_lines": "line",
-    "walks": "walk",
-    "packets": "pkt",
-}
-
-#: Dimension vector of every unit alias: ``{base dimension: exponent}``.
-#: The static unit pass resolves annotations through this table; an
-#: alias missing here is invisible to the pass (mypy still checks it).
-UNIT_DIMENSIONS: Dict[str, Dict[str, int]] = {
-    "Seconds": {"seconds": 1},
-    "Cycles": {"cycles": 1},
-    "Bytes": {"bytes": 1},
-    "BytesF": {"bytes": 1},
-    "CacheLines": {"cache_lines": 1},
-    "Walks": {"walks": 1},
-    "Packets": {"packets": 1},
-    "Hertz": {"cycles": 1, "seconds": -1},
-    "BytesPerSecond": {"bytes": 1, "seconds": -1},
-    "StepsPerSecond": {"seconds": -1},
-}
-
-
 # ---------------------------------------------------------------------------
 # Blessed conversions (the only sanctioned dimension boundaries)
 # ---------------------------------------------------------------------------
@@ -107,10 +69,8 @@ UNIT_DIMENSIONS: Dict[str, Dict[str, int]] = {
 def seconds_from_cycles(cycles: float, clock_hz: float) -> Seconds:
     """Convert a cycle count to seconds at ``clock_hz``.
 
-    The cycles→seconds boundary of the cost stack; arithmetic mixing the
-    two dimensions without passing through here (or through
-    :meth:`repro.gpu.device.DeviceSpec.cycles_to_seconds`) is flagged by
-    the ``cycles-vs-seconds`` static rule.
+    The cycles→seconds boundary of the cost stack, next to
+    :meth:`repro.gpu.device.DeviceSpec.cycles_to_seconds`.
     """
     if clock_hz <= 0:
         raise ValueError("clock_hz must be positive")

@@ -58,12 +58,11 @@ MAX_QUERY_STEPS = 1024
 def validated(
     value: float, lo: float, hi: float, what: str = "value"
 ) -> float:
-    """Bounds-check a client-supplied number; the taint sanitizer.
+    """Bounds-check a client-supplied number.
 
     Returns ``value`` unchanged when ``lo <= value <= hi`` and raises
-    :class:`ValueError` otherwise.  The strict lint taint pass
-    (``unvalidated-size`` et al.) treats a flow through this helper — or
-    through a raising ``__post_init__`` bounds check — as sanitized.
+    :class:`ValueError` otherwise.  Every query class validates its
+    client-controlled fields through this helper in ``__post_init__``.
     """
     if not (lo <= value <= hi):
         raise ValueError(f"{what}={value!r} outside [{lo}, {hi}]")

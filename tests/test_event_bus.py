@@ -1,12 +1,19 @@
 """Tests for the engine event bus (repro.core.events)."""
 
+import dataclasses
+
 import pytest
 
+from repro.algorithms import PageRank
+from repro.core import events
+from repro.core.config import EngineConfig
+from repro.core.engine import LightTrafficEngine
 from repro.core.events import (
     EVENT_TYPES,
     SERVED_MODES,
     BatchEvicted,
     BatchLoaded,
+    EngineEvent,
     EventBus,
     GraphServed,
     IterationStarted,
@@ -15,6 +22,7 @@ from repro.core.events import (
     RunCompleted,
     WalkFinished,
 )
+from repro.graph import generators
 
 
 class TestSubscribe:
@@ -183,3 +191,77 @@ class TestEventShapes:
         assert event.breakdown == {}
         assert event.graph_pool_hits == 0
         assert event.finished_walks == 0
+
+
+class TestEventInvariants:
+    #: Iteration-scoped events without a device field, and why.
+    CLUSTER_SCOPED = {
+        "ShardRebalanced": (
+            "one rebalance moves partitions between many shards; the "
+            "per-pair payload goes through WalksMigrated / WalksDelivered"
+        ),
+    }
+
+    def test_every_iteration_event_names_its_device(self):
+        # Per-device views (metrics, sanitizer, trace) attribute an
+        # iteration event to a shard by its device field.
+        deviceless = []
+        for obj in vars(events).values():
+            if not (
+                isinstance(obj, type)
+                and issubclass(obj, EngineEvent)
+                and obj is not EngineEvent
+            ):
+                continue
+            names = {f.name for f in dataclasses.fields(obj)}
+            if "iteration" in names and not names & {
+                "device",
+                "src_device",
+                "dst_device",
+            }:
+                deviceless.append(obj.__name__)
+        assert sorted(deviceless) == sorted(self.CLUSTER_SCOPED)
+
+    def test_no_handler_emits_during_delivery(self):
+        # Delivery is synchronous: a handler that emits would reorder
+        # events for every subscriber after it.  Run one engine-golden
+        # config on two sanitized devices with every observer attached.
+        class ReentryGuardBus(EventBus):
+            __slots__ = ("delivering", "delivered")
+
+            def __init__(self):
+                super().__init__()
+                self.delivering = False
+                self.delivered = 0
+
+            def emit(self, event):
+                if self.delivering:
+                    raise AssertionError(
+                        f"a handler emitted {type(event).__name__}"
+                    )
+                self.delivering = True
+                try:
+                    super().emit(event)
+                finally:
+                    self.delivering = False
+                self.delivered += 1
+
+        graph = generators.rmat(scale=10, edge_factor=6, seed=7)
+        config = EngineConfig(
+            partition_bytes=2048,
+            batch_walks=32,
+            graph_pool_partitions=4,
+            walk_pool_walks=256,
+            selective=True,
+            preemptive=True,
+            seed=123,
+            devices=2,
+            sanitize=True,
+        )
+        bus = ReentryGuardBus()
+        stats = LightTrafficEngine(
+            graph, PageRank(length=8), config, bus=bus
+        ).run(300)
+        assert stats.total_steps > 0
+        assert stats.sanitizer["violation_count"] == 0
+        assert bus.delivered > 1000
