@@ -202,6 +202,9 @@ class Sanitizer:
         #: walk id -> device whose pools hold it, -1 while in flight or
         #: finished; ``None`` until a second shard binds a walk pool.
         self._where: Optional[np.ndarray] = None
+        #: walk id -> copies pooled, kept from the first walk pooled twice
+        #: on one device (a duplicate); until then each id has one copy.
+        self._copies: Optional[np.ndarray] = None
         #: explicit loads not yet consumed, keyed (device, partition).
         self._loads_in_flight: Set[Tuple[int, int]] = set()
         #: migration counters per directed (src, dst) channel.
@@ -470,15 +473,23 @@ class Sanitizer:
 
     def _place(self, device: int, ids: np.ndarray) -> None:
         """``ids`` entered one of ``device``'s pools or (-1) left theirs:
-        the cross-device-residency assertion, O(batch), at its cause."""
+        the cross-device-residency assertion, O(batch), at its cause.
+
+        Once a walk is pooled twice on one device, copies are counted, so
+        taking one copy of a duplicate leaves the id resident."""
         where = self._where
         if where is None or not ids.size:
             return
         top = int(ids.max())
         if top >= where.size:
-            self._where = np.full(max(top + 1, 2 * where.size), -1, np.int16)
+            size = max(top + 1, 2 * where.size)
+            self._where = np.full(size, -1, np.int16)
             self._where[: where.size] = where
+            if self._copies is not None:
+                self._copies = np.resize(self._copies, size)
+                self._copies[where.size :] = 0
             where = self._where
+        copies = self._copies
         if device >= 0:
             prev = where[ids]
             clash = (prev >= 0) & (prev != device)
@@ -490,6 +501,13 @@ class Sanitizer:
                     f"{np.unique(prev[clash]).tolist()} "
                     f"({int(clash.sum())} shared)",
                 )
+            if copies is None and (prev == device).any():
+                copies = self._copies = (where >= 0).astype(np.int32)
+            if copies is not None:
+                np.add.at(copies, ids, 1)
+        elif copies is not None:
+            np.subtract.at(copies, ids, 1)
+            ids = ids[copies[ids] <= 0]
         where[ids] = device
 
     # ------------------------------------------------------------------

@@ -26,7 +26,8 @@ Model
   (``ctx.sched`` → ``timeline``).  Local aliases are tracked
   (``device = ctx.device; device.pop_all(...)`` is a write to
   ``device``).
-* A method **publishes** if it emits on a bus (``...bus.emit(...)``)
+* A method **publishes** if it emits on a bus (``...bus.emit(...)``, or
+  a call of a local bound to one: ``emit = ctx.bus.emit; emit(...)``)
   or calls — directly or transitively, resolved by method name over the
   analyzed tree — a method that does.
 
@@ -65,12 +66,14 @@ CTX_NAMES = frozenset({"ctx", "dctx"})
 MUTATING_METHODS = frozenset(
     {
         "schedule",
+        "schedule_run",
         "insert",
         "evict",
         "evict_batch",
         "pop",
         "pop_all",
         "pop_batch",
+        "pop_batches",
         "pop_preemptible",
         "push",
         "push_batch",
@@ -93,11 +96,13 @@ MUTATING_METHODS = frozenset(
 #: Context helper methods and the field each one mutates.
 CTX_METHOD_EFFECTS: Dict[str, str] = {
     "sched": "timeline",
+    "sched_run": "timeline",
     "update_time": "_kernel_coeff",
 }
 
 # Abstract values of the def-use domain:
 _CTX = ("ctx",)  # the context object itself
+_BUS_EMIT = ("bus.emit",)  # a bus's bound ``emit`` method
 
 
 def _field_value(name: str) -> Tuple[str, str]:
@@ -158,6 +163,8 @@ class _AliasInterpreter(AbstractInterpreter[Optional[Tuple[str, ...]]]):
             base = self.eval_expr(node.value)
             if node.attr == "ctx":
                 return _CTX
+            if node.attr == "emit" and self._is_bus(node.value, base):
+                return _BUS_EMIT
             if base == _CTX:
                 self._record_read(node.attr, node)
                 return _field_value(node.attr)
@@ -188,7 +195,10 @@ class _AliasInterpreter(AbstractInterpreter[Optional[Tuple[str, ...]]]):
             self.eval_expr(keyword.value)
         func = node.func
         if isinstance(func, ast.Name):
-            self.facts.calls.add(func.id)
+            if self.env.get(func.id) == _BUS_EMIT:
+                self.facts.publishes.add(_event_name(node))
+            else:
+                self.facts.calls.add(func.id)
             return None
         if not isinstance(func, ast.Attribute):
             self.eval_expr(func)

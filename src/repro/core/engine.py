@@ -298,6 +298,7 @@ class LightTrafficEngine:
                 pool_partitions,
                 name=f"graph-pool-d{device_id}",
                 track_recency=(cfg.eviction_policy == "lru"),
+                num_keys=num_partitions,
             ),
             timeline=Timeline(record_ops=cfg.record_ops),
             bus=bus,

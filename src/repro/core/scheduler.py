@@ -19,16 +19,21 @@ rule, and evicting its batch would route it through the wrong host pool.
    evicted); otherwise one holding at least half a batch (emptier frontiers
    burn kernel launches for no progress), preferring the most device-cached
    walks (amortize launch cost).  Baseline: the first such.
-4. *Which batch to evict when the walk pool overflows?*  ``protect``'s only
-   when no other partition has device-cached walks.  Baseline: the lowest
-   partition.  Selective: the fewest device-cached walks (least likely to be
-   computed before their graph cycles out), among partitions whose graph is
-   *not* cached when there are any.
+4. *Which batches to evict when the walk pool overflows?*  A drain order
+   over the partitions holding device-cached walks, ``protect`` last.
+   Baseline: lowest partition first.  Selective: partitions whose graph is
+   *not* cached first, then fewest device-cached walks (least likely to be
+   computed before their graph cycles out).  Batch by batch this is the
+   greedy rule "evict one batch of the first partition in this order": a
+   victim's count only drops and ties go to the lower index, so it stays
+   first until it is empty.  The caller stops once the overflow is covered.
 
 Tie-breaks are contract (``tests/test_scheduler.py`` has a brute-force oracle
 per rule): lowest partition index in (1), (2) ``min_walks`` and (4); pool
 insertion order in (2) FIFO / LRU and all of (3), its baseline included.
 ``np.argmin`` / ``np.argmax`` return the first extreme in candidate order.
+The graph pool answers "is it cached, and since when" with its ``resident``
+mask and use ``stamps`` (a :class:`BlockPool` keyed by partition).
 """
 
 from __future__ import annotations
@@ -92,10 +97,18 @@ class Scheduler:
             raise ValueError("owned mask selects no partition")
         self.owned: np.ndarray = owned
 
+    def _resident(self, pool: BlockPool) -> np.ndarray:
+        if pool.resident.size != self.num_partitions:
+            raise TypeError(f"{pool.name} is not keyed by partition")
+        return pool.resident
+
     def _cached(self, pool: BlockPool, skip: Optional[int]) -> np.ndarray:
         """Owned cached partitions except ``skip``, in pool insertion order."""
-        keys = np.asarray([k for k in pool.keys() if k != skip], np.int64)
-        return keys[self.owned[keys]]
+        mask = self._resident(pool) & self.owned
+        if skip is not None:
+            mask[skip] = False
+        cached = mask.nonzero()[0]
+        return cached[pool.stamps[cached].argsort()]
 
     def select_partition(
         self, host: HostWalkPool, device: DeviceWalkPool
@@ -140,36 +153,36 @@ class Scheduler:
         """Partition whose cached batches to compute preemptively, if any."""
         cached = self._cached(graph_pool, exclude)
         dcounts = device.counts[cached]
-        ready = dcounts >= device.batch_capacity
-        if ready.any():
-            rank = host.counts[cached] + dcounts  # full: fewest total walks
-        else:
-            ready = dcounts * 2 >= device.batch_capacity
-            rank = -dcounts  # half full: most device-cached walks
-            if not ready.any():
+        cap = device.batch_capacity
+        ready = (dcounts >= cap).nonzero()[0]
+        if ready.size:  # full: fewest total walks
+            rank = host.counts[cached[ready]] + dcounts[ready]
+        else:  # half full: most device-cached walks
+            ready = (dcounts * 2 >= cap).nonzero()[0]
+            if not ready.size:
                 return None
+            rank = -dcounts[ready]
         if not self.selective:
-            return int(cached[np.argmax(ready)])  # the first ready one
-        return int(cached[ready][np.argmin(rank[ready])])
+            return int(cached[ready[0]])  # the first ready one
+        return int(cached[ready[rank.argmin()]])
 
     def walk_evict_partition(
         self,
         graph_pool: BlockPool,
         device: DeviceWalkPool,
         protect: Optional[int] = None,
-    ) -> int:
-        """Partition from which to evict one walk batch to the host."""
-        mask = (device.counts > 0) & self.owned
+    ) -> np.ndarray:
+        """Partitions to evict walk batches from, in drain order (rule 4)."""
+        counts = device.counts
+        mask = (counts > 0) & self.owned
         if protect is not None:
             mask[protect] = False
-        candidates = np.flatnonzero(mask)
-        if candidates.size == 0:
-            if protect is not None and device.has_walks(protect):
-                return protect
+        order = mask.nonzero()[0]
+        if self.selective and order.size > 1:
+            cached = self._resident(graph_pool)[order]
+            order = order[np.lexsort((counts[order], cached))]
+        if protect is not None and counts[protect] > 0:
+            order = np.append(order, protect)
+        if order.size == 0:
             raise KeyError("walk pool has nothing to evict")
-        if not self.selective:
-            return int(candidates[0])
-        mask[graph_pool.keys()] = False
-        if mask.any():
-            candidates = np.flatnonzero(mask)
-        return int(candidates[np.argmin(device.counts[candidates])])
+        return order

@@ -6,11 +6,19 @@ compute stream (overlapped with zero-copy PCIe occupancy when the partition
 is served that way), reshuffles survivors into their new partitions'
 frontiers, and evicts walk batches to the host whenever the device walk
 pool exceeds ``m_w`` — emitting one typed event per observable fact.
+
+Eviction runs by plan: the scheduler's drain order fixes every victim at
+once, so one gather copies their walks out and one stream run schedules
+their transfers, while the host still gets one ≤ B-walk batch and the bus
+one ``BatchEvicted`` per transfer, in the order a batch-at-a-time greedy
+loop would produce them.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
+
+import numpy as np
 
 from repro.core.events import (
     BatchEvicted,
@@ -30,6 +38,25 @@ from repro.core.stats import (
 from repro.walks.state import WalkArrays
 
 
+def drain_counts(held: np.ndarray, overflow: int, batch: int) -> np.ndarray:
+    """Walks each eviction victim gives, in drain order.
+
+    ``held[k]`` is victim ``k``'s device-cached walks.  Victims give all of
+    them until ``overflow`` is covered, and the last one only whole batches
+    up to that point — what a loop evicting one batch of the first
+    non-empty victim until the pool fits would take.  Shorter than ``held``
+    when fewer victims suffice; short of ``overflow`` when all do not.
+    """
+    drained = held.cumsum()
+    last = int(drained.searchsorted(overflow))
+    if last == held.size:
+        return held
+    take = held[: last + 1].copy()
+    short = overflow - int(drained[last] - held[last])
+    take[last] = min(int(held[last]), -(-short // batch) * batch)
+    return take
+
+
 class ComputeDispatcher:
     """Runs walk-update kernels and the post-kernel bookkeeping."""
 
@@ -40,25 +67,43 @@ class ComputeDispatcher:
     def enforce_walk_capacity(self, protect: Optional[int]) -> None:
         """Evict walk batches until the device pool fits ``m_w`` again."""
         ctx = self.ctx
-        while ctx.device.overflow > 0:
-            victim_part = ctx.scheduler.walk_evict_partition(
-                ctx.graph_pool, ctx.device, protect=protect
-            )
-            batch = ctx.device.evict_batch(victim_part)
-            copy_t = (
-                ctx.pcie.explicit_copy_time(len(batch) * ctx.bytes_per_walk)
-                + ctx.config.calibration.scaled_memcpy_call_seconds
-            )
-            ctx.sched(ctx.timeline.evict, copy_t, CAT_WALK_EVICT, 0.0)
-            ctx.host.push_batch(victim_part, batch)
-            ctx.bus.emit(
+        device = ctx.device
+        overflow = device.overflow
+        if overflow == 0:
+            return
+        order = ctx.scheduler.walk_evict_partition(
+            ctx.graph_pool, device, protect=protect
+        )
+        cap = device.batch_capacity
+        take = drain_counts(device.counts[order], overflow, cap)
+        order = order[: take.size]
+        walks = device.evict_batch(order, take)
+        parts: List[int] = []  # per batch: full ones first, then the rest
+        sizes: List[int] = []
+        for part, left in zip(order.tolist(), take.tolist()):
+            while left > cap:
+                parts.append(part)
+                sizes.append(cap)
+                left -= cap
+            parts.append(part)
+            sizes.append(left)
+        seconds = ctx.batch_seconds(sizes)
+        ctx.sched_run(ctx.timeline.evict, seconds, CAT_WALK_EVICT, 0.0)
+        host = ctx.host
+        emit = ctx.bus.emit
+        batches = walks.split(sizes)
+        for part, batch, size, copy_t in zip(parts, batches, sizes, seconds):
+            host.push_batch(part, batch)
+            emit(
                 BatchEvicted(
-                    partition=victim_part,
-                    walks=len(batch),
+                    partition=part,
+                    walks=size,
                     seconds=copy_t,
                     device=ctx.device_id,
                 )
             )
+        if len(walks) < overflow:
+            raise KeyError("walk pool has nothing to evict")
 
     # ------------------------------------------------------------------
     def dispatch(

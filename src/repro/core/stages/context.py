@@ -3,15 +3,17 @@
 A :class:`StageContext` bundles everything one engine run owns — the
 partitioned graph, scheduler, host/device pools, graph pool, simulated
 timeline, RNG and event bus — so stages stay stateless policy objects.
-The context also centralizes the two cross-stage helpers the monolithic
-engine used as closures: pipeline-aware op scheduling (:meth:`sched`) and
-the cached per-partition kernel-time model (:meth:`update_time`).
+The context also centralizes the cross-stage helpers the monolithic
+engine used as closures: pipeline-aware op scheduling (:meth:`sched`, and
+:meth:`sched_run` for a run of back-to-back transfers), the cached
+per-partition kernel-time model (:meth:`update_time`) and the cached
+per-batch transfer time (:meth:`batch_seconds`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.algorithms.base import RandomWalkAlgorithm
 from repro.core.adaptive import AdaptivePolicy
@@ -70,6 +72,7 @@ class StageContext:
     _kernel_coeff: Dict[int, Tuple[float, float]] = field(
         default_factory=dict
     )
+    _batch_seconds: Dict[int, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def sched(
@@ -80,6 +83,43 @@ class StageContext:
             earliest = max(earliest, self.timeline.now)
         __, end = stream.schedule(duration, category, earliest=earliest)
         return end
+
+    def sched_run(
+        self,
+        stream: Stream,
+        durations: Sequence[float],
+        category: str,
+        earliest: float,
+    ) -> float:
+        """:meth:`sched` once per duration, in order; returns the last end.
+
+        With pipelining on this is one :meth:`Stream.schedule_run`.  With
+        it off, every op's release time is the makespan so far, so the ops
+        go one :meth:`sched` at a time.
+        """
+        if self.config.pipeline:
+            return stream.schedule_run(durations, category, earliest)
+        end = stream.busy_until
+        for duration in durations:
+            end = self.sched(stream, duration, category, earliest)
+        return end
+
+    def batch_seconds(self, sizes: Sequence[int]) -> List[float]:
+        """Host<->device transfer time of one walk batch per size.
+
+        Cached by size: a batch transfer's cost depends only on its walks.
+        """
+        cache = self._batch_seconds
+        out: List[float] = []
+        for walks in sizes:
+            seconds = cache.get(walks)
+            if seconds is None:
+                seconds = cache[walks] = (
+                    self.pcie.explicit_copy_time(walks * self.bytes_per_walk)
+                    + self.config.calibration.scaled_memcpy_call_seconds
+                )
+            out.append(seconds)
+        return out
 
     def update_time(self, part_idx: int, steps: int, rounds: int) -> float:
         """Walk-update kernel duration for ``steps`` over ``rounds`` passes.
@@ -129,9 +169,7 @@ class StageContext:
         gates and any cached graph block, so no stale state survives the
         handoff.
         """
-        groups = []
-        while self.host.has_walks(part_idx):
-            groups.append(self.host.pop_batch(part_idx))
+        groups = self.host.pop_batches(part_idx)
         if self.device.has_walks(part_idx):
             walks = self.device.pop_all(part_idx)
             if len(walks):

@@ -3,7 +3,9 @@
 Each host batch is one transfer on the load stream (paper §III-B); their
 computation is modeled downstream as one merged kernel dependent on the
 last transfer, so the loader returns the concatenated walk contents plus
-the completion time of the final batch transfer.
+the completion time of the final batch transfer.  The partition's batches
+leave the host pool in one call and their transfers go on the stream as
+one run, with one ``BatchLoaded`` per batch.
 """
 
 from __future__ import annotations
@@ -30,26 +32,20 @@ class WalkLoader:
         ``ready_time`` is when the last transfer completes.
         """
         ctx = self.ctx
-        batch_t = 0.0
-        chunks = []
-        while ctx.host.has_walks(part_idx):
-            batch = ctx.host.pop_batch(part_idx)
-            load_t = (
-                ctx.pcie.explicit_copy_time(len(batch) * ctx.bytes_per_walk)
-                + ctx.config.calibration.scaled_memcpy_call_seconds
-            )
-            batch_t = ctx.sched(
-                ctx.timeline.load, load_t, CAT_WALK_LOAD, 0.0
-            )
-            ctx.bus.emit(
+        batches = ctx.host.pop_batches(part_idx)
+        if not batches:
+            return None, 0.0
+        sizes = [len(batch) for batch in batches]
+        seconds = ctx.batch_seconds(sizes)
+        ready = ctx.sched_run(ctx.timeline.load, seconds, CAT_WALK_LOAD, 0.0)
+        emit = ctx.bus.emit
+        for walks, load_t in zip(sizes, seconds):
+            emit(
                 BatchLoaded(
                     partition=part_idx,
-                    walks=len(batch),
+                    walks=walks,
                     seconds=load_t,
                     device=ctx.device_id,
                 )
             )
-            chunks.append(batch)
-        if not chunks:
-            return None, batch_t
-        return WalkArrays.concat(chunks), batch_t
+        return WalkArrays.concat(batches), ready

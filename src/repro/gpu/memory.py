@@ -9,13 +9,19 @@ pool* (block = batch size).  :class:`BlockPool` models that contract:
 * ``insert`` fails with :class:`PoolFullError` instead of growing —
   eviction is the *caller's* decision (the scheduler picks victims);
 * O(1) membership, plus iteration order = insertion order so a FIFO victim
-  policy (the paper's baseline) is natural.
+  policy (the paper's baseline) is natural;
+* for integer keys ``0..num_keys-1`` (the graph pool: one key per
+  partition), a ``resident`` mask and per-key use ``stamps`` mirror that
+  order as arrays, so a policy decides with one mask AND and one
+  ``argsort`` of stamps instead of a pass over the keys.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, Iterator, List, Optional, Protocol, TypeVar
+from typing import Generic, Iterator, List, Optional, Protocol, TypeVar, cast
+
+import numpy as np
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -41,10 +47,18 @@ class BlockPool(Generic[K, V]):
 
     ``capacity`` counts blocks.  Values are whatever payload the caller
     associates with a cached block (a partition's arrays, a batch, ...).
+    With ``num_keys``, keys are ints in ``[0, num_keys)``: ``resident[k]``
+    says whether ``k`` is cached, and ``stamps`` ranks the cached keys in
+    :meth:`keys` order (insertion, or recency under ``track_recency``).
+    Without it both arrays are empty.
     """
 
     def __init__(
-        self, capacity: int, name: str = "pool", track_recency: bool = False
+        self,
+        capacity: int,
+        name: str = "pool",
+        track_recency: bool = False,
+        num_keys: Optional[int] = None,
     ) -> None:
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
@@ -52,6 +66,9 @@ class BlockPool(Generic[K, V]):
         self.name = name
         self.track_recency = track_recency
         self._blocks: "OrderedDict[K, V]" = OrderedDict()
+        self.resident = np.zeros(num_keys or 0, dtype=bool)
+        self.stamps = np.zeros(num_keys or 0, dtype=np.int64)
+        self._clock = 0
         self.hits = 0
         self.misses = 0
         #: optional sanitizer hook, called after each mutation.
@@ -89,6 +106,7 @@ class BlockPool(Generic[K, V]):
             self.hits += 1
             if self.track_recency:
                 self._blocks.move_to_end(key)
+                self._stamp(cast(int, key))
         return value
 
     def peek(self, key: K) -> Optional[V]:
@@ -103,6 +121,12 @@ class BlockPool(Generic[K, V]):
             raise PoolFullError(
                 f"{self.name} is full ({self.capacity} blocks); evict first"
             )
+        if self.resident.size:
+            slot = cast(int, key)
+            if not 0 <= slot < self.resident.size:
+                raise KeyError(f"{key!r} outside {self.name}'s key range")
+            self.resident[slot] = True
+            self._stamp(slot)
         self._blocks[key] = value
         if self.observer is not None:
             self.observer.pool_inserted(self, key)
@@ -113,9 +137,17 @@ class BlockPool(Generic[K, V]):
             value = self._blocks.pop(key)
         except KeyError:
             raise KeyError(f"{key!r} not cached in {self.name}") from None
+        if self.resident.size:
+            self.resident[cast(int, key)] = False
         if self.observer is not None:
             self.observer.pool_evicted(self, key)
         return value
+
+    def _stamp(self, slot: int) -> None:
+        """Rank key ``slot`` last in :meth:`keys` order (keyed pools only)."""
+        if self.stamps.size:
+            self._clock += 1
+            self.stamps[slot] = self._clock
 
     def fifo_victim(self) -> K:
         """The oldest cached key (the paper's baseline eviction policy).

@@ -14,7 +14,7 @@ time per category, producing the Fig 15 / Fig 17 / Table I style breakdowns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.units import Seconds
 
@@ -65,6 +65,18 @@ class TimeBreakdown:
         if duration < 0:
             raise ValueError("duration must be non-negative")
         self._totals[category] = self._totals.get(category, 0.0) + duration
+
+    def add_run(self, category: str, durations: Sequence[float]) -> None:
+        """:meth:`add` per duration: the same additions, in the same order
+        (nothing is added when a duration is negative)."""
+        if not durations:
+            return
+        total = self._totals.get(category, 0.0)
+        for duration in durations:
+            if duration < 0:
+                raise ValueError("duration must be non-negative")
+            total += duration
+        self._totals[category] = total
 
     def get(self, category: str) -> Seconds:
         return Seconds(self._totals.get(category, 0.0))
@@ -127,6 +139,32 @@ class Stream:
         if self.observer is not None:
             self.observer(self, category, start, end, earliest)
         return Seconds(start), Seconds(end)
+
+    def schedule_run(
+        self, durations: Sequence[float], category: str, earliest: float = 0.0
+    ) -> Seconds:
+        """Append one op per duration, back to back; returns the last end.
+
+        Bit-identical to one :meth:`schedule` call per duration with the
+        same ``earliest``: the same float additions in the same order (a
+        loop, never a pairwise sum), and the observer and op record still
+        see every op.  Invalid input raises before the stream changes.
+        """
+        if earliest < 0:
+            raise ValueError("earliest must be non-negative")
+        end = self.busy_until
+        for duration in durations:
+            if duration < 0:
+                raise ValueError("duration must be non-negative")
+            end = max(end, earliest) + duration
+        if self._record_ops or self.observer is not None:
+            for duration in durations:
+                self.schedule(duration, category, earliest)
+            return Seconds(self.busy_until)
+        if self._breakdown is not None:
+            self._breakdown.add_run(category, durations)
+        self.busy_until = end
+        return Seconds(end)
 
     def idle_before(self, time: float) -> Seconds:
         """How long this stream would sit idle until ``time`` (>= 0)."""

@@ -9,23 +9,27 @@ The *host* pool stores the entire walk index grouped by partition, with no
 capacity limit (CPU memory holds everything, as in the paper): a deque of
 batches per partition whose tail is the write frontier.  The boundaries
 are kept because each batch is one transfer; host memory follows the walks
-held, not batches × B.
+held, not batches × B.  Loading a partition takes its whole deque in one
+call (:meth:`HostWalkPool.pop_batches`); an eviction pushes its batches at
+the heads one by one, and they may be views of one shared copy-out.
 
 The *device* pool caches at most ``m_w`` walks in one struct-of-arrays
 arena (``vertices`` / ``steps`` / ``ids``) with a segment per partition:
 ``[base, base + cap)`` holds live walks ``[head, tail)``, and the tail is
 the write frontier.  A reshuffle fills every frontier with one scatter per
 array; only a segment about to overflow takes the Python make-room path.
-Batch accounting is derived from walk counts — ``full = count // B``
-completed batches, ``count % B`` in the frontier.  A pop returns views of
-the arena, valid until the next insert into the *same* partition: other
-partitions' inserts never write there, and a rebuild allocates new arrays.
+An eviction copies every victim's oldest walks out with one gather
+(:meth:`DeviceWalkPool.evict_batch`).  Batch accounting is derived from
+walk counts — ``full = count // B`` completed batches, ``count % B`` in
+the frontier.  A pop returns views of the arena, valid until the next
+insert into the *same* partition: other partitions' inserts never write
+there, and a rebuild allocates new arrays.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, Optional, Protocol, Sequence
+from typing import Deque, Dict, Iterator, List, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -57,7 +61,8 @@ class DeviceObserver(Protocol):
 
 class HostObserver(Protocol):
     """Host-pool twin of :class:`DeviceObserver`: one call per
-    ``append_walks`` / ``push_batch`` (appended) and ``pop_batch`` (taken)."""
+    ``append_walks`` / ``push_batch`` (appended) and per batch
+    ``pop_batch`` / ``pop_batches`` removes (taken)."""
 
     def pool_host_appended(
         self, pool: "HostWalkPool", partition: int, ids: np.ndarray
@@ -73,8 +78,9 @@ class HostWalkPool:
 
     The head batch is the next to load, the tail the write frontier.  No
     empty batch is ever stored, and the pool owns every array it holds:
-    appends copy, and :meth:`push_batch` takes over the (exact-size) batch
-    :meth:`DeviceWalkPool.evict_batch` returns.
+    appends copy, and :meth:`push_batch` takes over an evicted batch (an
+    exact-size slice of what :meth:`DeviceWalkPool.evict_batch` returns).
+    Held batches are never written in place.
     """
 
     def __init__(self, num_partitions: int, batch_capacity: int) -> None:
@@ -119,10 +125,11 @@ class HostWalkPool:
 
     def push_batch(self, partition: int, walks: WalkArrays) -> None:
         """Re-insert a batch evicted from the device pool at the head."""
-        if not len(walks):
+        n = len(walks)
+        if not n:
             return
         self._queue(partition).appendleft(walks)
-        self.counts[partition] += len(walks)
+        self.counts[partition] += n
         if self.observer is not None:
             self.observer.pool_host_appended(self, partition, walks.ids)
 
@@ -136,6 +143,18 @@ class HostWalkPool:
         if self.observer is not None:
             self.observer.pool_host_taken(self, partition, batch.ids)
         return batch
+
+    def pop_batches(self, partition: int) -> List[WalkArrays]:
+        """Remove and return every queued batch, head first: the same
+        batches, in the same order, as :meth:`pop_batch` until empty."""
+        queue = self._queue(partition)
+        batches = list(queue)
+        queue.clear()
+        self.counts[partition] -= sum(len(batch) for batch in batches)
+        if self.observer is not None:
+            for batch in batches:
+                self.observer.pool_host_taken(self, partition, batch.ids)
+        return batches
 
     def has_walks(self, partition: int) -> bool:
         return bool(self.counts[partition] > 0)
@@ -374,16 +393,46 @@ class DeviceWalkPool:
             return self._take(partition, full * self.batch_capacity)
         return self.pop_all(partition)
 
-    def evict_batch(self, partition: int) -> WalkArrays:
-        """Remove up to one batch of walks for transfer back to the host.
+    def evict_batch(
+        self,
+        parts: Union[int, np.ndarray],
+        counts: Optional[np.ndarray] = None,
+    ) -> WalkArrays:
+        """Remove walks for transfer back to the host, as one exact-size copy.
 
-        Returns an exact-size copy: the host keeps it, and the arena slots
-        it came from are reused by later inserts.
+        Takes the oldest ``counts[k]`` walks of each ``parts[k]`` (distinct
+        partitions), in ``parts`` order, with one gather per array; without
+        ``counts``, up to one batch of each.  The arena slots they came from
+        are reused by later inserts.
         """
-        count = int(self.counts[partition])
-        if count == 0:
-            raise IndexError(f"partition {partition} has no walks to evict")
-        return self._take(partition, min(count, self.batch_capacity)).copy()
+        parts = np.atleast_1d(parts)
+        live = self.counts[parts]
+        if counts is None:
+            counts = np.minimum(live, self.batch_capacity)
+        bad = (counts <= 0) | (counts > live)
+        if bad.any():
+            k = int(bad.argmax())
+            raise IndexError(
+                f"cannot evict {int(counts[k])} walks of partition "
+                f"{int(parts[k])}, which holds {int(live[k])}"
+            )
+        head = self.head[parts]
+        if self.observer is not None:
+            for p, lo, n in zip(parts.tolist(), head.tolist(), counts.tolist()):
+                tail = int(self.tail[p])
+                self.observer.device_taken(
+                    self, p, n, tail - lo, self.ids[lo : min(lo + n, tail)]
+                )
+        # Walk j of victim k sits at head[k] + j: one index, three gathers.
+        index = np.repeat(head - (counts.cumsum() - counts), counts)
+        index += np.arange(index.size)
+        out = WalkArrays(self.vertices[index], self.steps[index], self.ids[index])
+        stop = head + counts
+        emptied = stop == self.tail[parts]  # the next insert starts at the base
+        self.head[parts] = np.where(emptied, self.base[parts], stop)
+        self.tail[parts[emptied]] = self.base[parts[emptied]]
+        self.counts[parts] -= counts
+        return out
 
     def iter_walks(self) -> Iterator[WalkArrays]:
         """All walk contents (testing helper for conservation checks)."""

@@ -8,7 +8,7 @@ Each walk's state is ``current_vertex`` (the vertex the walk stays at) and
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
@@ -78,6 +78,25 @@ class WalkArrays:
             self.steps[start:stop].copy(),
             self.ids[start:stop].copy(),
         )
+
+    def split(self, sizes: Sequence[int]) -> List["WalkArrays"]:
+        """Consecutive pieces of ``sizes[k]`` walks each, as views (no copy).
+
+        Slices of arrays already checked here need no re-validation, so the
+        pieces skip ``__init__``: an eviction splits its one copy-out into
+        every batch it pushes to the host.
+        """
+        pieces: List[WalkArrays] = []
+        lo = 0
+        for size in sizes:
+            hi = lo + size
+            piece = WalkArrays.__new__(WalkArrays)
+            piece.vertices = self.vertices[lo:hi]
+            piece.steps = self.steps[lo:hi]
+            piece.ids = self.ids[lo:hi]
+            pieces.append(piece)
+            lo = hi
+        return pieces
 
     def copy(self) -> "WalkArrays":
         return WalkArrays(

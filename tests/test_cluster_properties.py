@@ -251,7 +251,7 @@ class TestOwnedSchedulerTieBreaks:
             eviction_policy=Scheduler.EVICT_MIN_WALKS,
             owned=self.owned(2, 4),
         )
-        pool = BlockPool(3, name="gp")
+        pool = BlockPool(3, name="gp", num_keys=6)
         # Foreign partition 0 is cached with zero local walks — min-walks
         # would always pick it without the owned guard, evicting another
         # shard's resident graph data from our accounting.
@@ -269,7 +269,7 @@ class TestOwnedSchedulerTieBreaks:
             eviction_policy=Scheduler.EVICT_MIN_WALKS,
             owned=self.owned(2, 4),
         )
-        pool = BlockPool(2, name="gp")
+        pool = BlockPool(2, name="gp", num_keys=6)
         pool.insert(4, "x")
         pool.insert(2, "x")
         # Equal walk totals: lowest partition id wins, not insertion order.
@@ -278,23 +278,23 @@ class TestOwnedSchedulerTieBreaks:
     def test_walk_evict_never_foreign(self):
         host, device = self.pools()
         sched = Scheduler(6, True, False, owned=self.owned(2, 4))
-        pool = BlockPool(2, name="gp")
+        pool = BlockPool(2, name="gp", num_keys=6)
         device.append_walks(0, WalkArrays.fresh([1], first_id=0))
         device.append_walks(4, WalkArrays.fresh([1, 1], first_id=1))
-        assert sched.walk_evict_partition(pool, device) == 4
+        assert sched.walk_evict_partition(pool, device).tolist() == [4]
 
     def test_walk_evict_tie_breaks_low_index(self):
         host, device = self.pools()
         sched = Scheduler(6, True, False, owned=self.owned(2, 4))
-        pool = BlockPool(2, name="gp")
+        pool = BlockPool(2, name="gp", num_keys=6)
         device.append_walks(2, WalkArrays.fresh([1], first_id=0))
         device.append_walks(4, WalkArrays.fresh([1], first_id=1))
-        assert sched.walk_evict_partition(pool, device) == 2
+        assert sched.walk_evict_partition(pool, device).tolist() == [2, 4]
 
     def test_preemptive_pick_skips_foreign(self):
         host, device = self.pools()
         sched = Scheduler(6, True, True, owned=self.owned(2, 4))
-        pool = BlockPool(3, name="gp")
+        pool = BlockPool(3, name="gp", num_keys=6)
         pool.insert(0, "x")  # foreign, full batch buffered
         pool.insert(4, "x")
         device.append_walks(0, WalkArrays.fresh([1] * 8, first_id=0))

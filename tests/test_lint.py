@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze_paths, lint_paths, run_lint
+from repro.analysis.static.aliasing import RULE_UNPUBLISHED
 from repro.analysis.static.houserules import (
     RULE_BACKEND_SIM_TIME,
     RULE_FAILURE_CONSERVATION,
@@ -349,3 +350,55 @@ class TestNoSimulatedTimeInBackendsRule:
             name="backends/waived.py",
         )
         assert violations == []
+
+
+class TestUnpublishedMutationBusAlias:
+    """A stage may publish through a local bound to its bus's ``emit``."""
+
+    STAGES = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class StageContext:\n"
+        "    host: object\n"
+        "    bus: object\n"
+        "class Evictor:\n"
+        "    def evict(self, ctx, batches):\n"
+        "        {bind}\n"
+        "        for part, batch in batches:\n"
+        "            ctx.host.push_batch(part, batch)\n"
+        "            {call}\n"
+        "class Loader:\n"
+        "    def load(self, ctx, part):\n"
+        "        return ctx.host.counts[part]\n"
+    )
+
+    def stages(self, tmp_path, bind, call):
+        return lint_source(
+            tmp_path, self.STAGES.format(bind=bind, call=call)
+        )
+
+    def test_bound_emit_publishes(self, tmp_path):
+        violations = self.stages(
+            tmp_path,
+            "emit = ctx.bus.emit",
+            "emit(BatchEvicted(partition=part, walks=len(batch)))",
+        )
+        assert violations == []
+
+    def test_emit_bound_through_a_bus_alias_publishes(self, tmp_path):
+        violations = self.stages(
+            tmp_path,
+            "bus = ctx.bus; emit = bus.emit",
+            "emit(BatchEvicted(partition=part, walks=len(batch)))",
+        )
+        assert violations == []
+
+    def test_bound_subscribe_does_not_publish(self, tmp_path):
+        violations = self.stages(
+            tmp_path,
+            "sub = ctx.bus.subscribe",
+            "sub(BatchEvicted, print)",
+        )
+        assert rules_of(violations) == [RULE_UNPUBLISHED]
+        assert "Evictor.evict" in violations[0].message
+        assert "'host'" in violations[0].message

@@ -1,5 +1,6 @@
 """Unit and property tests for the device memory block pools."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,3 +122,50 @@ def test_pool_never_exceeds_capacity(capacity, ops):
             assert pool.lookup(key) == shadow.get(key)
         assert len(pool) == len(shadow) <= capacity
         assert set(pool.keys()) == set(shadow)
+
+
+@given(
+    capacity=st.integers(1, 8),
+    track_recency=st.booleans(),
+    ops=st.lists(
+        st.tuples(st.sampled_from(["insert", "evict", "lookup"]),
+                  st.integers(0, 12)),
+        max_size=80,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_keyed_pool_arrays_mirror_the_keys(capacity, track_recency, ops):
+    """Property: ``resident`` is the cached-key set and ``stamps`` rank the
+    cached keys in ``keys()`` order (insertion, or recency on hit)."""
+    pool = BlockPool(capacity, track_recency=track_recency, num_keys=13)
+    for op, key in ops:
+        if op == "insert" and key not in pool and not pool.is_full:
+            pool.insert(key, key)
+        elif op == "evict" and key in pool:
+            pool.evict(key)
+        elif op == "lookup":
+            pool.lookup(key)
+        keys = pool.keys()
+        assert pool.resident.nonzero()[0].tolist() == sorted(keys)
+        cached = np.array(keys, dtype=np.int64)
+        assert cached[pool.stamps[cached].argsort()].tolist() == keys
+
+
+def test_keyed_pool_rejects_keys_out_of_range():
+    pool = BlockPool(2, num_keys=3)
+    for key in (-1, 3):
+        with pytest.raises(KeyError, match="key range"):
+            pool.insert(key, key)
+    assert len(pool) == 0 and not pool.resident.any()
+
+
+@pytest.mark.parametrize("track_recency", [False, True])
+def test_keyed_pool_stamps_follow_recency_only_when_tracked(track_recency):
+    pool = BlockPool(3, track_recency=track_recency, num_keys=4)
+    for key in (2, 0, 3):
+        pool.insert(key, key)
+    pool.lookup(2)
+    order = [2, 0, 3] if not track_recency else [0, 3, 2]
+    assert pool.keys() == order
+    cached = np.array([0, 2, 3])
+    assert cached[pool.stamps[cached].argsort()].tolist() == order

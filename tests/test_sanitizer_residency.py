@@ -286,3 +286,31 @@ TOUR = [
 def test_mutants_are_told_apart(mutant):
     assert disagreement(TOUR, 3, bound=3) is None
     assert disagreement(TOUR, 3, bound=3, sanitizer=mutant()) is not None
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [
+        # a walk pooled twice on device 0, one copy consumed, then a peer
+        # binds holding the same walk: still shared with device 0
+        [("bind", 0, 0, 0, 1)] + [("seed", 0, 0, 0, 1)] * 5 + [
+            ("append", 0, 0, 0, 1),
+            ("fault-deliver-untaken", 0, 2, 0, 1),
+            ("fault-deliver-untaken", 2, 0, 1, 1),
+            ("finish", 0, 0, 0, 1),
+            ("bind", 0, 0, 0, 1),
+            ("bind", 0, 0, 0, 1),
+        ],
+        [("bind", 0, 0, 0, 1)] + [("seed", 0, 0, 0, 1)] * 19 + [
+            ("append", 2, 0, 0, 1),
+            ("fault-deliver-untaken", 2, 0, 0, 1),
+            ("fault-deliver-untaken", 2, 0, 1, 1),
+            ("finish", 0, 0, 0, 1),
+            ("bind", 0, 0, 0, 1),
+        ],
+    ],
+)
+def test_consumed_duplicate_keeps_its_twin_resident(ops):
+    """Hypothesis-found: the table cleared an id when one of two copies
+    pooled on the same device was consumed."""
+    assert disagreement(ops, 3, bound=1) is None

@@ -61,7 +61,7 @@ class TestSelectPartition:
 class TestGraphVictim:
     def test_fifo_when_not_selective(self, pools):
         host, device = pools
-        pool = BlockPool(3)
+        pool = BlockPool(3, num_keys=6)
         for key in (4, 1, 2):
             pool.insert(key, key)
         sched = Scheduler(6, selective=False, preemptive=False)
@@ -69,7 +69,7 @@ class TestGraphVictim:
 
     def test_selective_evicts_fewest_walks(self, pools):
         host, device = pools
-        pool = BlockPool(3)
+        pool = BlockPool(3, num_keys=6)
         for key in (0, 1, 2):
             pool.insert(key, key)
         host.append_walks(0, walks(9))
@@ -80,7 +80,7 @@ class TestGraphVictim:
 
     def test_protect_excluded(self, pools):
         host, device = pools
-        pool = BlockPool(2)
+        pool = BlockPool(2, num_keys=6)
         pool.insert(0, 0)
         pool.insert(1, 1)
         sched = Scheduler(6, selective=True, preemptive=True)
@@ -88,7 +88,7 @@ class TestGraphVictim:
 
     def test_no_candidates(self, pools):
         host, device = pools
-        pool = BlockPool(1)
+        pool = BlockPool(1, num_keys=6)
         pool.insert(0, 0)
         sched = Scheduler(6, selective=True, preemptive=True)
         with pytest.raises(KeyError):
@@ -98,7 +98,7 @@ class TestGraphVictim:
 class TestPreemptivePick:
     def test_requires_cached_graph_and_full_batch(self, pools):
         host, device = pools
-        pool = BlockPool(4)
+        pool = BlockPool(4, num_keys=6)
         pool.insert(1, 1)
         sched = Scheduler(6, selective=True, preemptive=True)
         assert sched.pick_preemptive_partition(pool, host, device) is None
@@ -107,14 +107,14 @@ class TestPreemptivePick:
 
     def test_uncached_graph_not_ready(self, pools):
         host, device = pools
-        pool = BlockPool(4)
+        pool = BlockPool(4, num_keys=6)
         device.append_walks(2, walks(8))  # graph for 2 not cached
         sched = Scheduler(6, selective=True, preemptive=True)
         assert sched.pick_preemptive_partition(pool, host, device) is None
 
     def test_full_batches_prefer_fewest_total_walks(self, pools):
         host, device = pools
-        pool = BlockPool(4)
+        pool = BlockPool(4, num_keys=6)
         pool.insert(1, 1)
         pool.insert(2, 2)
         device.append_walks(1, walks(4))
@@ -125,7 +125,7 @@ class TestPreemptivePick:
 
     def test_partial_fallback_half_full(self, pools):
         host, device = pools
-        pool = BlockPool(4)
+        pool = BlockPool(4, num_keys=6)
         pool.insert(3, 3)
         device.append_walks(3, walks(1))  # < B/2: not worth preempting
         sched = Scheduler(6, selective=True, preemptive=True)
@@ -135,7 +135,7 @@ class TestPreemptivePick:
 
     def test_exclude_selected(self, pools):
         host, device = pools
-        pool = BlockPool(4)
+        pool = BlockPool(4, num_keys=6)
         pool.insert(1, 1)
         device.append_walks(1, walks(4))
         sched = Scheduler(6, selective=True, preemptive=True)
@@ -146,7 +146,7 @@ class TestPreemptivePick:
 
     def test_non_selective_takes_first(self, pools):
         host, device = pools
-        pool = BlockPool(4)
+        pool = BlockPool(4, num_keys=6)
         pool.insert(2, 2)
         pool.insert(1, 1)
         device.append_walks(1, walks(4))
@@ -158,41 +158,42 @@ class TestPreemptivePick:
 class TestWalkEviction:
     def test_prefers_uncached_graph_partitions(self, pools):
         host, device = pools
-        pool = BlockPool(4)
+        pool = BlockPool(4, num_keys=6)
         pool.insert(1, 1)
         device.append_walks(1, walks(2))
         device.append_walks(3, walks(9))  # graph not cached
         sched = Scheduler(6, selective=True, preemptive=True)
-        assert sched.walk_evict_partition(pool, device) == 3
+        assert sched.walk_evict_partition(pool, device).tolist() == [3, 1]
 
     def test_fewest_walks_among_uncached(self, pools):
         host, device = pools
-        pool = BlockPool(4)
+        pool = BlockPool(4, num_keys=6)
         device.append_walks(2, walks(9))
         device.append_walks(3, walks(2))
         sched = Scheduler(6, selective=True, preemptive=True)
-        assert sched.walk_evict_partition(pool, device) == 3
+        assert sched.walk_evict_partition(pool, device).tolist() == [3, 2]
 
     def test_protect_fallback(self, pools):
         host, device = pools
-        pool = BlockPool(4)
+        pool = BlockPool(4, num_keys=6)
         device.append_walks(2, walks(5))
         sched = Scheduler(6, selective=True, preemptive=True)
         # Only the protected partition has walks: it is still returned.
-        assert sched.walk_evict_partition(pool, device, protect=2) == 2
+        assert sched.walk_evict_partition(pool, device, protect=2).tolist() == [2]
 
     def test_nothing_to_evict(self, pools):
         host, device = pools
         sched = Scheduler(6, selective=True, preemptive=True)
         with pytest.raises(KeyError):
-            sched.walk_evict_partition(BlockPool(2), device)
+            sched.walk_evict_partition(BlockPool(2, num_keys=6), device)
 
     def test_non_selective_first_candidate(self, pools):
         host, device = pools
         device.append_walks(4, walks(1))
         device.append_walks(1, walks(9))
         sched = Scheduler(6, selective=False, preemptive=False)
-        assert sched.walk_evict_partition(BlockPool(2), device) == 1
+        order = sched.walk_evict_partition(BlockPool(2, num_keys=6), device)
+        assert order.tolist() == [1, 4]
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +225,7 @@ def states(draw, sizes=SIZES):
     mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     owned = None if not any(mask) or draw(st.booleans()) else np.array(mask)
     order = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
-    pool = BlockPool(n)
+    pool = BlockPool(n, num_keys=n)
     for key in order:
         pool.insert(key, key)
     skip = draw(st.none() | st.integers(0, n - 1))
@@ -306,22 +307,39 @@ def test_pick_preemptive_matches_oracle(state):
         assert got == (best if selective else (full or half or [None])[0])
 
 
+def evict_choice(counts, is_owned, cached, protect, selective):
+    """Rule 4's one-batch victim, or ``KeyError`` when nothing is held."""
+    holding = [p for p in range(len(counts)) if counts[p] > 0]
+    cands = [p for p in holding if is_owned[p] and p != protect]
+    if not cands:
+        return protect if protect in holding else KeyError
+    if not selective:
+        return cands[0]
+    uncached = [p for p in cands if p not in cached]
+    return first_min(uncached or cands, lambda p: (counts[p], p))
+
+
 @settings(max_examples=300, deadline=None)
 @given(states())
 def test_walk_evict_matches_oracle(state):
     host, device, owned, is_owned, pool, order, protect = state
     n = len(is_owned)
-    holding = [p for p in range(n) if device.counts[p] > 0]
-    cands = [p for p in holding if is_owned[p] and p != protect]
-    uncached = [p for p in cands if p not in order]
-    fewest = first_min(uncached or cands, lambda p: (device.counts[p], p))
     for selective in (True, False):
-        if not cands:
-            expect = protect if protect in holding else KeyError
-        else:
-            expect = fewest if selective else cands[0]
         sched = Scheduler(n, selective, True, owned=owned)
         got = outcome(
             lambda: sched.walk_evict_partition(pool, device, protect)
         )
-        assert got == expect, selective
+        counts = device.counts.tolist()
+        expect = evict_choice(counts, is_owned, order, protect, selective)
+        if expect is KeyError:
+            assert got is KeyError, selective
+            continue
+        assert got[0] == expect, selective
+        # The rest of the drain order: the same choice with every earlier
+        # victim emptied, until nothing evictable is left.
+        drained = []
+        while expect is not KeyError:
+            drained.append(expect)
+            counts[expect] = 0
+            expect = evict_choice(counts, is_owned, order, protect, selective)
+        assert got.tolist() == drained, selective

@@ -211,3 +211,112 @@ def test_timeline_invariants(ops):
         # A stream's busy_until is at least its total busy time.
         assert streams[name].busy_until >= total - 1e-9
     assert tl.now == max(s.busy_until for s in tl.streams)
+
+
+# ----------------------------------------------------------------------
+# A run of back-to-back ops (Stream.schedule_run, StageContext.sched_run)
+# against one schedule / sched call per op: the same floats, bit for bit.
+# ----------------------------------------------------------------------
+DURATIONS = st.lists(
+    st.sampled_from((0.0, 0.1, 0.2, 0.3, 1e-7, 3.3e-6, 1 / 3, 2.5e-5)),
+    max_size=12,
+)
+
+
+def _stream_pair(record_ops, observed, busy):
+    pair = []
+    for __ in range(2):
+        calls = []
+        stream = Stream("evict", TimeBreakdown(), record_ops=record_ops)
+        stream.schedule(busy, "walk_evict")
+        if observed:
+            stream.observer = lambda *args, calls=calls: calls.append(args[1:])
+        pair.append((stream, calls))
+    return pair
+
+
+def _state(stream, calls):
+    return (
+        stream.busy_until,
+        stream._breakdown.as_dict(),
+        stream.ops,
+        list(calls),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    durations=DURATIONS,
+    earliest=st.sampled_from((0.0, 0.05, 0.4)),
+    busy=st.sampled_from((0.0, 0.1, 0.7)),
+    record_ops=st.booleans(),
+    observed=st.booleans(),
+)
+def test_schedule_run_equals_one_schedule_per_op(
+    durations, earliest, busy, record_ops, observed
+):
+    (run, run_calls), (ops, op_calls) = _stream_pair(record_ops, observed, busy)
+    end = run.schedule_run(durations, "walk_evict", earliest)
+    last = busy
+    for duration in durations:
+        __, last = ops.schedule(duration, "walk_evict", earliest)
+    assert end == last
+    assert _state(run, run_calls) == _state(ops, op_calls)
+
+
+@pytest.mark.parametrize("record_ops", [False, True])
+def test_schedule_run_rejects_bad_input_unchanged(record_ops):
+    (stream, calls), __ = _stream_pair(record_ops, True, 0.5)
+    before = _state(stream, calls)
+    with pytest.raises(ValueError):
+        stream.schedule_run([0.1, 0.2, -1e-9, 0.3], "walk_evict")
+    with pytest.raises(ValueError):
+        stream.schedule_run([0.1], "walk_evict", earliest=-1.0)
+    assert _state(stream, calls) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    durations=DURATIONS,
+    earliest=st.sampled_from((0.0, 0.05, 0.4)),
+    busy=st.tuples(*[st.sampled_from((0.0, 0.1, 0.7))] * 3),
+    pipeline=st.booleans(),
+    observed=st.booleans(),
+)
+def test_sched_run_equals_one_sched_per_op(
+    durations, earliest, busy, pipeline, observed
+):
+    from repro.core.config import EngineConfig
+    from repro.core.stages.context import StageContext
+
+    states = []
+    for one_at_a_time in (False, True):
+        timeline = Timeline(record_ops=observed)
+        for stream, until in zip(timeline.streams, busy):
+            stream.schedule(until, "setup")
+        calls = []
+        if observed:
+            timeline.install_observer(lambda *args: calls.append(args[1:]))
+        ctx = StageContext(
+            config=EngineConfig(pipeline=pipeline), graph=None,
+            algorithm=None, pgraph=None, rng=None, scheduler=None,
+            host=None, device=None, graph_pool=None, timeline=timeline,
+            bus=None, reshuffler=None, kernel_model=None, pcie=None,
+            ship_link=None, bytes_per_walk=16, adaptive=None, backend=None,
+        )
+        if one_at_a_time:
+            end = timeline.load.busy_until
+            for duration in durations:
+                end = ctx.sched(timeline.load, duration, "walk_load", earliest)
+        else:
+            end = ctx.sched_run(timeline.load, durations, "walk_load", earliest)
+        states.append(
+            (
+                end,
+                [s.busy_until for s in timeline.streams],
+                timeline.breakdown.as_dict(),
+                [s.ops for s in timeline.streams],
+                calls,
+            )
+        )
+    assert states[0] == states[1]
