@@ -6,8 +6,8 @@ One module per concern:
   Table II datasets, the scaled hardware models, and the standard workload
   (2|V| walks, l=80, p=0.15).
 * :mod:`repro.bench.harness` — functions that run each experiment and
-  return structured rows (these are what `benchmarks/bench_*.py` call).
-* :mod:`repro.bench.reporting` — fixed-width table / series printers.
+  return structured rows, and the paper's claims checked on those rows.
+* :mod:`repro.bench.reporting` — fixed-width table printers.
 """
 
 from repro.bench.workloads import (

@@ -3,7 +3,8 @@
 ``python -m repro report --out results.md`` runs every experiment in the
 registry (or a chosen subset) and writes one self-contained markdown
 document with a table per experiment — the machine-regenerated counterpart
-of ``EXPERIMENTS.md``.
+of ``EXPERIMENTS.md`` — and the verdict of its paper claim
+(:data:`repro.bench.harness.CLAIMS`), also printed as it goes.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ def generate_report(
     only: Optional[Iterable[str]] = None,
     registry: Optional[Dict[str, tuple]] = None,
     clock: Callable[[], float] = time.perf_counter,
+    failed: Optional[List[str]] = None,
 ) -> str:
     """Run experiments and return the markdown report text.
 
@@ -54,7 +56,12 @@ def generate_report(
         override the experiment registry (tests inject cheap runners).
     clock:
         wall-clock source used for the per-experiment timing footnote.
+    failed:
+        if given, the name of every experiment whose paper claim fails is
+        appended to it (``repro report`` exits 1 on any).
     """
+    from repro.bench.harness import check_claims, claim_verdict
+
     registry = registry if registry is not None else experiment_registry()
     names = list(only) if only else list(registry)
     unknown = [n for n in names if n not in registry]
@@ -78,6 +85,14 @@ def generate_report(
         sections.append(rows_to_markdown(rows))
         sections.append("")
         sections.append(f"_{len(rows)} rows, generated in {elapsed:.1f}s._")
+        failures = check_claims(name, rows)
+        if failures is None:
+            continue
+        verdict = claim_verdict(name, failures)
+        print(verdict)
+        sections.extend(["", f"**{verdict}**"])
+        if failures and failed is not None:
+            failed.append(name)
     return "\n".join(sections) + "\n"
 
 

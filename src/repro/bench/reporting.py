@@ -1,8 +1,7 @@
-"""Fixed-width table and series printers for benchmark output.
+"""Fixed-width table printers for command-line output.
 
-Every bench prints the same rows the paper's tables/figures report, so the
-output of ``pytest benchmarks/ --benchmark-only -s`` reads side by side with
-the paper.
+``repro experiment`` prints an experiment's rows through these, so its
+output reads side by side with the paper's tables and figures.
 """
 
 from __future__ import annotations
@@ -21,15 +20,6 @@ def format_seconds(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds * 1e3:.2f}ms"
     return f"{seconds:.3f}s"
-
-
-def format_rate(steps_per_second: float) -> str:
-    """Throughput in M/G steps per second."""
-    if steps_per_second >= 1e9:
-        return f"{steps_per_second / 1e9:.2f}G"
-    if steps_per_second >= 1e6:
-        return f"{steps_per_second / 1e6:.1f}M"
-    return f"{steps_per_second / 1e3:.1f}K"
 
 
 def format_cell(value: Cell) -> str:

@@ -13,8 +13,10 @@ Commands
     workload a system cannot honour exits 2 with a one-line stderr hint.
 ``experiment``
     Regenerate one paper table/figure by name (``fig3`` ... ``fig18``,
-    ``table1``/``table2``/``table3``) and print its rows; the names are
-    :data:`repro.bench.harness.EXPERIMENTS`, which ``report`` shares.
+    ``table1``/``table2``/``table3``, the ``ablation_*`` sweeps) and print
+    its rows and the verdict of its paper claim, exiting 1 if the claim
+    fails; the names are :data:`repro.bench.harness.EXPERIMENTS` and the
+    claims :data:`repro.bench.harness.CLAIMS`, which ``report`` shares.
 ``generate``
     Generate a synthetic graph and save it (edge list or ``.npz`` CSR).
 ``serve``
@@ -618,7 +620,11 @@ def cmd_experiment(name: str) -> int:
     reporting.print_table(
         f"experiment {name}", keys, reporting.rows_from_dicts(rows, keys)
     )
-    return 0
+    failures = harness.check_claims(name, rows)
+    if failures is None:
+        return 0
+    print(harness.claim_verdict(name, failures))
+    return 1 if failures else 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -766,8 +772,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.bench.report import write_report
 
         only = args.only.split(",") if args.only else None
-        write_report(args.out, only=only)
+        failed: List[str] = []
+        write_report(args.out, only=only, failed=failed)
         print(f"wrote report to {args.out}")
+        if failed:
+            print(f"claims failed: {', '.join(failed)}", file=sys.stderr)
+            return 1
         return 0
     if args.command == "serve":
         return cmd_serve(args)

@@ -29,6 +29,9 @@ class TestParser:
     def test_experiment_names_cover_all_figures(self):
         expected = {"table1", "table2", "table3", "metrics"} | {
             f"fig{i}" for i in (3, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18)
+        } | {
+            f"ablation_{sweep}"
+            for sweep in ("batch_size", "interconnect", "eviction", "uvm")
         }
         assert set(EXPERIMENTS) == expected
 
@@ -281,14 +284,36 @@ class TestRun:
 class TestExperimentCommand:
     def test_experiment_prints_rows(self, capsys, monkeypatch):
         import repro.cli as cli
+        from repro.bench import harness
 
         monkeypatch.setitem(
             cli.EXPERIMENTS, "table3", (lambda: [{"variant": "x", "v": 1}], ())
         )
+        monkeypatch.delitem(harness.CLAIMS, "table3")
         assert main(["experiment", "table3"]) == 0
         out = capsys.readouterr().out
         assert "experiment table3" in out
         assert "variant" in out
+        assert "claim" not in out  # no claim row, no verdict
+
+    @pytest.mark.parametrize("holds", [True, False])
+    def test_experiment_claim_verdict(self, holds, capsys, monkeypatch):
+        import repro.cli as cli
+        from repro.bench import harness
+
+        monkeypatch.setitem(
+            cli.EXPERIMENTS, "fig12", (lambda: [{"ok": holds}], ())
+        )
+        monkeypatch.setitem(
+            harness.CLAIMS, "fig12",
+            ("§IV-C", lambda rows: [] if rows[0]["ok"] else ["broken"]),
+        )
+        assert main(["experiment", "fig12"]) == (0 if holds else 1)
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert verdict == (
+            "claim fig12 (§IV-C): "
+            + ("holds" if holds else "FAILS: broken")
+        )
 
     def test_experiment_empty_rows(self, capsys, monkeypatch):
         import repro.cli as cli
@@ -310,9 +335,31 @@ class TestReportCommand:
             "EXPERIMENTS",
             {"table2": (lambda: [{"a": 1}], "datasets")},
         )
+        monkeypatch.setattr(harness, "CLAIMS", {})
         out = tmp_path / "r.md"
         assert main(["report", "--out", str(out), "--only", "table2"]) == 0
         assert "## table2" in out.read_text()
+
+    def test_report_exits_1_on_a_failed_claim(self, tmp_path, capsys,
+                                              monkeypatch):
+        from repro.bench import harness
+
+        monkeypatch.setattr(
+            harness,
+            "EXPERIMENTS",
+            {name: (lambda: [{"a": 1}], name) for name in ("fig3", "fig9")},
+        )
+        monkeypatch.setattr(harness, "CLAIMS", {
+            "fig3": ("§II-B", lambda rows: []),
+            "fig9": ("§IV-B", lambda rows: ["LT loses"]),
+        })
+        out = tmp_path / "r.md"
+        assert main(["report", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "claim fig3 (§II-B): holds" in captured.out
+        assert "claim fig9 (§IV-B): FAILS: LT loses" in captured.out
+        assert "claims failed: fig9" in captured.err
+        assert "**claim fig9 (§IV-B): FAILS: LT loses**" in out.read_text()
 
 
 class TestDatasetsCommand:

@@ -1,6 +1,6 @@
 """Schema/consistency tests for the benchmark harness (smallest dataset).
 
-The heavy sweeps run under `benchmarks/`; here we validate the row schemas
+The full sweeps run under `repro report`; here we validate the row schemas
 and basic invariants on the cheapest dataset so `pytest tests/` stays fast.
 """
 
@@ -125,6 +125,23 @@ class TestMoreHarnessRunners:
             assert row["theory_throughput"] > 0
             assert row["throughput"] > 0
 
+    @pytest.mark.parametrize("name, sweep", [
+        ("ablation_batch_size", dict(batch_sizes=(64, 128))),
+        ("ablation_eviction", dict(policies=("fifo",), pool_partitions=4)),
+    ])
+    def test_one_dataset_ablation_schema(self, name, sweep):
+        rows = harness.EXPERIMENTS[name][0](dataset="lj-sim", **sweep)
+        assert len(rows) == len(next(iter(sweep.values())))
+        assert all(row["total_time"] > 0 for row in rows)
+
+    def test_dataset_ablations_schema(self):
+        (uvm,) = harness.ablation_uvm(datasets=("lj-sim",))
+        assert uvm["fits_gpu"] and uvm["lt_speedup"] > 0
+        links = harness.ablation_interconnect(
+            links=("pcie3", "nvlink2"), datasets=("lj-sim",)
+        )
+        assert [row["link"] for row in links] == ["pcie3", "nvlink2"]
+
 
 class TestMetricsObservatory:
     def test_all_systems_observed(self):
@@ -223,6 +240,6 @@ class TestSystemsTable:
 
         assert experiment_registry() is harness.EXPERIMENTS
         assert set(cli.EXPERIMENTS) == set(harness.EXPERIMENTS)
-        assert len(harness.EXPERIMENTS) == 15
+        assert len(harness.EXPERIMENTS) == 19
         for name, (runner, args) in cli.EXPERIMENTS.items():
             assert runner is harness.EXPERIMENTS[name][0] and args == ()

@@ -1,13 +1,16 @@
-"""Fast-scale versions of the paper's headline claims.
+"""The paper's headline claims, checked in seconds.
 
-The full-scale versions live in `benchmarks/`; these run the same
-comparisons on the smallest registry dataset so `pytest tests/` alone
-exercises every claim end to end (in seconds, not minutes).
+The full-scale claims are ``repro.bench.harness.CLAIMS``, checked on
+every experiment's rows by ``repro report`` (minutes).  Here the cheap
+experiments run live through that table, each mechanism claim is shown to
+fail on a hand-built row set that breaks it, and the headline comparisons
+run on the smallest registry dataset.
 """
 
 import pytest
 
 from repro.algorithms import PageRank
+from repro.bench import harness
 from repro.baselines import SubwayConfig, SubwayEngine, ThunderRWEngine
 from repro.bench.workloads import (
     default_platform,
@@ -100,3 +103,80 @@ class TestHeadlineClaims:
         pcie3 = lt_run(graph, platform, interconnect="pcie3")
         pcie4 = lt_run(graph, platform, interconnect="pcie4")
         assert pcie4.total_time <= pcie3.total_time * 1.001
+
+
+class TestClaimsTable:
+    """``harness.CLAIMS``: live where cheap, and able to fail."""
+
+    @pytest.mark.parametrize("name", ["table2", "fig3", "table1", "fig11"])
+    def test_claim_holds_at_full_scale(self, name, monkeypatch):
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        runner, _ = harness.EXPERIMENTS[name]
+        assert harness.check_claims(name, runner()) == []
+
+    def test_every_claim_is_an_experiment(self):
+        assert set(harness.CLAIMS) == set(harness.EXPERIMENTS) - {"metrics"}
+        assert harness.check_claims("metrics", [{"x": 1}]) is None
+
+
+def fig12_rows(direct=(10.0, 8.0, 6.0, 5.0)):
+    return [
+        {"partition_kib": kib, "direct_reshuffle_time": d,
+         "two_level_reshuffle_time": t, "reduction_pct": 100 * (1 - t / d)}
+        for kib, d, t in zip((32, 64, 128, 256), direct, (3.0, 2.5, 2.0, 1.8))
+    ]
+
+
+def fig13_rows(ps=7.0):
+    times = {"baseline": 10.0, "ps": ps, "ss": 8.0, "ps+ss": 6.0}
+    return [
+        {"cached_partitions": m_g, "variant": variant,
+         "total_time": time - m_g / 100}
+        for m_g in (25, 50, 75, 100) for variant, time in times.items()
+    ]
+
+
+def table3_rows(ps_iterations=600):
+    return [
+        {"variant": variant, "iterations": iterations,
+         "explicit_copies": copies, "hit_rate_pct": hit}
+        for variant, iterations, copies, hit in (
+            ("baseline", 1000, 800, 20.0),
+            ("ps", ps_iterations, 500, 35.0),
+            ("ss", 950, 400, 60.0),
+            ("ps+ss", 580, 250, 62.0),
+        )
+    ]
+
+
+def fig14_rows(uk_pagerank_adaptive=1.05):
+    return [
+        {"dataset": dataset, "algorithm": algorithm,
+         "zero_copy_speedup": zero, "adaptive_speedup": adaptive}
+        for dataset, algorithm, zero, adaptive in (
+            ("uk-sim", "pagerank", 1.0, uk_pagerank_adaptive),
+            ("uk-sim", "ppr", 1.2, 1.3),
+            ("cw-sim", "pagerank", 0.9, 1.02),
+            ("cw-sim", "ppr", 1.1, 1.15),
+        )
+    ]
+
+
+class TestMechanismClaimsCanFail:
+    """Each row set holds as built and fails with one claim broken."""
+
+    @pytest.mark.parametrize("name, rows, mutant", [
+        # direct write no slower than two-level at 64 KiB
+        ("fig12", fig12_rows(), fig12_rows(direct=(10.0, 2.5, 6.0, 5.0))),
+        # preemptive scheduling buys nothing
+        ("fig13", fig13_rows(), fig13_rows(ps=10.0)),
+        # preemptive iterations not below 0.75x baseline
+        ("table3", table3_rows(), table3_rows(ps_iterations=750)),
+        # adaptive loses more than 3% to all-explicit
+        ("fig14", fig14_rows(), fig14_rows(uk_pagerank_adaptive=0.96)),
+    ])
+    def test_mutant_fails(self, name, rows, mutant):
+        assert harness.check_claims(name, rows) == []
+        failures = harness.check_claims(name, mutant)
+        assert failures
+        assert "FAILS" in harness.claim_verdict(name, failures)

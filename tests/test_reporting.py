@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.reporting import (
     format_cell,
-    format_rate,
     format_seconds,
     print_table,
     render_table,
@@ -18,11 +17,6 @@ class TestFormatters:
         assert format_seconds(5e-7) == "0.5us"
         assert format_seconds(2.5e-3) == "2.50ms"
         assert format_seconds(1.5) == "1.500s"
-
-    def test_format_rate_ranges(self):
-        assert format_rate(5e3) == "5.0K"
-        assert format_rate(2.5e6) == "2.5M"
-        assert format_rate(3e9) == "3.00G"
 
     def test_format_cell(self):
         assert format_cell(1.23456) == "1.23"
