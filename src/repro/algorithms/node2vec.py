@@ -12,7 +12,7 @@ The acceptance classification runs vectorized through
 :class:`~repro.algorithms.transitions.secondorder.SecondOrderAcceptance`
 (binary search over sorted CSR adjacency); the historical per-candidate
 ``graph.has_edge`` loop is kept as :meth:`Node2Vec._acceptance_loop` — the
-parity anchor and the ``repro bench samplers`` before/after baseline.
+parity anchor and the ``repro experiment samplers`` before/after baseline.
 
 Out-of-memory caveat (documented deviation): the distance test needs the
 *previous* vertex's adjacency, which may live in a different partition.

@@ -10,8 +10,8 @@ sampling and alias sampling; both are provided here:
 
 These are the *loop reference* implementations: the production hot path
 lives in :mod:`repro.algorithms.transitions` (vectorized builds), and this
-module anchors its golden parity tests and the ``repro bench samplers``
-before/after comparison.
+module anchors its golden parity tests and the ``repro experiment
+samplers`` before/after comparison.
 """
 
 from __future__ import annotations

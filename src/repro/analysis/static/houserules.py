@@ -35,7 +35,7 @@
     and device specs belong to the cost model that consumes the
     backend's step counts — a backend reading simulated time would let
     measured and simulated seconds contaminate each other, which is
-    exactly the split ``repro bench backends`` cross-validates.
+    exactly the split ``repro experiment backends`` cross-validates.
 
 ``device-failure-conservation``
     Every ``DeviceFailed``-handling code path — a function named

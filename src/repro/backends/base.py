@@ -9,7 +9,7 @@ severs that assumption: the engine asks the backend to advance a batch
 charging simulated seconds from the returned step counts exactly as
 before.  Backends additionally accumulate *measured* wall-clock per
 kernel (:class:`MeasuredTimings`), so a run reports simulated seconds
-and real seconds side by side and ``repro bench backends``
+and real seconds side by side and ``repro experiment backends``
 cross-validates the two.
 
 House rule ``no-simulated-time-in-backends``: modules in this package

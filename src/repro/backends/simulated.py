@@ -6,7 +6,7 @@ and the stable argsort the reshuffler always used — the refactor moves
 the call site, not the computation, so every golden stays bit-identical.
 The only addition is observation: each delegated kernel is wrapped in
 ``time.perf_counter`` so the NumPy interpreter's real wall-clock is
-recorded per kernel, giving ``repro bench backends`` its baseline.
+recorded per kernel, giving ``repro experiment backends`` its baseline.
 """
 
 from __future__ import annotations

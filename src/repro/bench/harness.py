@@ -1,29 +1,43 @@
-"""Experiment runners — one function per paper table/figure or ablation.
+"""Experiment runners — one function per paper table/figure, ablation or
+subsystem (samplers, devices, elastic, backends, serve).
 
-Each runner returns a list of structured row dicts, and :data:`CLAIMS`
-checks the paper's shape on them.  The claims hold at full scale: the
-datasets shrink under ``REPRO_SCALE`` < 1 and runs get faster, but 9-10
-of the 18 claims then fail, so ``repro report`` exits 1.
+Each runner returns a list of flat row dicts, and :data:`CLAIMS` checks
+the paper's shape (or, for a subsystem, its DESIGN.md claim) on them.
+The paper's claims hold at full scale: the datasets shrink under
+``REPRO_SCALE`` < 1 and runs get faster, but 9-10 of those 18 claims then
+fail, so ``repro report`` exits 1.  The subsystem runners build their own
+rmat / Erdos-Renyi workloads and ignore ``REPRO_SCALE``.
 
 The module also holds the front-end tables everything else is a view of:
 :data:`SYSTEMS` (name -> how to build that engine on a
 :class:`~repro.bench.workloads.SimPlatform`, and what it supports),
 :data:`EXPERIMENTS` (name -> runner + description) and :data:`CLAIMS`
-(name -> paper section + check), both at the end of the module, and the
-helpers the ``repro bench`` suites share.
+(name -> section + check), both at the end of the module.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import time
 from typing import (
     Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
     Tuple, Union,
 )
 
+import numpy as np
+
 from repro.algorithms import PageRank, PersonalizedPageRank, UniformSampling
 from repro.algorithms.base import RandomWalkAlgorithm
+from repro.algorithms.node2vec import Node2Vec
+from repro.algorithms.sampling import PartitionAliasSampler
+from repro.algorithms.transitions import (
+    SAMPLER_ALIAS,
+    SAMPLER_INVERSE,
+    SAMPLER_REJECTION,
+    SAMPLER_UNIFORM,
+    build_alias_tables,
+    make_sampler,
+)
 from repro.baselines import (
     FlashMobEngine,
     MultiRoundEngine,
@@ -35,6 +49,7 @@ from repro.baselines import (
     UVMConfig,
     UVMEngine,
 )
+from repro.baselines.inmemory_cpu import whole_graph_partition
 from repro.bench.workloads import (
     DATASETS,
     RESTART_PROB,
@@ -50,8 +65,10 @@ from repro.core.config import (
     COPY_EXPLICIT,
     COPY_ZERO,
     EngineConfig,
+    FailureSchedule,
 )
 from repro.core.engine import LightTrafficEngine
+from repro.core.prng import seeded_rng
 from repro.core.stats import (
     CAT_GRAPH_LOAD,
     CAT_KERNEL_OTHER,
@@ -63,11 +80,26 @@ from repro.core.stats import (
     CAT_ZERO_COPY,
     RunStats,
 )
-from repro.gpu.kernels import DIRECT_WRITE, TWO_LEVEL
+from repro.gpu.cluster import ClusterDeviceSpec
+from repro.gpu.kernels import (
+    DIRECT_WRITE,
+    TWO_LEVEL,
+    KernelModel,
+    fit_time_scale,
+    relative_errors,
+)
 from repro.graph.csr import CSRGraph
-from repro.graph.generators import rmat
+from repro.graph.generators import erdos_renyi, rmat
 from repro.graph.partition import partition_by_range
 from repro.core.theory import transfer_bound_throughput
+from repro.serve import (
+    ARRIVAL_CLOSED,
+    ARRIVAL_OPEN,
+    QUERY_KINDS,
+    ServeSession,
+    default_workload,
+    make_vertex_types,
+)
 from repro.walks.state import index_bytes_per_walk
 
 AlgorithmFactory = Callable[[], RandomWalkAlgorithm]
@@ -265,19 +297,20 @@ def run_system(engine: Any, walks: int, *, sanitize: bool = False) -> RunStats:
 
 
 # ----------------------------------------------------------------------
-# Shared pieces of the ``repro bench`` suites
+# Engine config of the subsystem experiments (and ``repro serve``)
 # ----------------------------------------------------------------------
 def bench_engine_config(
     seed: int, quick: bool, *, devices: int = 1, **overrides: object
 ) -> EngineConfig:
-    """Shared engine config for the ``repro bench`` suites.
+    """Shared engine config of the ``devices``, ``elastic``, ``backends``
+    and ``serve`` experiments, ``repro serve`` and the perf workloads.
 
     Partitions are kept small relative to the benchmark graphs so every
     shard owns several (migration, failure reassignment and weighted
     splits all need partitions to move) and pools are sized below the
     workload so the eviction and preemptive paths stay exercised.
-    Suite-specific knobs (elastic specs, execution backend, ...) come in
-    as ``overrides`` and may also replace any of the defaults.
+    Experiment-specific knobs (elastic specs, execution backend, ...) come
+    in as ``overrides`` and may also replace any of the defaults.
     """
     config: Dict[str, object] = dict(
         partition_bytes=2048 if quick else 4096,
@@ -290,56 +323,6 @@ def bench_engine_config(
     )
     config.update(overrides)
     return EngineConfig(**config)  # type: ignore[arg-type]
-
-
-def bench_rmat_graph(
-    scale: int, edge_factor: int, seed: int, quick: bool, quick_scale: int = 10
-) -> Tuple[CSRGraph, Dict[str, object]]:
-    """The suites' rmat graph, capped at ``quick_scale`` under ``--quick``.
-
-    Returned with the part of a payload's ``config`` block every suite
-    records about it.
-    """
-    if quick:
-        scale = min(scale, quick_scale)
-    graph = rmat(scale=scale, edge_factor=edge_factor, seed=seed)
-    described: Dict[str, object] = {
-        "scale": scale,
-        "edge_factor": edge_factor,
-        "vertices": graph.num_vertices,
-        "edges": graph.num_edges,
-        "seed": seed,
-        "quick": quick,
-    }
-    return graph, described
-
-
-def bench_walks(
-    graph: CSRGraph, walks: Optional[int], quick: bool, full_length: int = 16
-) -> Tuple[int, int]:
-    """``(walk count, walk length)``: 2|V| x ``full_length`` unless the
-    caller fixed the count; CI-smoke sized under ``--quick``."""
-    if walks is None:
-        walks = 600 if quick else 2 * graph.num_vertices
-    return walks, 8 if quick else full_length
-
-
-def safe_ratio(numerator: float, denominator: float) -> float:
-    """``numerator / denominator``, ``inf`` when the denominator is 0."""
-    return numerator / denominator if denominator > 0 else float("inf")
-
-
-def sanitizer_verdict(stats: RunStats) -> Tuple[bool, int]:
-    """``(clean, checks)`` of a run's sanitizer summary (dirty if absent)."""
-    summary = stats.sanitizer or {}
-    return bool(summary.get("clean", False)), summary.get("checks", 0)
-
-
-def write_results(results: Dict[str, object], path: str) -> None:
-    """Write one suite's payload as a ``BENCH_*.json`` file."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 # ----------------------------------------------------------------------
@@ -946,6 +929,453 @@ def ablation_uvm(
 
 
 # ----------------------------------------------------------------------
+# Subsystems beyond the paper: samplers, devices, elastic, backends, serve
+#
+# Each runner takes its workload size as keyword arguments; ``quick``
+# shrinks it for tier-1.  ``repro experiment`` / ``repro report`` run the
+# defaults.  Cells ending in ``wall_s`` are host wall-clock (best of the
+# repeats); every other time is simulated.
+# ----------------------------------------------------------------------
+def _rmat_workload(
+    scale: int, edge_factor: int, walks: Optional[int], seed: int,
+    quick: bool, full_length: int = 16,
+) -> Tuple[CSRGraph, int, int]:
+    """``(graph, walk count, walk length)``: rmat capped at scale 10 and
+    600 walks x 8 under ``quick``, else 2|V| walks x ``full_length``
+    unless the count is given."""
+    graph = rmat(
+        scale=min(scale, 10) if quick else scale, edge_factor=edge_factor,
+        seed=seed,
+    )
+    if walks is None:
+        walks = 600 if quick else 2 * graph.num_vertices
+    return graph, walks, 8 if quick else full_length
+
+
+def _sanitizer_cells(stats: RunStats) -> Dict[str, object]:
+    summary = stats.sanitizer or {}
+    return {
+        "sanitizer_clean": bool(summary.get("clean", False)),
+        "sanitizer_checks": summary.get("checks", 0),
+    }
+
+
+def _device_time_cells(stats: RunStats) -> Dict[str, Optional[float]]:
+    """Per-device makespans of a run on up to 4 devices (``None``: no
+    such device; a one-device run reports none)."""
+    times = stats.device_times or {}
+    return {f"d{device}_time": times.get(str(device)) for device in range(4)}
+
+
+def _best_wall_s(fn: Callable[[], object], repeats: int) -> float:
+    """Wall-clock seconds of ``fn``, best of ``repeats`` (noise floor)."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _weighted_er_graph(vertices: int, edge_factor: int, seed: int) -> CSRGraph:
+    """Erdos-Renyi with integer-valued weights in [1, 32), so per-vertex
+    weight sums are exact in the loop and the vectorized alias build."""
+    graph = erdos_renyi(vertices, edge_factor * vertices, seed=seed)
+    weights = seeded_rng(seed + 1).integers(1, 32, size=graph.num_edges)
+    return CSRGraph(
+        graph.offsets, graph.targets, weights.astype(np.float64),
+        name=f"bench-er-{vertices}",
+    )
+
+
+def sampler_kernels(
+    vertices: int = 10_000,
+    edge_factor: int = 8,
+    seed: int = 7,
+    quick: bool = False,
+) -> List[dict]:
+    """Vectorized transition sampling against its loop references.
+
+    On a weighted Erdos-Renyi graph: the per-vertex Vose alias build and
+    node2vec's ``has_edge`` acceptance loop are timed against their
+    vectorized replacements (``alias_build``, ``node2vec_step``); each
+    sampler's steps per wall second is measured per batch size
+    (``sample:NAME``); and each weighted sampler's next-hop distribution
+    at the highest-degree vertex is compared with the true weights
+    (``parity:NAME``, total-variation distance against ``tv_bound``).
+    """
+    if quick:
+        repeats, step_batch, batch_sizes = 2, 2_000, (1_000, 8_000)
+        draws, tv_bound = 20_000, 0.08
+    else:
+        repeats, step_batch, batch_sizes = 5, 16_000, (1_000, 8_000, 64_000)
+        draws, tv_bound = 200_000, 0.03
+    graph = _weighted_er_graph(vertices, edge_factor, seed)
+    samplers = (
+        SAMPLER_UNIFORM, SAMPLER_ALIAS, SAMPLER_INVERSE, SAMPLER_REJECTION
+    )
+    blank = dict.fromkeys((
+        "batch", "loop_wall_s", "vector_wall_s", "speedup",
+        "steps_per_wall_s", "vertex", "degree", "draws", "dead_ends",
+        "tv_distance", "tv_bound",
+    ))
+
+    def row(case: str, **cells: object) -> dict:
+        return {"case": case, **blank, **cells, "quick": quick}
+
+    offsets, weights = graph.offsets, graph.weights
+    loop_s = _best_wall_s(
+        lambda: PartitionAliasSampler(offsets, weights), repeats
+    )
+    vector_s = _best_wall_s(
+        lambda: build_alias_tables(offsets, weights), repeats
+    )
+    rows = [row(
+        "alias_build", loop_wall_s=loop_s, vector_wall_s=vector_s,
+        speedup=loop_s / vector_s,
+    )]
+
+    # One node2vec batch step, mid-walk (a populated prev table exercises
+    # the full acceptance test, not the unbiased first hop); both variants
+    # face the same prev table and so the same rejection work.
+    partition = whole_graph_partition(graph)
+    lanes = seeded_rng(11).integers(0, graph.num_vertices, size=step_batch)
+    steps = np.ones(step_batch, dtype=np.int64)
+    ids = np.arange(step_batch, dtype=np.int64)
+
+    def node2vec_step(use_loop: bool) -> Callable[[], object]:
+        algo = Node2Vec(length=80, return_param=2.0, inout_param=0.5)
+        algo.start_vertices(graph, step_batch, seeded_rng(0))
+        if use_loop:
+            setattr(algo, "_acceptance", algo._acceptance_loop)
+        algo._prev[:] = seeded_rng(13).integers(
+            0, graph.num_vertices, size=step_batch
+        )
+        return lambda: algo.step_once(
+            lanes, steps, ids, partition, seeded_rng(5), graph
+        )
+
+    loop_s = _best_wall_s(node2vec_step(use_loop=True), repeats)
+    vector_s = _best_wall_s(node2vec_step(use_loop=False), repeats)
+    rows.append(row(
+        "node2vec_step", batch=step_batch, loop_wall_s=loop_s,
+        vector_wall_s=vector_s, speedup=loop_s / vector_s,
+    ))
+
+    partition = whole_graph_partition(graph)
+    for name in samplers:
+        sampler = make_sampler(name)
+        sampler.prepare(partition)
+        for batch in batch_sizes:
+            rng = seeded_rng(17)
+            lanes = rng.integers(0, graph.num_vertices, size=batch)
+            seconds = _best_wall_s(
+                lambda: sampler.sample(partition, lanes, rng), repeats
+            )
+            rows.append(row(
+                f"sample:{name}", batch=batch, vector_wall_s=seconds,
+                steps_per_wall_s=batch / seconds if seconds > 0 else 0.0,
+            ))
+
+    # Next-hop frequencies at the highest-degree vertex.  Multi-edges to
+    # one neighbour are indistinguishable in the picked vertex, so the
+    # comparison is per distinct neighbour.
+    partition = whole_graph_partition(graph)
+    v = int(np.argmax(np.diff(offsets)))
+    lo, hi = int(offsets[v]), int(offsets[v + 1])
+    uniq, inverse = np.unique(graph.targets[lo:hi], return_inverse=True)
+    expected = np.zeros(uniq.size, dtype=np.float64)
+    np.add.at(expected, inverse, weights[lo:hi] / weights[lo:hi].sum())
+    for name in samplers:
+        if name == SAMPLER_UNIFORM:
+            continue  # uniform ignores weights by design
+        sampler = make_sampler(name)
+        sampler.prepare(partition)
+        picks, dead = sampler.sample(
+            partition, np.full(draws, v, dtype=np.int64), seeded_rng(23)
+        )
+        counts = np.bincount(np.searchsorted(uniq, picks), minlength=uniq.size)
+        total = counts.sum()
+        tv = (
+            float(0.5 * np.abs(counts / total - expected).sum())
+            if total else 1.0
+        )
+        rows.append(row(
+            f"parity:{name}", vertex=v, degree=hi - lo, draws=draws,
+            dead_ends=int(dead.sum()), tv_distance=tv, tv_bound=tv_bound,
+        ))
+    return rows
+
+
+def device_scaling(
+    scale: int = 12,
+    edge_factor: int = 8,
+    walks: Optional[int] = None,
+    seed: int = 7,
+    quick: bool = False,
+) -> List[dict]:
+    """One seeded sanitized PageRank run sharded over 1, 2 and 4 devices
+    with P2P walk migration; ``speedup`` is over one device."""
+    graph, walks, length = _rmat_workload(
+        scale, edge_factor, walks, seed, quick
+    )
+    rows: List[dict] = []
+    for devices in (1, 2, 4):
+        config = bench_engine_config(seed, quick, devices=devices)
+        stats = LightTrafficEngine(
+            graph, PageRank(length=length), config
+        ).run(walks)
+        base = rows[0]["total_time"] if rows else stats.total_time
+        rows.append({
+            "devices": devices,
+            "total_time": stats.total_time,
+            "speedup": base / stats.total_time,
+            "iterations": stats.iterations,
+            "walks_migrated": stats.walks_migrated,
+            **_device_time_cells(stats),
+            **_sanitizer_cells(stats),
+        })
+    return rows
+
+
+def elastic_cluster(
+    scale: int = 12,
+    edge_factor: int = 8,
+    walks: Optional[int] = None,
+    seed: int = 7,
+    quick: bool = False,
+) -> List[dict]:
+    """A 4-device cluster under skew and under a device failure.
+
+    ``hetero_aware`` / ``hetero_uniform``: per-device compute and link
+    capability 2x/1x/1x/0.5x, with the byte-balanced partition assignment
+    weighted by capability or not (``hetero_speedup`` = uniform / aware
+    makespan).  ``baseline`` / ``failure``: homogeneous, then device 1
+    failing a third of the way through the baseline's iterations
+    (``failure_slowdown`` = failure / baseline makespan).  Walks are
+    fixed-length, so ``total_steps == expected_steps`` iff no walk was
+    lost or duplicated.
+    """
+    graph, walks, length = _rmat_workload(
+        scale, edge_factor, walks, seed, quick
+    )
+    skewed = tuple(
+        ClusterDeviceSpec(
+            name=f"gpu{idx}", compute_scale=rate, link_scale=rate
+        )
+        for idx, rate in enumerate((2.0, 1.0, 1.0, 0.5))
+    )
+
+    def run(**elastic_knobs: object) -> RunStats:
+        config = bench_engine_config(seed, quick, devices=4, **elastic_knobs)
+        return LightTrafficEngine(
+            graph, UniformSampling(length=length), config
+        ).run(walks)
+
+    aware = run(device_specs=skewed, heterogeneous_assignment=True)
+    uniform = run(device_specs=skewed, heterogeneous_assignment=False)
+    baseline = run()
+    failure = run(failure_schedule=FailureSchedule.single(
+        1, max(2, baseline.iterations // 3)
+    ))
+    rows: List[dict] = []
+    for name, stats in (
+        ("hetero_aware", aware), ("hetero_uniform", uniform),
+        ("baseline", baseline), ("failure", failure),
+    ):
+        rows.append({
+            "run": name,
+            "total_time": stats.total_time,
+            "iterations": stats.iterations,
+            "total_steps": stats.total_steps,
+            "expected_steps": walks * length,
+            "walks_migrated": stats.walks_migrated,
+            "device_failures": stats.device_failures,
+            "walks_recovered": stats.walks_recovered,
+            "rebalances": stats.rebalances,
+            "walks_rebalanced": stats.walks_rebalanced,
+            **_device_time_cells(stats),
+            **_sanitizer_cells(stats),
+            "hetero_speedup": None,
+            "failure_slowdown": None,
+        })
+    rows[0]["hetero_speedup"] = uniform.total_time / aware.total_time
+    rows[3]["failure_slowdown"] = failure.total_time / baseline.total_time
+    return rows
+
+
+def _kernel_model_fit(
+    stats: RunStats, model: KernelModel
+) -> Dict[str, Optional[float]]:
+    """One least-squares scale fitting the analytic per-kernel times to
+    the measured ones, and the residual relative errors."""
+    kernels = (stats.measured or {}).get("kernels") or []
+    predicted = [
+        float(model.update_time(
+            int(record["total_steps"]), int(record["longest_run"]),
+            int(record["partition_nbytes"]), str(record["sampler"]),
+        ))
+        for record in kernels
+    ]
+    observed = [float(record["seconds"]) for record in kernels]
+    scale = fit_time_scale(predicted, observed)
+    errors = relative_errors(predicted, observed, scale)
+    return {
+        "fit_kernels": len(kernels),
+        "time_scale": scale,
+        "mean_relative_error": sum(errors) / len(errors) if errors else None,
+        "max_relative_error": max(errors) if errors else None,
+    }
+
+
+def _wall_total(stats: RunStats) -> float:
+    measured: Any = stats.measured
+    return measured["walk_update_seconds"] + measured["setup_seconds"]
+
+
+def execution_backends(
+    scale: int = 13,
+    edge_factor: int = 8,
+    walks: Optional[int] = None,
+    seed: int = 7,
+    quick: bool = False,
+) -> List[dict]:
+    """Each execution backend on one seeded workload, counter RNG.
+
+    A real backend must reproduce the ``simulated`` run's facts exactly.
+    ``overall_speedup`` is the simulated interpreter's walk-update wall
+    time over the backend's walk-update plus setup (worker forks,
+    trajectory precompute, JIT warm-up) wall time; ``kernel_speedup``
+    leaves setup out.  Each backend's run is the fastest of 3 (1 under
+    ``quick``).  The analytic kernel model is fitted to the measured
+    per-kernel times with one scale; its residual errors judge shape.
+    """
+    # Imported here: the probe for the optional numba package stays off
+    # the import of this module, which every CLI command and perf
+    # workload loads.
+    from repro.backends.numba_kernels import NUMBA_AVAILABLE
+
+    graph, walks, length = _rmat_workload(
+        scale, edge_factor, walks, seed, quick, full_length=32
+    )
+    rows: List[dict] = []
+    for name in ("simulated", "multiprocess", "numba"):
+        row: dict = {"backend": name, "available": False}
+        if name == "numba" and not NUMBA_AVAILABLE:
+            rows.append(row)
+            continue
+        # Larger batches than the other experiments at full size: this one
+        # compares kernel throughput, not per-call dispatch; the walk pool
+        # stays below the workload so eviction is still exercised.
+        config = bench_engine_config(
+            seed, quick, backend=name, rng_mode="counter",
+            batch_walks=64 if quick else 4096,
+            walk_pool_walks=512 if quick else 8192,
+        )
+        # Run facts repeat exactly; only the wall-clock varies.
+        best = min(
+            (
+                LightTrafficEngine(
+                    graph, UniformSampling(length=length), config
+                ).run(walks)
+                for _ in range(1 if quick else 3)
+            ),
+            key=_wall_total,
+        )
+        measured: Any = best.measured
+        model = KernelModel(config.device, config.calibration)
+        row.update(
+            available=True,
+            total_steps=best.total_steps,
+            iterations=best.iterations,
+            total_time=best.total_time,
+            walks_migrated=best.walks_migrated,
+            sanitizer_clean=_sanitizer_cells(best)["sanitizer_clean"],
+            num_kernels=measured["num_kernels"],
+            setup_wall_s=measured["setup_seconds"],
+            walk_update_wall_s=measured["walk_update_seconds"],
+            group_wall_s=measured["group_seconds"],
+            **_kernel_model_fit(best, model),
+        )
+        rows.append(row)
+    base_update = rows[0]["walk_update_wall_s"]
+    for row in rows:
+        available = row["available"] and row["backend"] != "simulated"
+        row["kernel_speedup"] = (
+            base_update / row["walk_update_wall_s"] if available else None
+        )
+        row["overall_speedup"] = (
+            base_update / (row["walk_update_wall_s"] + row["setup_wall_s"])
+            if available else None
+        )
+        row["quick"] = quick
+    return rows
+
+
+def serve_latency(
+    scale: int = 10,
+    edge_factor: int = 8,
+    queries: Optional[int] = None,
+    seed: int = 7,
+    quick: bool = False,
+) -> List[dict]:
+    """The mixed query workload served closed-loop and open-loop.
+
+    Closed loop: each of ``workers`` clients submits its next query when
+    the last completes.  Open loop: seeded Poisson arrivals at 1.5x the
+    same worker count's closed-loop completion rate, so the queue builds
+    by construction.  Both at 2 and 8 workers, under the
+    ``request-conservation`` sanitizer, every per-batch engine run
+    sanitized too.  Latencies and rates are simulated.
+    """
+    graph = rmat(
+        scale=min(scale, 8) if quick else scale, edge_factor=edge_factor,
+        seed=seed,
+    )
+    config = bench_engine_config(seed, quick)
+    vertex_types = make_vertex_types(graph, seed)
+    if queries is None:
+        queries = 12 if quick else 32
+    workload = default_workload(
+        graph, kinds=QUERY_KINDS, queries=queries, seed=seed
+    )
+    rows: List[dict] = []
+    for workers in (2, 8):
+        rate: Optional[float] = None
+        for arrival in (ARRIVAL_CLOSED, ARRIVAL_OPEN):
+            report = ServeSession(
+                graph, config, workers=workers, arrival=arrival,
+                arrival_rate=rate, vertex_types=vertex_types,
+            ).run(workload)
+            summary: Any = report.summary_dict()
+            rows.append({
+                "run": f"{arrival}-w{workers}",
+                "workers": workers,
+                "arrival": arrival,
+                "arrival_rate": rate,
+                "queries": len(workload),
+                "queries_admitted": summary["queries_admitted"],
+                "queries_completed": summary["queries_completed"],
+                "walks_served": summary["walks_served"],
+                "batches": summary["batches"],
+                "coalesced_queries": summary["coalesced_queries"],
+                "engine_iterations": summary["engine_iterations"],
+                "engine_steps": summary["engine_steps"],
+                "makespan": summary["makespan"],
+                **{
+                    f"{series.split('_')[0]}_{p}": value
+                    for series, by_p in summary["latency"].items()
+                    for p, value in by_p.items()
+                },
+                **summary["throughput"],
+                "sanitizer_clean": summary["sanitizer_clean"],
+                "engine_sanitizers_clean": summary["engine_sanitizers_clean"],
+            })
+            rate = max(summary["throughput"]["queries_per_second"] * 1.5, 1.0)
+    return rows
+
+
+# ----------------------------------------------------------------------
 # Metrics observatory — every system observed through one event bus
 # ----------------------------------------------------------------------
 def metrics_observatory(
@@ -992,8 +1422,8 @@ def metrics_observatory(
 # Experiments — the one registry behind `repro experiment` / `repro report`
 # ----------------------------------------------------------------------
 #: name -> (runner, short description), in report order.  Adding an
-#: experiment is one row here: ``cli.EXPERIMENTS`` and
-#: :func:`repro.bench.report.experiment_registry` are views of it.
+#: experiment is one row here: ``repro experiment`` reads it, and
+#: :func:`repro.bench.report.experiment_registry` is a view of it.
 EXPERIMENTS: Dict[str, Tuple[Callable[..., List[dict]], str]] = {
     "table2": (table2_dataset_stats, "dataset statistics"),
     "fig3": (fig3_active_ratio, "Subway active ratios"),
@@ -1013,6 +1443,11 @@ EXPERIMENTS: Dict[str, Tuple[Callable[..., List[dict]], str]] = {
     "ablation_interconnect": (ablation_interconnect, "interconnect bandwidth"),
     "ablation_eviction": (ablation_eviction, "graph-pool eviction policy"),
     "ablation_uvm": (ablation_uvm, "UVM page faulting vs explicit transfers"),
+    "samplers": (sampler_kernels, "vectorized vs loop transition sampling"),
+    "devices": (device_scaling, "multi-device scaling"),
+    "elastic": (elastic_cluster, "skewed and failing devices"),
+    "backends": (execution_backends, "execution backends, wall-clock"),
+    "serve": (serve_latency, "closed/open-loop walk serving"),
     "metrics": (metrics_observatory, "per-system event-bus metrics"),
 }
 
@@ -1383,9 +1818,113 @@ def _check_ablation_uvm(rows: List[dict]) -> List[str]:
     )
 
 
-#: experiment name -> (paper section, check).  A check takes the
-#: experiment's rows and returns one message per failed claim, so an
-#: empty list means the paper's shape holds.  ``repro experiment`` and
+def _check_samplers(rows: List[dict]) -> List[str]:
+    parity = [r for r in rows if r["case"].startswith("parity:")]
+    timed = [r for r in rows if r["case"] in ("alias_build", "node2vec_step")]
+    if len(parity) != 3 or len(timed) != 2:
+        return ["three sampler parity rows and two loop-vs-vector rows"]
+    return [
+        f"{r['case']}: {claim}"
+        for r in parity
+        for claim in _failed(
+            (r["tv_distance"] <= r["tv_bound"],
+             f"next-hop TV distance within {r['tv_bound']}"),
+            (r["dead_ends"] == 0, "no dead ends"),
+        )
+    ] + _failed(*(
+        # Wall-clock ratios: quick sizes are too small to be stable.
+        (r["quick"] or r["speedup"] >= 5.0,
+         f"{r['case']}: vectorized >= 5x the loop ({r['speedup']:.2f}x)")
+        for r in timed
+    ))
+
+
+def _check_devices(rows: List[dict]) -> List[str]:
+    top = max(rows, key=lambda r: r["devices"])
+    return _failed(
+        *(
+            (r["sanitizer_clean"],
+             f"{r['devices']} device(s): sanitizer clean")
+            for r in rows
+        ),
+        (top["speedup"] >= 1.5,
+         f"{top['devices']} devices >= 1.5x one device "
+         f"({top['speedup']:.2f}x)"),
+    )
+
+
+def _check_elastic(rows: List[dict]) -> List[str]:
+    by = {r["run"]: r for r in rows}
+    aware, failure = by["hetero_aware"], by["failure"]
+    return [
+        f"{r['run']}: {claim}"
+        for r in rows
+        for claim in _failed(
+            (r["sanitizer_clean"], "sanitizer clean"),
+            (r["total_steps"] == r["expected_steps"], "no walk lost"),
+        )
+    ] + _failed(
+        (failure["device_failures"] == 1 and failure["walks_recovered"] > 0,
+         "the failed device's walks are recovered"),
+        (aware["hetero_speedup"] >= 1.05,
+         "capability-aware assignment >= 1.05x uniform "
+         f"({aware['hetero_speedup']:.2f}x)"),
+        (failure["failure_slowdown"] <= 2.5,
+         f"failure slowdown <= 2.5x ({failure['failure_slowdown']:.2f}x)"),
+    )
+
+
+def _check_backends(rows: List[dict]) -> List[str]:
+    base = rows[0]
+    real = [r for r in rows[1:] if r["available"]]
+    if base["backend"] != "simulated" or not real:
+        return ["the simulated baseline and at least one real backend"]
+    identity = (
+        "total_steps", "iterations", "total_time", "walks_migrated"
+    )
+    best = max(r["overall_speedup"] for r in real)
+    return _failed(
+        *(
+            (all(r[key] == base[key] for key in identity),
+             f"{r['backend']}: run facts identical to simulated")
+            for r in real
+        ),
+        *(
+            (r["sanitizer_clean"], f"{r['backend']}: sanitizer clean")
+            for r in [base] + real
+        ),
+        # Wall-clock ratio: quick sizes are too small to be stable.
+        (base["quick"] or best >= 3.0,
+         f"best real backend >= 3x simulated walk update ({best:.2f}x)"),
+    )
+
+
+def _check_serve(rows: List[dict]) -> List[str]:
+    failures = [
+        f"{r['run']}: {claim}"
+        for r in rows
+        for claim in _failed(
+            (r["queries_admitted"] == r["queries_completed"] == r["queries"],
+             "every query admitted and completed"),
+            (r["sanitizer_clean"], "request-conservation sanitizer clean"),
+            (r["engine_sanitizers_clean"], "every engine run sanitizer clean"),
+            *(
+                (r[f"{series}_p50"] <= r[f"{series}_p90"]
+                 <= r[f"{series}_p99"], f"{series} p50 <= p90 <= p99")
+                for series in ("queue", "service", "total")
+            ),
+        )
+    ]
+    return failures + _failed(
+        (any(r["coalesced_queries"] for r in rows),
+         "some run coalesces queries"),
+    )
+
+
+#: experiment name -> (section, check).  The section is the paper's, or
+#: for a subsystem the DESIGN.md one that states its claim.  A check takes
+#: the experiment's rows and returns one message per failed claim, so an
+#: empty list means the claim holds.  ``repro experiment`` and
 #: ``repro report`` both go through :func:`check_claims` and exit 1 on a
 #: failed claim; an experiment without a row here (``metrics``) has no
 #: verdict.
@@ -1408,6 +1947,11 @@ CLAIMS: Dict[str, Tuple[str, Callable[[List[dict]], List[str]]]] = {
     "ablation_interconnect": ("§IV-B", _check_ablation_interconnect),
     "ablation_eviction": ("§III-D", _check_ablation_eviction),
     "ablation_uvm": ("§V", _check_ablation_uvm),
+    "samplers": ("DESIGN.md §3c", _check_samplers),
+    "devices": ("DESIGN.md §3e", _check_devices),
+    "elastic": ("DESIGN.md §3g", _check_elastic),
+    "backends": ("DESIGN.md §3h", _check_backends),
+    "serve": ("DESIGN.md §3i", _check_serve),
 }
 
 
@@ -1419,7 +1963,7 @@ def check_claims(name: str, rows: List[dict]) -> Optional[List[str]]:
 
 
 def claim_verdict(name: str, failures: List[str]) -> str:
-    """One line: the experiment's paper claim holds, or what failed."""
+    """One line: the experiment's claim holds, or what failed."""
     head = f"claim {name} ({CLAIMS[name][0]}):"
     if not failures:
         return f"{head} holds"

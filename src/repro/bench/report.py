@@ -71,8 +71,11 @@ def generate_report(
     sections = [
         "# LightTraffic reproduction — regenerated results",
         "",
-        "Generated by `python -m repro report`; simulated times on the",
-        "scaled platform (see DESIGN.md).",
+        "Generated by `python -m repro report`. Columns ending in `wall_s`",
+        "(`loop_wall_s`, `steps_per_wall_s`, ...) are host wall-clock, and so",
+        "are the `samplers` and `backends` speedups taken from them; every",
+        "other time is simulated seconds on the scaled platform (see",
+        "DESIGN.md).",
     ]
     for name in names:
         runner, description = registry[name]

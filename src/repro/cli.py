@@ -13,10 +13,16 @@ Commands
     workload a system cannot honour exits 2 with a one-line stderr hint.
 ``experiment``
     Regenerate one paper table/figure by name (``fig3`` ... ``fig18``,
-    ``table1``/``table2``/``table3``, the ``ablation_*`` sweeps) and print
-    its rows and the verdict of its paper claim, exiting 1 if the claim
-    fails; the names are :data:`repro.bench.harness.EXPERIMENTS` and the
-    claims :data:`repro.bench.harness.CLAIMS`, which ``report`` shares.
+    ``table1``/``table2``/``table3``, the ``ablation_*`` sweeps) or one
+    subsystem experiment (``samplers``, ``devices``, ``elastic``,
+    ``backends``, ``serve``) and print its rows and the verdict of its
+    claim, exiting 1 if the claim fails; the names are
+    :data:`repro.bench.harness.EXPERIMENTS` and the claims
+    :data:`repro.bench.harness.CLAIMS`, which ``report`` shares.
+``report``
+    Run every experiment (or the ``--only`` subset) into one markdown
+    file with each claim's verdict, exiting 1 if any claim fails and 2
+    on an unknown ``--only`` name.
 ``generate``
     Generate a synthetic graph and save it (edge list or ``.npz`` CSR).
 ``serve``
@@ -26,32 +32,6 @@ Commands
     coalesced into shared frontier batches, and per-request
     queue/service/total latency is reported under the
     ``request-conservation`` sanitizer rule.
-``bench samplers``
-    Run the transition-sampler microbenchmark (loop vs vectorized alias
-    build, node2vec stepping, per-sampler throughput + distribution
-    parity) and write ``BENCH_samplers.json``.
-``bench devices``
-    Run the multi-device scaling benchmark (1/2/4 shards with P2P walk
-    migration, simulated speedup + migration counts) and write
-    ``BENCH_devices.json``.
-``bench elastic``
-    Run the elastic-cluster benchmark: heterogeneity-aware vs uniform
-    partition assignment on skewed 4-device specs, and a mid-run
-    single-device failure that must complete sanitizer-clean with zero
-    lost walks and bounded slowdown.  Writes ``BENCH_elastic.json``.
-``bench backends``
-    Run the execution-backend benchmark: the real kernels (``numba``,
-    ``multiprocess``) against the ``simulated`` NumPy interpreter path
-    on the same seeded workload — bit-identical results enforced, real
-    wall-clock speedups reported, and the analytic kernel cost model
-    cross-validated against the measured per-kernel times.  Writes
-    ``BENCH_backends.json``.
-``bench serve``
-    Run the sustained-load serving benchmark: the mixed query workload
-    under closed- and open-loop arrivals at two client-worker counts,
-    p50/p90/p99 latency + throughput per run, with the coalescing
-    parity gate (every coalescible request re-run standalone must match
-    bit-for-bit) enforced inside the bench.  Writes ``BENCH_serve.json``.
 ``lint``
     Run the repo's static analysis (:mod:`repro.analysis.static`), one
     always-on rule set: RNG calls outside the ``core/prng.py`` factory,
@@ -78,14 +58,11 @@ Examples
         --device-spec compute=2 --device-spec compute=1 --device-spec compute=0.5 \
         --fail 1@40 --rebalance-threshold 1.5 --metrics-prom metrics.prom
     python -m repro experiment table3
+    python -m repro experiment devices
+    python -m repro report --out claims.md --only samplers,backends
     python -m repro generate --kind rmat --scale 14 --edge-factor 8 --out g.npz
-    python -m repro bench samplers --quick --out BENCH_samplers.json
-    python -m repro bench devices --quick --out BENCH_devices.json
-    python -m repro bench elastic --quick --out BENCH_elastic.json
-    python -m repro bench backends --quick --out BENCH_backends.json
     python -m repro serve --scale 10 --workers 8 --queries 32
     python -m repro serve --kinds ppr,uniform --workers 4 --seed 11
-    python -m repro bench serve --quick --out BENCH_serve.json
     python -m repro lint src/repro
     python -m repro lint --json lint-report.json --sarif lint.sarif src/repro
 """
@@ -95,7 +72,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import TYPE_CHECKING, Any, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
 from repro.bench import harness, reporting
 from repro.bench.workloads import DATASETS, load_dataset, standard_walks
@@ -115,87 +92,6 @@ def _systems_supporting(capability: str) -> Tuple[str, ...]:
 SYSTEMS = tuple(harness.SYSTEMS)
 #: systems whose engines publish on the event bus (support --metrics-json).
 BUS_SYSTEMS = _systems_supporting("bus")
-
-#: name -> (runner, positional args): a view of ``harness.EXPERIMENTS``.
-EXPERIMENTS = {
-    name: (runner, ()) for name, (runner, _) in harness.EXPERIMENTS.items()
-}
-
-
-class _BenchTarget(NamedTuple):
-    """What differs between the ``repro bench <target>`` sub-commands."""
-
-    help: str
-    quick_help: str
-    #: workload-size arguments as (dest, default, help), in ``--help``
-    #: order; ``run_bench`` receives each by keyword.
-    sizes: Tuple[Tuple[str, Optional[int], Optional[str]], ...]
-    #: what ``--no-check`` stops gating on (its help string).
-    gates: str
-    #: subject of the "<label> benchmark checks FAILED" line.
-    label: str
-
-
-_QUICK_WORKLOAD = (
-    "small workload for CI smoke runs (speedup floor not enforced)"
-)
-_EDGE_FACTOR = ("edge_factor", 8, None)
-_WALKS = ("walks", None, "walk count (default: workload-sized)")
-_BENCH_SCALE_HELP = "rmat scale of the benchmark workload"
-
-#: ``repro bench <target>`` runs ``repro.bench.<target>.run_bench``.
-BENCH_TARGETS = {
-    "samplers": _BenchTarget(
-        help="loop-vs-vectorized transition sampling benchmark",
-        quick_help="small sizes for CI smoke runs (speedup floor not "
-                   "enforced)",
-        sizes=(("vertices", 10_000, None), _EDGE_FACTOR),
-        gates="parity/speedup",
-        label="sampler",
-    ),
-    "devices": _BenchTarget(
-        help="multi-device sharding scaling benchmark (1/2/4 shards)",
-        quick_help=_QUICK_WORKLOAD,
-        sizes=(
-            ("scale", 12, "rmat scale of the scaling workload"),
-            _EDGE_FACTOR,
-            _WALKS,
-        ),
-        gates="conservation/speedup",
-        label="device",
-    ),
-    "elastic": _BenchTarget(
-        help="elastic-cluster benchmark: heterogeneity-aware assignment "
-             "on skewed specs + mid-run device failure with walk recovery",
-        quick_help=_QUICK_WORKLOAD,
-        sizes=(("scale", 12, _BENCH_SCALE_HELP), _EDGE_FACTOR, _WALKS),
-        gates="conservation/slowdown",
-        label="elastic",
-    ),
-    "backends": _BenchTarget(
-        help="execution-backend benchmark: real numba/multiprocess kernels "
-             "vs the simulated NumPy path, bit-identity + cost-model "
-             "cross-validation",
-        quick_help=_QUICK_WORKLOAD,
-        sizes=(("scale", 13, _BENCH_SCALE_HELP), _EDGE_FACTOR, _WALKS),
-        gates="identity/speedup",
-        label="backend",
-    ),
-    "serve": _BenchTarget(
-        help="sustained-load serving benchmark: open/closed-loop latency "
-             "percentiles + throughput with the coalescing parity gate",
-        quick_help="small workload for CI smoke runs (latency is "
-                   "structural-checked only)",
-        sizes=(
-            ("scale", 10, _BENCH_SCALE_HELP),
-            _EDGE_FACTOR,
-            ("queries", None, "query count (default: workload-sized)"),
-        ),
-        gates="parity/conservation",
-        label="serve",
-    ),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -219,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--sampler", default=None, metavar="NAME",
         help="transition-sampler override for algorithms with configurable "
-             "sampling (see `python -m repro bench samplers` for the "
-             "registry: uniform, alias, inverse, rejection, ...)",
+             "sampling (registry: uniform, alias, inverse, rejection, ...)",
     )
     run.add_argument(
         "--backend", default="simulated", metavar="NAME",
@@ -292,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     exp = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    exp.add_argument("name", choices=sorted(EXPERIMENTS))
+    exp.add_argument("name", choices=sorted(harness.EXPERIMENTS))
 
     report = sub.add_parser(
         "report", help="regenerate all experiments into one markdown file"
@@ -323,30 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=7)
     serve.add_argument("--max-batch-walks", type=int, default=512,
                        help="walk budget of one coalesced batch")
-
-    bench = sub.add_parser(
-        "bench", help="performance microbenchmarks with JSON output"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_target", required=True)
-    for target, spec in BENCH_TARGETS.items():
-        target_parser = bench_sub.add_parser(target, help=spec.help)
-        target_parser.add_argument(
-            "--quick", action="store_true", help=spec.quick_help
-        )
-        for dest, default, size_help in spec.sizes:
-            target_parser.add_argument(
-                "--" + dest.replace("_", "-"),
-                type=int, default=default, help=size_help,
-            )
-        target_parser.add_argument("--seed", type=int, default=7)
-        target_parser.add_argument(
-            "--out", default=f"BENCH_{target}.json",
-            help="results JSON path ('-' to skip the file and print only)",
-        )
-        target_parser.add_argument(
-            "--no-check", action="store_true",
-            help=f"report without failing on {spec.gates} violations",
-        )
 
     lint = sub.add_parser(
         "lint", help="run the repo-specific static-analysis passes"
@@ -611,8 +482,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(name: str) -> int:
-    func, args = EXPERIMENTS[name]
-    rows = func(*args)
+    runner, _ = harness.EXPERIMENTS[name]
+    rows = runner()
     if not rows:
         print("no rows produced")
         return 1
@@ -705,23 +576,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    import importlib
-
-    spec = BENCH_TARGETS[args.bench_target]
-    bench = importlib.import_module(f"repro.bench.{args.bench_target}")
-    sizes = {dest: getattr(args, dest) for dest, _, _ in spec.sizes}
-    results = bench.run_bench(**sizes, seed=args.seed, quick=args.quick)
-    print(bench.format_summary(results))
-    if args.out != "-":
-        harness.write_results(results, args.out)
-        print(f"wrote {args.out}")
-    if not args.no_check and not results["checks"]["all_ok"]:
-        print(f"{spec.label} benchmark checks FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     import os
 
@@ -772,6 +626,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.bench.report import write_report
 
         only = args.only.split(",") if args.only else None
+        unknown = [n for n in only or () if n not in harness.EXPERIMENTS]
+        if unknown:
+            # A typo is a client error (2), not a failed claim (1).
+            print(
+                f"--only: unknown experiment(s) "
+                f"{', '.join(map(repr, unknown))}; choose from "
+                f"{', '.join(harness.EXPERIMENTS)}",
+                file=sys.stderr,
+            )
+            return 2
         failed: List[str] = []
         write_report(args.out, only=only, failed=failed)
         print(f"wrote report to {args.out}")
@@ -781,8 +645,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "serve":
         return cmd_serve(args)
-    if args.command == "bench":
-        return cmd_bench(args)
     if args.command == "lint":
         return cmd_lint(args)
     if args.command == "generate":

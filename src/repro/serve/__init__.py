@@ -8,7 +8,7 @@ completion router demultiplexes finished walks back per request with
 queue/service/total latency accounting (:mod:`repro.serve.session`).
 Coalesced execution is bit-identical per query to a standalone run with
 the same derived seed — the property ``tests/test_serve_parity.py``
-pins and the ``repro bench serve`` parity gate re-checks on every run.
+pins.
 """
 
 from repro.serve.batch import (

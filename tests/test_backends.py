@@ -9,8 +9,6 @@ gates, the registry, the measured-timings surface and the CLI exit
 codes for unavailable backends.
 """
 
-import json
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,6 @@ from repro.backends import (
     make_backend,
 )
 from repro.backends import numba_kernels
-from repro.bench.harness import write_results
 from repro.core.config import EngineConfig
 from repro.core.engine import LightTrafficEngine
 from repro.gpu.kernels import fit_time_scale, relative_errors
@@ -250,33 +247,6 @@ class TestModelFitHelpers:
     def test_relative_errors_skip_zero_measurements(self):
         errors = relative_errors([1.0, 1.0], [0.0, 2.0], 1.0)
         assert errors == pytest.approx([0.5])
-
-
-class TestBenchBackends:
-    def test_quick_bench_payload(self, tmp_path):
-        from repro.bench import backends as bench_backends
-
-        results = bench_backends.run_bench(
-            scale=8, edge_factor=6, walks=200, seed=3, quick=True
-        )
-        checks = results["checks"]
-        assert checks["identity_ok"]
-        assert checks["sanitizer_ok"]
-        assert not checks["speedup_enforced"]
-        assert checks["all_ok"]
-        runs = results["runs"]
-        assert runs["simulated"]["available"]
-        assert runs["multiprocess"]["available"]
-        assert "overall_speedup" in runs["multiprocess"]
-        if not NUMBA_INSTALLED:
-            assert not runs["numba"]["available"]
-            assert "numba" in runs["numba"]["reason"]
-        summary = bench_backends.format_summary(results)
-        assert "execution-backend benchmark" in summary
-        out = tmp_path / "BENCH_backends.json"
-        write_results(results, str(out))
-        payload = json.loads(out.read_text())
-        assert payload["checks"]["identity_ok"]
 
 
 class TestCliSurface:

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.bench.harness import EXPERIMENTS
+from repro.cli import build_parser, main
 from repro.graph.io import load_csr
 
 
@@ -32,7 +33,7 @@ class TestParser:
         } | {
             f"ablation_{sweep}"
             for sweep in ("batch_size", "interconnect", "eviction", "uvm")
-        }
+        } | {"samplers", "devices", "elastic", "backends", "serve"}
         assert set(EXPERIMENTS) == expected
 
 
@@ -283,11 +284,11 @@ class TestRun:
 
 class TestExperimentCommand:
     def test_experiment_prints_rows(self, capsys, monkeypatch):
-        import repro.cli as cli
         from repro.bench import harness
 
         monkeypatch.setitem(
-            cli.EXPERIMENTS, "table3", (lambda: [{"variant": "x", "v": 1}], ())
+            harness.EXPERIMENTS, "table3",
+            (lambda: [{"variant": "x", "v": 1}], "scheduling impact"),
         )
         monkeypatch.delitem(harness.CLAIMS, "table3")
         assert main(["experiment", "table3"]) == 0
@@ -298,11 +299,11 @@ class TestExperimentCommand:
 
     @pytest.mark.parametrize("holds", [True, False])
     def test_experiment_claim_verdict(self, holds, capsys, monkeypatch):
-        import repro.cli as cli
         from repro.bench import harness
 
         monkeypatch.setitem(
-            cli.EXPERIMENTS, "fig12", (lambda: [{"ok": holds}], ())
+            harness.EXPERIMENTS, "fig12",
+            (lambda: [{"ok": holds}], "reshuffle"),
         )
         monkeypatch.setitem(
             harness.CLAIMS, "fig12",
@@ -316,10 +317,28 @@ class TestExperimentCommand:
         )
 
     def test_experiment_empty_rows(self, capsys, monkeypatch):
-        import repro.cli as cli
+        from repro.bench import harness
 
-        monkeypatch.setitem(cli.EXPERIMENTS, "fig3", (lambda: [], ()))
+        monkeypatch.setitem(harness.EXPERIMENTS, "fig3", (lambda: [], "fig3"))
         assert main(["experiment", "fig3"]) == 1
+
+    def test_subsystem_experiment_prints_rows_and_verdict(
+        self, capsys, monkeypatch
+    ):
+        from functools import partial
+
+        from repro.bench import harness
+
+        runner, description = harness.EXPERIMENTS["devices"]
+        monkeypatch.setitem(
+            harness.EXPERIMENTS, "devices",
+            (partial(runner, quick=True), description),
+        )
+        assert main(["experiment", "devices"]) == 0
+        out = capsys.readouterr().out
+        assert "experiment devices" in out
+        assert "walks_migrated" in out
+        assert out.splitlines()[-1] == "claim devices (DESIGN.md §3e): holds"
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -360,6 +379,25 @@ class TestReportCommand:
         assert "claim fig9 (§IV-B): FAILS: LT loses" in captured.out
         assert "claims failed: fig9" in captured.err
         assert "**claim fig9 (§IV-B): FAILS: LT loses**" in out.read_text()
+
+    @pytest.mark.parametrize("only", ["fig99", "table2,", "table2,fig99"])
+    def test_report_rejects_unknown_names_before_running(
+        self, only, tmp_path, capsys, monkeypatch
+    ):
+        from repro.bench import harness
+
+        ran = []
+        monkeypatch.setattr(
+            harness, "EXPERIMENTS",
+            {"table2": (lambda: ran.append(1) or [{"a": 1}], "datasets")},
+        )
+        out = tmp_path / "r.md"
+        assert main(["report", "--out", str(out), "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "unknown experiment" in captured.err
+        assert ran == [] and not out.exists()
 
 
 class TestDatasetsCommand:

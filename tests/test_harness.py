@@ -233,13 +233,3 @@ class TestSystemsTable:
         stats = harness.run_system(engine, 200, sanitize=True)
         assert stats.sanitizer["clean"]
         assert stats.sanitizer["checks"] > 0
-
-    def test_experiment_registries_are_views_of_one_table(self):
-        from repro import cli
-        from repro.bench.report import experiment_registry
-
-        assert experiment_registry() is harness.EXPERIMENTS
-        assert set(cli.EXPERIMENTS) == set(harness.EXPERIMENTS)
-        assert len(harness.EXPERIMENTS) == 19
-        for name, (runner, args) in cli.EXPERIMENTS.items():
-            assert runner is harness.EXPERIMENTS[name][0] and args == ()

@@ -2,7 +2,8 @@
 
 The full-scale claims are ``repro.bench.harness.CLAIMS``, checked on
 every experiment's rows by ``repro report`` (minutes).  Here the cheap
-experiments run live through that table, each mechanism claim is shown to
+experiments run live through that table (the subsystem ones at their
+quick size), each mechanism claim and every subsystem gate is shown to
 fail on a hand-built row set that breaks it, and the headline comparisons
 run on the smallest registry dataset.
 """
@@ -114,6 +115,19 @@ class TestClaimsTable:
         runner, _ = harness.EXPERIMENTS[name]
         assert harness.check_claims(name, runner()) == []
 
+    @pytest.mark.parametrize("name", ["devices", "elastic", "serve"])
+    def test_subsystem_claim_holds_at_quick_size(self, name):
+        runner, _ = harness.EXPERIMENTS[name]
+        assert harness.check_claims(name, runner(quick=True)) == []
+
+    @pytest.mark.parametrize("name, rows", [
+        ("samplers", lambda: sampler_rows(alias_speedup=4.9, quick=True)),
+        ("backends",
+         lambda: backend_rows(multiprocess_speedup=2.9, quick=True)),
+    ])
+    def test_wall_clock_floors_wait_for_full_size(self, name, rows):
+        assert harness.check_claims(name, rows()) == []
+
     def test_every_claim_is_an_experiment(self):
         assert set(harness.CLAIMS) == set(harness.EXPERIMENTS) - {"metrics"}
         assert harness.check_claims("metrics", [{"x": 1}]) is None
@@ -162,6 +176,78 @@ def fig14_rows(uk_pagerank_adaptive=1.05):
     ]
 
 
+def sampler_rows(alias_speedup=12.0, tv_distance=0.01, dead_ends=0,
+                 quick=False):
+    return [
+        {"case": case, "speedup": speedup, "quick": quick}
+        for case, speedup in (
+            ("alias_build", alias_speedup), ("node2vec_step", 30.0)
+        )
+    ] + [
+        {"case": f"parity:{name}", "tv_distance": tv_distance,
+         "tv_bound": 0.03, "dead_ends": dead_ends, "quick": quick}
+        for name in ("alias", "inverse", "rejection")
+    ]
+
+
+def device_rows(top_speedup=2.5, two_clean=True):
+    return [
+        {"devices": devices, "speedup": speedup,
+         "sanitizer_clean": two_clean or devices != 2}
+        for devices, speedup in ((1, 1.0), (2, 2.8), (4, top_speedup))
+    ]
+
+
+def elastic_rows(hetero=1.15, slowdown=0.97, failure_steps=4800,
+                 recovered=156, baseline_clean=True):
+    rows = [
+        {"run": run, "total_steps": 4800, "expected_steps": 4800,
+         "sanitizer_clean": True, "device_failures": 0,
+         "walks_recovered": 0, "hetero_speedup": None,
+         "failure_slowdown": None}
+        for run in ("hetero_aware", "hetero_uniform", "baseline", "failure")
+    ]
+    rows[0]["hetero_speedup"] = hetero
+    rows[2]["sanitizer_clean"] = baseline_clean
+    rows[3].update(total_steps=failure_steps, device_failures=1,
+                   walks_recovered=recovered, failure_slowdown=slowdown)
+    return rows
+
+
+def backend_rows(multiprocess_steps=4800, multiprocess_speedup=3.4,
+                 multiprocess_clean=True, quick=False):
+    simulated = {
+        "backend": "simulated", "available": True, "total_steps": 4800,
+        "iterations": 295, "total_time": 0.0062, "walks_migrated": 0,
+        "sanitizer_clean": True, "overall_speedup": None, "quick": quick,
+    }
+    return [
+        simulated,
+        dict(simulated, backend="multiprocess",
+             total_steps=multiprocess_steps,
+             sanitizer_clean=multiprocess_clean,
+             overall_speedup=multiprocess_speedup),
+        {"backend": "numba", "available": False, "quick": quick},
+    ]
+
+
+def serve_rows(completed=12, clean=True, engines_clean=True,
+               total_p90=2.0, coalesced=6):
+    rows = [
+        {"run": run, "queries": 12, "queries_admitted": 12,
+         "queries_completed": 12, "sanitizer_clean": True,
+         "engine_sanitizers_clean": True, "coalesced_queries": 0,
+         **{f"{series}_{p}": value
+            for series in ("queue", "service", "total")
+            for p, value in (("p50", 1.0), ("p90", 2.0), ("p99", 3.0))}}
+        for run in ("closed-w2", "open-w2", "closed-w8", "open-w8")
+    ]
+    rows[2].update(queries_completed=completed, sanitizer_clean=clean,
+                   engine_sanitizers_clean=engines_clean,
+                   total_p90=total_p90, coalesced_queries=coalesced)
+    return rows
+
+
 class TestMechanismClaimsCanFail:
     """Each row set holds as built and fails with one claim broken."""
 
@@ -174,6 +260,43 @@ class TestMechanismClaimsCanFail:
         ("table3", table3_rows(), table3_rows(ps_iterations=750)),
         # adaptive loses more than 3% to all-explicit
         ("fig14", fig14_rows(), fig14_rows(uk_pagerank_adaptive=0.96)),
+        # the vectorized alias build under 5x its loop reference
+        ("samplers", sampler_rows(), sampler_rows(alias_speedup=4.9)),
+        # a weighted sampler's next hops drift past the TV bound
+        ("samplers", sampler_rows(), sampler_rows(tv_distance=0.031)),
+        # a weighted sampler dead-ends on a vertex with neighbours
+        ("samplers", sampler_rows(), sampler_rows(dead_ends=1)),
+        # four devices under 1.5x one device
+        ("devices", device_rows(), device_rows(top_speedup=1.4)),
+        # a sharded run the sanitizer flags
+        ("devices", device_rows(), device_rows(two_clean=False)),
+        # capability-aware assignment under 1.05x uniform
+        ("elastic", elastic_rows(), elastic_rows(hetero=1.04)),
+        # losing a device costs more than 2.5x
+        ("elastic", elastic_rows(), elastic_rows(slowdown=2.6)),
+        # a walk lost in the failure run
+        ("elastic", elastic_rows(), elastic_rows(failure_steps=4792)),
+        # the failed device's walks not recovered
+        ("elastic", elastic_rows(), elastic_rows(recovered=0)),
+        # a run the sanitizer flags
+        ("elastic", elastic_rows(), elastic_rows(baseline_clean=False)),
+        # a real backend's run differs from the simulated one
+        ("backends", backend_rows(), backend_rows(multiprocess_steps=4799)),
+        # the best real backend under 3x the simulated walk update
+        ("backends", backend_rows(), backend_rows(multiprocess_speedup=2.9)),
+        # a backend run the sanitizer flags
+        ("backends", backend_rows(),
+         backend_rows(multiprocess_clean=False)),
+        # a served request admitted but never completed
+        ("serve", serve_rows(), serve_rows(completed=11)),
+        # the request-conservation sanitizer flags a session
+        ("serve", serve_rows(), serve_rows(clean=False)),
+        # a per-batch engine run the sanitizer flags
+        ("serve", serve_rows(), serve_rows(engines_clean=False)),
+        # latency percentiles out of order
+        ("serve", serve_rows(), serve_rows(total_p90=3.5)),
+        # no run coalesces a single query
+        ("serve", serve_rows(), serve_rows(coalesced=0)),
     ])
     def test_mutant_fails(self, name, rows, mutant):
         assert harness.check_claims(name, rows) == []
