@@ -13,10 +13,20 @@ neighbor inspection beyond the current partition's guarantee, so walks
 consult the host-resident type table (documented deviation; the type array
 is tiny — one byte-scale entry per vertex — and would realistically be
 device-resident).
+
+A step is two gathers and a pick.  The graph's *typed adjacency* — for
+every ``(vertex, type)`` that type's neighbors in CSR order, plus offsets
+— is built once per (graph, type table) and cached on the graph, keyed by
+a digest of the table, so every kernel of every run reuses it and a
+different table can never be served a stale index.  Each lane gathers its
+``(vertex, wanted type)`` slot's offsets and takes neighbor
+``k = min(floor(u * count), count - 1)`` of that slot: a uniform pick among
+the typed neighbors, in CSR order, from one uniform per lane.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,6 +35,40 @@ from repro.algorithms.base import RandomWalkAlgorithm
 from repro.core.prng import seeded_rng
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphPartition
+
+
+#: ``(graph, offsets, targets, width, column of each metapath position)``.
+_TypedIndex = Tuple[CSRGraph, np.ndarray, np.ndarray, int, np.ndarray]
+
+
+def typed_adjacency(
+    graph: CSRGraph, vertex_types: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(kinds, offsets, targets)``: ``graph``'s neighbors grouped by type.
+
+    ``kinds`` are the table's distinct types and ``width = kinds.size + 1``.
+    Slot ``v * width + c`` holds ``v``'s neighbors of type ``kinds[c]``, in
+    CSR order, at ``targets[offsets[slot]:offsets[slot + 1]]``.  Column
+    ``width - 1`` belongs to no type and is always empty.
+    """
+    if graph.num_edges and int(graph.targets.max()) >= vertex_types.size:
+        raise ValueError(
+            f"vertex_types covers {vertex_types.size} vertices "
+            f"but the graph references vertex {int(graph.targets.max())}"
+        )
+    kinds, codes = np.unique(vertex_types, return_inverse=True)
+    width = kinds.size + 1
+    slots = np.repeat(
+        np.arange(graph.num_vertices, dtype=np.int64) * width, graph.degrees()
+    )
+    slots += codes.take(graph.targets)
+    offsets = np.zeros(graph.num_vertices * width + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(slots, minlength=graph.num_vertices * width),
+        out=offsets[1:],
+    )
+    # A stable sort keeps CSR order within each (vertex, type) slot.
+    return kinds, offsets, graph.targets[np.argsort(slots, kind="stable")]
 
 
 class MetapathWalk(RandomWalkAlgorithm):
@@ -51,6 +95,29 @@ class MetapathWalk(RandomWalkAlgorithm):
         self.metapath = np.asarray(metapath, dtype=np.int64)
         self.length = length
         self.early_terminations = 0
+        #: the typed index of the last graph stepped on; the type table is
+        #: read once per graph.
+        self._typed: Optional[_TypedIndex] = None
+
+    def _typed_index(self, graph: Optional[CSRGraph]) -> _TypedIndex:
+        if self._typed is not None and self._typed[0] is graph:
+            return self._typed
+        if graph is None:
+            raise RuntimeError(
+                "MetapathWalk requires host-graph access for the type filter"
+            )
+        table = self.vertex_types
+        kinds, offsets, targets = graph.derived(
+            "typed_adjacency",
+            hashlib.blake2b(table.tobytes(), digest_size=16).digest(),
+            lambda: typed_adjacency(graph, table),
+        )
+        # A wanted type that no vertex has maps to the empty column.
+        pos = np.searchsorted(kinds, self.metapath)
+        hit = kinds.take(pos, mode="clip") == self.metapath
+        codes = np.where(hit, pos, kinds.size)
+        self._typed = (graph, offsets, targets, kinds.size + 1, codes)
+        return self._typed
 
     # ------------------------------------------------------------------
     @property
@@ -82,50 +149,28 @@ class MetapathWalk(RandomWalkAlgorithm):
         rng: np.random.Generator,
         graph: Optional[CSRGraph],
     ) -> Tuple[np.ndarray, np.ndarray]:
+        __, offsets, targets, width, codes = self._typed_index(graph)
         # The required next type cycles with the step count; the start
         # vertex consumed phase 0.
-        phase = (steps + 1) % self.metapath.size
-        wanted = self.metapath[phase]
-        local = vertices - partition.start
-        starts = partition.offsets[local]
-        stops = partition.offsets[local + 1]
-        n = vertices.size
-        new_v = vertices.copy()
-        lengths = stops - starts
-        total = int(lengths.sum())
+        slots = vertices * width
+        slots += codes.take((steps + 1) % self.metapath.size)
+        lo = offsets.take(slots)
+        counts = offsets.take(slots + 1)
+        counts -= lo
         # One uniform per walk regardless of its typed-neighbor count keeps
         # the draw shape data-independent (counter-RNG compatible).
-        u = rng.random(n)
-        if total == 0:
-            stuck = np.ones(n, dtype=bool)
-        else:
-            # Flatten every walk's neighbor list into one ragged gather.
-            walk_idx = np.repeat(np.arange(n, dtype=np.int64), lengths)
-            base = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-            pos = np.arange(total, dtype=np.int64) - base[walk_idx]
-            neighbors = partition.targets[starts[walk_idx] + pos]
-            if int(neighbors.max()) >= self.vertex_types.size:
-                raise ValueError(
-                    f"vertex_types covers {self.vertex_types.size} vertices "
-                    f"but the graph references vertex {int(neighbors.max())}"
-                )
-            typed = self.vertex_types[neighbors] == wanted[walk_idx]
-            counts = np.bincount(walk_idx, weights=typed, minlength=n).astype(
-                np.int64
-            )
-            stuck = counts == 0
-            # Pick the k-th typed neighbor of each walk by rank-selecting
-            # into the running count of typed entries.
-            k = np.minimum(
-                (u * counts).astype(np.int64), np.maximum(counts - 1, 0)
-            )
-            typed_csum = np.cumsum(typed)
-            base_count = np.concatenate(([0], typed_csum))[base]
-            flat_pick = np.searchsorted(
-                typed_csum, base_count + k + 1, side="left"
-            )
-            moved = ~stuck
-            new_v[moved] = neighbors[flat_pick[moved]]
+        u = rng.random(vertices.size)
+        stuck = counts == 0
+        pick = (u * counts).astype(np.int64)
+        np.minimum(pick, counts - 1, out=pick)
+        pick += lo
+        if targets.size:
+            new_v = targets.take(pick, mode="clip")
+        else:  # an edgeless graph: every lane is stuck
+            new_v = vertices.copy()
+        holes = stuck.nonzero()[0]
+        if holes.size:
+            new_v[holes] = vertices[holes]
         self.early_terminations += int(stuck.sum())
         terminated = stuck | (steps + 1 >= self.length)
         return new_v, terminated

@@ -9,10 +9,13 @@ uniform neighbor, accept with the candidate's weight over ``max(1, 1/p,
 1/q)``.
 
 The acceptance classification runs vectorized through
-:class:`~repro.algorithms.transitions.secondorder.SecondOrderAcceptance`
-(binary search over sorted CSR adjacency); the historical per-candidate
-``graph.has_edge`` loop is kept as :meth:`Node2Vec._acceptance_loop` — the
-parity anchor and the ``repro experiment samplers`` before/after baseline.
+:class:`~repro.algorithms.transitions.secondorder.SecondOrderAcceptance`:
+the distance-1 test is one ``searchsorted`` into the graph's sorted edge
+keys (:meth:`~repro.graph.csr.CSRGraph.edges_exist`), an index built once
+per graph and reused by every kernel and every engine run on it.  The
+historical per-candidate ``graph.has_edge`` loop is kept as
+:meth:`Node2Vec._acceptance_loop` — the parity anchor and the ``repro
+experiment samplers`` before/after baseline.
 
 Out-of-memory caveat (documented deviation): the distance test needs the
 *previous* vertex's adjacency, which may live in a different partition.

@@ -15,8 +15,9 @@ subpackage gives the reproduction the same structure:
   (``searchsorted`` on per-vertex weight prefix sums) and
   :class:`RejectionTransition` (propose uniform, accept ``w / w_max``).
 * :mod:`~repro.algorithms.transitions.secondorder` — the node2vec
-  acceptance kernel: candidate classification via vectorized binary search
-  over sorted CSR adjacency instead of per-candidate ``graph.has_edge``.
+  acceptance kernel: candidate classification is one ``searchsorted``
+  into the graph's edge keys (built once per graph) instead of
+  per-candidate ``graph.has_edge``.
 * A registry (:func:`make_sampler`, :func:`available_samplers`) the
   algorithms, :class:`~repro.core.config.EngineConfig` and the CLI select
   samplers through; every system (LightTraffic engine and the
@@ -45,10 +46,7 @@ from repro.algorithms.transitions.alias import (
 )
 from repro.algorithms.transitions.inverse import InverseTransformTransition
 from repro.algorithms.transitions.rejection import RejectionTransition
-from repro.algorithms.transitions.secondorder import (
-    SecondOrderAcceptance,
-    csr_edges_exist,
-)
+from repro.algorithms.transitions.secondorder import SecondOrderAcceptance
 
 __all__ = [
     "TransitionSampler",
@@ -66,5 +64,4 @@ __all__ = [
     "InverseTransformTransition",
     "RejectionTransition",
     "SecondOrderAcceptance",
-    "csr_edges_exist",
 ]

@@ -5,14 +5,10 @@ the walk's *previous* vertex: return (distance 0), common neighbor
 (distance 1) or outward (distance 2).  The distance-1 test is an edge-
 existence query ``(prev, candidate)``; the historical implementation
 (`Node2Vec._acceptance`) issued one Python-level ``graph.has_edge`` call
-per candidate.  :func:`csr_edges_exist` answers a whole batch with a
-lock-step binary search over the sorted CSR rows: all lanes carry their
-own ``[lo, hi)`` range and halve it together, so a batch costs
-O(log d_max) vectorized rounds instead of |batch| interpreter round trips.
-
-Rows are sorted by the repo's graph builders; sortedness is verified once
-per graph and the per-candidate ``has_edge`` loop is kept as the fallback
-for hand-built unsorted inputs.
+per candidate.  Here a whole batch is one ``np.searchsorted`` into the
+graph's sorted edge keys ``source * |V| + target``
+(:meth:`~repro.graph.csr.CSRGraph.edges_exist`), built once per graph and
+shared by every kernel of every run on it, whatever the row order.
 """
 
 from __future__ import annotations
@@ -21,46 +17,6 @@ import numpy as np
 
 from repro.algorithms.transitions.registry import SAMPLER_SECOND_ORDER
 from repro.graph.csr import CSRGraph
-
-
-def csr_edges_exist(
-    offsets: np.ndarray,
-    targets: np.ndarray,
-    sources: np.ndarray,
-    queries: np.ndarray,
-) -> np.ndarray:
-    """Vectorized membership test: is ``queries[i]`` in row ``sources[i]``?
-
-    Requires every CSR row to be sorted ascending.  All lanes binary-search
-    their own row in lock step.
-    """
-    lo = offsets[sources].astype(np.int64)
-    hi = offsets[sources + 1].astype(np.int64)
-    row_end = hi.copy()
-    active = lo < hi
-    while active.any():
-        mid = (lo + hi) >> 1
-        vals = targets[np.where(active, mid, 0)]
-        go_right = active & (vals < queries)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-        active = lo < hi
-    found = lo < row_end
-    found &= targets[np.where(found, lo, 0)] == queries
-    return found
-
-
-def rows_sorted(offsets: np.ndarray, targets: np.ndarray) -> bool:
-    """Whether every CSR row's neighbor list is sorted ascending."""
-    if targets.size < 2:
-        return True
-    nondecreasing = targets[1:] >= targets[:-1]
-    # Positions where a new row starts are exempt from the comparison.
-    boundary = np.zeros(targets.size - 1, dtype=bool)
-    inner = offsets[1:-1]
-    inner = inner[(inner > 0) & (inner < targets.size)]
-    boundary[inner - 1] = True
-    return bool(np.all(nondecreasing | boundary))
 
 
 class SecondOrderAcceptance:
@@ -81,15 +37,6 @@ class SecondOrderAcceptance:
         self.w_return = 1.0 / return_param
         self.w_inout = 1.0 / inout_param
         self.ceiling = max(1.0, self.w_return, self.w_inout)
-        self._sorted_for = None  # (graph, rows_sorted) of the last graph seen
-
-    def _graph_rows_sorted(self, graph: CSRGraph) -> bool:
-        cached = self._sorted_for
-        if cached is not None and cached[0] is graph:
-            return cached[1]
-        flag = rows_sorted(graph.offsets, graph.targets)
-        self._sorted_for = (graph, flag)
-        return flag
 
     def acceptance(
         self,
@@ -104,21 +51,8 @@ class SecondOrderAcceptance:
         first_step = prev < 0
         is_return = candidates == prev
         # Edge existence only matters for lanes that are neither; give the
-        # search a safe source for first-step lanes (prev == -1).
-        safe_prev = np.where(first_step, 0, prev)
-        if self._graph_rows_sorted(graph):
-            exists = csr_edges_exist(
-                graph.offsets, graph.targets, safe_prev, candidates
-            )
-        else:  # pragma: no cover - builders always sort; hand-built escape
-            exists = np.fromiter(
-                (
-                    graph.has_edge(int(s), int(c))
-                    for s, c in zip(safe_prev, candidates)
-                ),
-                dtype=bool,
-                count=candidates.size,
-            )
+        # test a safe source for first-step lanes (prev == -1).
+        exists = graph.edges_exist(np.where(first_step, 0, prev), candidates)
         return np.where(
             first_step,
             1.0,

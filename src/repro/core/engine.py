@@ -139,8 +139,12 @@ class LightTrafficEngine:
             algorithm.set_transition_sampler(config.sampler)
         self.trace = trace
         self.bus = bus
-        self.partitioned = partitioned or partition_by_range(
-            graph, config.partition_bytes
+        # One range partitioning per (graph, block size): engines built
+        # without ``partitioned`` share the graph's cached one.
+        self.partitioned = partitioned or graph.derived(
+            "range_partition",
+            config.partition_bytes,
+            lambda: partition_by_range(graph, config.partition_bytes),
         )
         self.kernel_model = KernelModel(config.device, config.calibration)
         self.pcie = resolve_interconnect(config.interconnect)

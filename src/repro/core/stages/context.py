@@ -20,7 +20,7 @@ from repro.core.adaptive import AdaptivePolicy
 from repro.core.config import EngineConfig
 from repro.core.events import EventBus
 from repro.core.scheduler import Scheduler
-from repro.gpu.kernels import KernelModel
+from repro.gpu.kernels import KernelModel, update_coefficients
 from repro.gpu.memory import BlockPool
 from repro.gpu.pcie import PCIeSpec
 from repro.gpu.timeline import Stream, Timeline
@@ -125,24 +125,21 @@ class StageContext:
         """Walk-update kernel duration for ``steps`` over ``rounds`` passes.
 
         Per-partition coefficients (latency per round, 1/steprate) are
-        cached because partition sizes — and the algorithm's transition
-        sampler, whose per-step cycles the model charges — are static for
-        the whole run.
+        cached per run because partition sizes — and the algorithm's
+        transition sampler, whose per-step cycles the model charges — are
+        static for the whole run; :func:`update_coefficients` keeps them
+        across runs.
         """
         if steps == 0:
             return 0.0
         coeff = self._kernel_coeff.get(part_idx)
         if coeff is None:
-            nbytes = self.pgraph.partitions[part_idx].nbytes
-            cal = self.config.calibration
-            sampler = getattr(self.algorithm, "transition_sampler", "uniform")
-            lat = cal.sim_scale * self.kernel_model.device.cycles_to_seconds(
-                self.kernel_model.step_cycles(nbytes, sampler)
+            self._kernel_coeff[part_idx] = coeff = update_coefficients(
+                self.kernel_model.device,
+                self.kernel_model.calibration,
+                self.pgraph.partitions[part_idx].nbytes,
+                getattr(self.algorithm, "transition_sampler", "uniform"),
             )
-            inv_rate = 1.0 / self.kernel_model.steps_per_second(
-                nbytes, sampler
-            )
-            self._kernel_coeff[part_idx] = coeff = (lat, inv_rate)
         return max(rounds * coeff[0], steps * coeff[1])
 
     # ------------------------------------------------------------------

@@ -17,9 +17,10 @@ that grows with the number of partitions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.core.units import Cycles, Seconds, StepsPerSecond
 from repro.gpu.calibration import Calibration, DEFAULT_CALIBRATION
@@ -222,6 +223,27 @@ class KernelModel:
             total_steps * cal.subway_step_cycles / cal.subway_lane_count
         )
         return Seconds(max(latency_bound, throughput_bound))
+
+
+@functools.lru_cache(maxsize=4096)
+def update_coefficients(
+    device: DeviceSpec,
+    calibration: Calibration,
+    partition_bytes: int,
+    sampler: str = "uniform",
+) -> Tuple[float, float]:
+    """``(seconds per kernel round, seconds per step)`` of one partition.
+
+    A walk-update kernel of ``steps`` over ``rounds`` lasts the larger of
+    ``rounds`` latencies and ``steps`` reciprocal step rates.  Both are
+    pure functions of the arguments, so they are cached across engine
+    runs (frozen specs hash by value).
+    """
+    model = KernelModel(device, calibration)
+    latency = calibration.sim_scale * device.cycles_to_seconds(
+        model.step_cycles(partition_bytes, sampler)
+    )
+    return latency, 1.0 / model.steps_per_second(partition_bytes, sampler)
 
 
 # ----------------------------------------------------------------------

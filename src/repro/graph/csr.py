@@ -12,7 +12,17 @@ edge entries are 8 bytes, so the CSR size of a graph is
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -22,6 +32,8 @@ from repro.core.units import Bytes
 VERTEX_ENTRY_BYTES = 8
 #: Bytes used per edge-array entry when accounting CSR sizes.
 EDGE_ENTRY_BYTES = 8
+
+T = TypeVar("T")
 
 
 class CSRGraph:
@@ -39,9 +51,13 @@ class CSRGraph:
         weights; ``None`` for unweighted graphs.
     name:
         optional human-readable label used by the dataset registry.
+
+    Indexes derived from the arrays (node2vec's edge keys, metapath's typed
+    adjacency, the engine's range partitioning) are built once per graph
+    through :meth:`derived` and reused by every kernel and engine run.
     """
 
-    __slots__ = ("offsets", "targets", "weights", "name")
+    __slots__ = ("offsets", "targets", "weights", "name", "_derived")
 
     def __init__(
         self,
@@ -78,6 +94,7 @@ class CSRGraph:
         self.targets = targets
         self.weights = weights
         self.name = name
+        self._derived: Dict[str, Tuple[Hashable, Any]] = {}
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -176,6 +193,51 @@ class CSRGraph:
         targets = self.targets[lo:hi]
         weights = None if self.weights is None else self.weights[lo:hi]
         return offsets, targets, weights
+
+    # ------------------------------------------------------------------
+    # Derived indexes
+    # ------------------------------------------------------------------
+    def derived(self, kind: str, key: Hashable, build: Callable[[], T]) -> T:
+        """The ``kind`` index of this graph for ``key``, built on a miss.
+
+        An index is a function of the graph's (immutable) arrays and of
+        ``key``.  Each kind holds one entry: asking for another key
+        rebuilds and replaces it, so memory stays bounded by the number
+        of kinds and a stale key can never be served.  A value that refers
+        back to the graph (a partitioning) forms a reference cycle, which
+        the cyclic collector frees together with the graph.
+        """
+        entry = self._derived.get(kind)
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        value = build()
+        self._derived[kind] = (key, value)
+        return value
+
+    def edges_exist(
+        self, sources: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        """Vectorized :meth:`has_edge`: one ``searchsorted`` per batch.
+
+        The index is the sorted ``int64`` keys ``source * |V| + target``,
+        built once per graph.  The builders sort rows, so the keys come
+        out sorted; hand-built rows in any order are sorted once.
+        """
+        keys = self.derived("edge_keys", None, self._edge_keys)
+        queries = np.asarray(sources, dtype=np.int64) * self.num_vertices
+        queries += targets
+        if keys.size == 0:
+            return np.zeros(queries.shape, dtype=bool)
+        found = keys.take(np.searchsorted(keys, queries), mode="clip")
+        return found == queries
+
+    def _edge_keys(self) -> np.ndarray:
+        n = self.num_vertices
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, self.degrees())
+        keys += self.targets
+        if keys.size > 1 and not bool(np.all(keys[1:] >= keys[:-1])):
+            keys.sort()
+        return keys
 
     # ------------------------------------------------------------------
     # Misc

@@ -19,7 +19,7 @@ let the memory pool allocate an oversized block, mirroring the YH caveat in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -44,6 +44,9 @@ class GraphPartition:
         edge array slice; targets keep global vertex ids.
     weights:
         optional weight slice aligned with ``targets``.
+    nbytes:
+        CSR bytes of this partition (paper's ``S_p``), computed once at
+        construction.
     """
 
     index: int
@@ -52,6 +55,16 @@ class GraphPartition:
     offsets: np.ndarray
     targets: np.ndarray
     weights: Optional[np.ndarray] = None
+    nbytes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        edge_bytes = EDGE_ENTRY_BYTES * (1 if self.weights is None else 2)
+        object.__setattr__(
+            self,
+            "nbytes",
+            VERTEX_ENTRY_BYTES * (self.num_vertices + 1)
+            + edge_bytes * self.num_edges,
+        )
 
     @property
     def num_vertices(self) -> int:
@@ -60,15 +73,6 @@ class GraphPartition:
     @property
     def num_edges(self) -> int:
         return int(self.targets.size)
-
-    @property
-    def nbytes(self) -> int:
-        """CSR bytes of this partition (paper's ``S_p``)."""
-        size = VERTEX_ENTRY_BYTES * (self.num_vertices + 1)
-        size += EDGE_ENTRY_BYTES * self.num_edges
-        if self.weights is not None:
-            size += EDGE_ENTRY_BYTES * self.num_edges
-        return size
 
     def contains(self, vertex: int) -> bool:
         return self.start <= vertex < self.stop
@@ -172,33 +176,24 @@ def partition_by_range(graph: CSRGraph, block_bytes: int) -> PartitionedGraph:
         raise ValueError("cannot partition an empty graph")
 
     weight_per_edge = EDGE_ENTRY_BYTES * (2 if graph.is_weighted else 1)
+    # bytes(start, stop) = 8*(stop-start+1) + w*(off[stop]-off[start])
+    #                    = prefix[stop] - prefix[start] + 8
+    # over the strictly increasing prefix[i] = 8*i + w*off[i], so the
+    # largest stop that fits is one searchsorted per partition.
+    prefix = weight_per_edge * graph.offsets
+    prefix += VERTEX_ENTRY_BYTES * np.arange(
+        graph.num_vertices + 1, dtype=np.int64
+    )
+    budget = block_bytes - VERTEX_ENTRY_BYTES
     boundaries = [0]
     start = 0
     while start < graph.num_vertices:
-        # Find the largest stop such that the CSR slice fits in block_bytes:
-        # bytes(start, stop) = 8*(stop-start+1) + weight_per_edge*(off[stop]-off[start]).
-        edge_budget_base = graph.offsets[start]
-
-        def fits(stop: int) -> bool:
-            nbytes = VERTEX_ENTRY_BYTES * (stop - start + 1)
-            nbytes += weight_per_edge * int(graph.offsets[stop] - edge_budget_base)
-            return nbytes <= block_bytes
-
-        if not fits(start + 1):
-            stop = start + 1  # oversized singleton
-        else:
-            # Binary search for the largest stop that still fits, keeping the
-            # partitioning O(P log |V|).
-            lo, hi = start + 1, graph.num_vertices
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if fits(mid):
-                    lo = mid
-                else:
-                    hi = mid - 1
-            stop = lo
-        boundaries.append(stop)
-        start = stop
+        stop = int(
+            np.searchsorted(prefix, prefix[start] + budget, side="right")
+        ) - 1
+        # A vertex whose own edges exceed the budget is a singleton.
+        start = max(stop, start + 1)
+        boundaries.append(start)
 
     partitions: List[GraphPartition] = []
     for i in range(len(boundaries) - 1):

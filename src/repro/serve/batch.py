@@ -276,7 +276,9 @@ def run_standalone(
     lane.  Non-coalescible queries (node2vec) run sequentially; the
     serve path executes them through this very function, so parity is
     by construction.  ``partitioned`` is ``graph`` already partitioned
-    at ``config.partition_bytes``; the engine partitions it otherwise.
+    at ``config.partition_bytes``; otherwise the engine reuses the graph's
+    cached partitioning at that size, so only the first query on a graph
+    partitions it.
     """
     algorithm = RecordingAlgorithm(
         query.make_algorithm(graph, vertex_types), query.walks

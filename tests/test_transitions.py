@@ -12,11 +12,9 @@ from repro.algorithms.transitions import (
     SAMPLER_UNIFORM,
     available_samplers,
     build_alias_tables,
-    csr_edges_exist,
     make_sampler,
     register_sampler,
 )
-from repro.algorithms.transitions.secondorder import rows_sorted
 from repro.algorithms.uniform import UniformSampling
 from repro.baselines.inmemory_cpu import whole_graph_partition
 from repro.core.config import EngineConfig
@@ -205,7 +203,6 @@ class TestDistributions:
 class TestSecondOrder:
     def test_edges_exist_matches_has_edge(self):
         g = generators.rmat(scale=8, edge_factor=5, seed=13)
-        assert rows_sorted(g.offsets, g.targets)
         rng = np.random.default_rng(7)
         sources = rng.integers(0, g.num_vertices, size=3_000)
         # Half random queries, half guaranteed hits.
@@ -214,7 +211,7 @@ class TestSecondOrder:
         hit = degs > 0
         first = g.targets[g.offsets[sources[hit]]]
         queries[np.nonzero(hit)[0][::2]] = first[::2]
-        got = csr_edges_exist(g.offsets, g.targets, sources, queries)
+        got = g.edges_exist(sources, queries)
         expected = np.fromiter(
             (g.has_edge(int(s), int(q)) for s, q in zip(sources, queries)),
             dtype=bool,
