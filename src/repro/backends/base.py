@@ -16,13 +16,12 @@ House rule ``no-simulated-time-in-backends``: modules in this package
 must never import :mod:`repro.gpu.timeline` or :mod:`repro.gpu.device`
 — the measured path may not consume simulated clocks.
 
-Real backends (numba, multiprocess) replay the engine bit-identically
+The real backend (``multiprocess``) replays the engine bit-identically
 because the counter RNG (:class:`~repro.core.prng.CounterRNG`) derives
 every draw from ``(seed, walk_id, step, draw_index)`` alone: any
-execution order — scalar per-lane loops, interleaved blocks, or
-whole-trajectory precompute — produces the same trajectories.  They
-therefore require ``rng_mode="counter"`` and a lock-step algorithm
-(:func:`require_lockstep_algorithm`).
+execution order, whole-trajectory precompute included, produces the
+same trajectories.  It therefore requires ``rng_mode="counter"`` and a
+lock-step algorithm (:func:`require_lockstep_algorithm`).
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphPartition, PartitionedGraph
 from repro.walks.reshuffle import group_order
 from repro.walks.state import WalkArrays
-
-
-class BackendUnavailable(RuntimeError):
-    """A registered backend cannot run here (missing optional dependency)."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ class MeasuredTimings:
     """Accumulated real wall-clock of one backend over one run.
 
     ``setup_seconds`` is one-off preparation (worker forks, trajectory
-    precompute, JIT warm-up); ``walk_update_seconds`` sums the per-kernel
+    precompute); ``walk_update_seconds`` sums the per-kernel
     records; ``group_seconds`` is reshuffle grouping.  All values are
     measured with ``time.perf_counter`` — never simulated time.
     """

@@ -32,7 +32,6 @@ from repro.algorithms.base import BatchRunResult, uniform_neighbors
 from repro.algorithms.transitions import SAMPLER_UNIFORM, make_sampler
 from repro.algorithms.transitions.base import TransitionSampler
 from repro.backends.base import ExecutionBackend, require_lockstep_algorithm
-from repro.backends.registry import BACKEND_MULTIPROCESS, register_backend
 from repro.core.config import EngineConfig
 from repro.core.prng import CounterRNG
 from repro.graph.csr import CSRGraph
@@ -47,7 +46,7 @@ _MAX_SHARED_BYTES = 4 << 30
 class MultiprocessBackend(ExecutionBackend):
     """Shared-memory trajectory precompute with one worker per shard."""
 
-    name = BACKEND_MULTIPROCESS
+    name = "multiprocess"
 
     def __init__(self) -> None:
         super().__init__()
@@ -325,6 +324,3 @@ class MultiprocessBackend(ExecutionBackend):
                 shm.unlink()
             except (FileNotFoundError, BufferError):  # pragma: no cover
                 pass
-
-
-register_backend(BACKEND_MULTIPROCESS, MultiprocessBackend)

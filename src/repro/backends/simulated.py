@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.algorithms.base import BatchRunResult
 from repro.backends.base import ExecutionBackend
-from repro.backends.registry import BACKEND_SIMULATED, register_backend
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphPartition
 from repro.walks.state import WalkArrays
@@ -27,7 +26,7 @@ from repro.walks.state import WalkArrays
 class SimulatedBackend(ExecutionBackend):
     """NumPy interpreter execution (the historical inline path)."""
 
-    name = BACKEND_SIMULATED
+    name = "simulated"
 
     def advance(
         self,
@@ -46,6 +45,3 @@ class SimulatedBackend(ExecutionBackend):
             partition, lanes, result, time.perf_counter() - started
         )
         return result
-
-
-register_backend(BACKEND_SIMULATED, SimulatedBackend)

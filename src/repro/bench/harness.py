@@ -38,6 +38,7 @@ from repro.algorithms.transitions import (
     build_alias_tables,
     make_sampler,
 )
+from repro.backends import available_backends
 from repro.baselines import (
     FlashMobEngine,
     MultiRoundEngine,
@@ -1245,25 +1246,17 @@ def execution_backends(
     A real backend must reproduce the ``simulated`` run's facts exactly.
     ``overall_speedup`` is the simulated interpreter's walk-update wall
     time over the backend's walk-update plus setup (worker forks,
-    trajectory precompute, JIT warm-up) wall time; ``kernel_speedup``
-    leaves setup out.  Each backend's run is the fastest of 3 (1 under
-    ``quick``).  The analytic kernel model is fitted to the measured
-    per-kernel times with one scale; its residual errors judge shape.
+    trajectory precompute) wall time; ``kernel_speedup`` leaves setup
+    out.  Each backend's run is the fastest of 3 (1 under ``quick``).
+    The analytic kernel model is fitted to the measured per-kernel times
+    with one scale; its residual errors judge shape.
     """
-    # Imported here: the probe for the optional numba package stays off
-    # the import of this module, which every CLI command and perf
-    # workload loads.
-    from repro.backends.numba_kernels import NUMBA_AVAILABLE
-
     graph, walks, length = _rmat_workload(
         scale, edge_factor, walks, seed, quick, full_length=32
     )
     rows: List[dict] = []
-    for name in ("simulated", "multiprocess", "numba"):
-        row: dict = {"backend": name, "available": False}
-        if name == "numba" and not NUMBA_AVAILABLE:
-            rows.append(row)
-            continue
+    # The simulated baseline first, then every real backend.
+    for name in sorted(available_backends(), key=lambda n: n != "simulated"):
         # Larger batches than the other experiments at full size: this one
         # compares kernel throughput, not per-call dispatch; the walk pool
         # stays below the workload so eviction is still exercised.
@@ -1284,8 +1277,8 @@ def execution_backends(
         )
         measured: Any = best.measured
         model = KernelModel(config.device, config.calibration)
-        row.update(
-            available=True,
+        rows.append(dict(
+            backend=name,
             total_steps=best.total_steps,
             iterations=best.iterations,
             total_time=best.total_time,
@@ -1296,17 +1289,16 @@ def execution_backends(
             walk_update_wall_s=measured["walk_update_seconds"],
             group_wall_s=measured["group_seconds"],
             **_kernel_model_fit(best, model),
-        )
-        rows.append(row)
+        ))
     base_update = rows[0]["walk_update_wall_s"]
     for row in rows:
-        available = row["available"] and row["backend"] != "simulated"
+        real = row is not rows[0]
         row["kernel_speedup"] = (
-            base_update / row["walk_update_wall_s"] if available else None
+            base_update / row["walk_update_wall_s"] if real else None
         )
         row["overall_speedup"] = (
             base_update / (row["walk_update_wall_s"] + row["setup_wall_s"])
-            if available else None
+            if real else None
         )
         row["quick"] = quick
     return rows
@@ -1875,8 +1867,7 @@ def _check_elastic(rows: List[dict]) -> List[str]:
 
 
 def _check_backends(rows: List[dict]) -> List[str]:
-    base = rows[0]
-    real = [r for r in rows[1:] if r["available"]]
+    base, *real = rows
     if base["backend"] != "simulated" or not real:
         return ["the simulated baseline and at least one real backend"]
     identity = (

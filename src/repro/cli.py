@@ -74,6 +74,7 @@ import json
 import sys
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
+from repro.backends import available_backends
 from repro.bench import harness, reporting
 from repro.bench.workloads import DATASETS, load_dataset, standard_walks
 
@@ -118,13 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
              "sampling (registry: uniform, alias, inverse, rejection, ...)",
     )
     run.add_argument(
-        "--backend", default="simulated", metavar="NAME",
+        "--backend", choices=available_backends(), default="simulated",
         help="execution backend for the kernel inner loops (lighttraffic "
-             "only): 'simulated' is the historical NumPy path; 'numba' and "
-             "'multiprocess' run real JIT/shared-memory kernels that stay "
-             "bit-identical to it (they force the counter-based RNG); "
-             "validated against the backend registry so plugin-registered "
-             "names work too",
+             "only): 'simulated' is the historical NumPy path; "
+             "'multiprocess' precomputes trajectories in shared-memory "
+             "workers and stays bit-identical to it (it forces the "
+             "counter-based RNG)",
     )
     run.add_argument("--walks", type=int, default=None,
                      help="walk count (default: 2|V|)")
@@ -334,35 +334,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         ("--backend", args.backend != "simulated", "backend"),
     ) + tuple((flag, used, "devices") for flag, used in cluster_flags)
     for flag, used, capability in flag_rows:
-        if not used:
-            continue
-        if flag == "--backend":
-            from repro.backends.registry import available_backends
-
-            registered = available_backends()
-            if args.backend not in registered:
-                print(
-                    f"--backend {args.backend!r} is not a registered "
-                    f"backend; registered backends: {', '.join(registered)}",
-                    file=sys.stderr,
-                )
-                return 2
-        if capability not in supports:
+        if used and capability not in supports:
             return _unsupported_engine(
                 flag, args.system, _systems_supporting(capability)
             )
-    if args.backend == "numba":
-        from repro.backends.numba_kernels import NUMBA_AVAILABLE
-
-        if not NUMBA_AVAILABLE:
-            # Same stdout/stderr contract as _unsupported_engine.
-            print(
-                "--backend numba is not available in this environment: "
-                "the optional numba package is not installed; use "
-                "--backend multiprocess or --backend simulated",
-                file=sys.stderr,
-            )
-            return 2
     for flag, used in cluster_flags:
         if used and args.devices <= 1:
             print(f"{flag} requires --devices > 1", file=sys.stderr)

@@ -208,9 +208,9 @@ class EngineConfig:
     record_ops: bool = False
     #: execution backend running the kernel inner loops: ``simulated``
     #: (vectorized NumPy, the default and the only one usable with
-    #: ``rng_mode="sequential"``), ``numba`` or ``multiprocess`` (real
-    #: substrates; require the counter RNG so trajectories stay
-    #: bit-identical to the simulated path).
+    #: ``rng_mode="sequential"``) or ``multiprocess`` (shared-memory
+    #: trajectory precompute; requires the counter RNG so trajectories
+    #: stay bit-identical to the simulated path).
     backend: str = "simulated"
 
     def __post_init__(self) -> None:
@@ -290,7 +290,7 @@ class EngineConfig:
         if self.rebalance_cooldown < 1:
             raise ValueError("rebalance_cooldown must be >= 1")
         if self.backend != "simulated":
-            # Deferred import: the backend registry depends on config.
+            # Deferred import: the backends depend on config.
             from repro.backends import available_backends
 
             if self.backend not in available_backends():

@@ -92,6 +92,19 @@ from repro.walks.reshuffle import (
 from repro.walks.state import WalkArrays
 
 
+def range_partition(
+    graph: CSRGraph, partition_bytes: int
+) -> PartitionedGraph:
+    """The graph's range partitioning into ``partition_bytes`` blocks,
+    built once per (graph, block size) and cached on the graph: every
+    engine built without ``partitioned`` and every serve session share it."""
+    return graph.derived(
+        "range_partition",
+        partition_bytes,
+        lambda: partition_by_range(graph, partition_bytes),
+    )
+
+
 class Shard:
     """One device's context plus its pipeline stage instances."""
 
@@ -139,12 +152,8 @@ class LightTrafficEngine:
             algorithm.set_transition_sampler(config.sampler)
         self.trace = trace
         self.bus = bus
-        # One range partitioning per (graph, block size): engines built
-        # without ``partitioned`` share the graph's cached one.
-        self.partitioned = partitioned or graph.derived(
-            "range_partition",
-            config.partition_bytes,
-            lambda: partition_by_range(graph, config.partition_bytes),
+        self.partitioned = partitioned or range_partition(
+            graph, config.partition_bytes
         )
         self.kernel_model = KernelModel(config.device, config.calibration)
         self.pcie = resolve_interconnect(config.interconnect)

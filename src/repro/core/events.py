@@ -30,7 +30,6 @@ totals.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Type
 
@@ -308,12 +307,18 @@ EVENT_TYPES = (
     RunCompleted,
 )
 
-_SNAKE_RE = re.compile(r"(?<!^)(?=[A-Z])")
-
-
-def _handler_name(event_type: Type[EngineEvent]) -> str:
-    """``KernelDispatched`` → ``on_kernel_dispatched``."""
-    return "on_" + _SNAKE_RE.sub("_", event_type.__name__).lower()
+#: ``(event type, subscriber method name)`` per event type, e.g.
+#: ``KernelDispatched`` → ``on_kernel_dispatched`` (drives attach/detach).
+_HANDLER_NAMES = tuple(
+    (
+        event_type,
+        "on" + "".join(
+            "_" + char.lower() if char.isupper() else char
+            for char in event_type.__name__
+        ),
+    )
+    for event_type in EVENT_TYPES
+)
 
 
 class EventBus:
@@ -367,8 +372,8 @@ class EventBus:
     def attach(self, subscriber: Any) -> Any:
         """Bind every ``on_<event>`` method of ``subscriber``; returns it."""
         bound = 0
-        for event_type in EVENT_TYPES:
-            method = getattr(subscriber, _handler_name(event_type), None)
+        for event_type, name in _HANDLER_NAMES:
+            method = getattr(subscriber, name, None)
             if callable(method):
                 self.subscribe(event_type, method)
                 bound += 1
@@ -380,8 +385,8 @@ class EventBus:
 
     def detach(self, subscriber: Any) -> None:
         """Remove every handler previously bound by :meth:`attach`."""
-        for event_type in EVENT_TYPES:
-            method = getattr(subscriber, _handler_name(event_type), None)
+        for event_type, name in _HANDLER_NAMES:
+            method = getattr(subscriber, name, None)
             if callable(method):
                 handlers = self._handlers.get(event_type)
                 if handlers and method in handlers:

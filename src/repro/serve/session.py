@@ -40,13 +40,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import EngineConfig
-from repro.core.engine import LightTrafficEngine
+from repro.core.engine import LightTrafficEngine, range_partition
 from repro.core.events import EventBus, QueryAdmitted, QueryCompleted, RunCompleted
 from repro.core.metrics import MetricsCollector
 from repro.core.prng import derive_seed, seeded_rng
 from repro.core.stats import RunStats
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import partition_by_range
 from repro.serve.batch import CoalescedBatch, run_standalone
 from repro.serve.queries import (
     KIND_METAPATH,
@@ -226,11 +225,10 @@ class ServeSession:
             raise ValueError("max_batch_walks must be >= 1")
         self.max_batch_walks = max_batch_walks
         self.vertex_types = vertex_types
-        #: the graph partitioned once; every engine run of the session
-        #: shares it (batches only change the seed and the RNG mode).
-        self.partitioned = partition_by_range(
-            graph, self.config.partition_bytes
-        )
+        #: the graph's cached partitioning; every engine run of the session
+        #: and every solo run on the graph share it (batches only change
+        #: the seed and the RNG mode).
+        self.partitioned = range_partition(graph, self.config.partition_bytes)
 
     # ------------------------------------------------------------------
     def _submissions(

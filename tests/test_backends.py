@@ -1,12 +1,10 @@
 """Execution backends (:mod:`repro.backends`).
 
-Conformance matrix: every real backend (numba pure-Python kernels via a
-forced availability flag, multiprocess shared-memory precompute, and —
-when the optional dependency is installed — real JIT numba) must
-reproduce the ``simulated`` baseline bit-identically across transition
-samplers and device counts, sanitizer-clean.  Plus the replayability
-gates, the registry, the measured-timings surface and the CLI exit
-codes for unavailable backends.
+Conformance matrix: the real backend (multiprocess shared-memory
+precompute) must reproduce the ``simulated`` baseline bit-identically
+across transition samplers and device counts, sanitizer-clean.  Plus
+the replayability gates, the backend table, the measured-timings
+surface and the CLI exit codes for unknown backends.
 """
 
 import numpy as np
@@ -16,13 +14,10 @@ from repro import cli
 from repro.algorithms import PageRank, UniformSampling
 from repro.backends import (
     BACKEND_MULTIPROCESS,
-    BACKEND_NUMBA,
     BACKEND_SIMULATED,
-    BackendUnavailable,
     available_backends,
     make_backend,
 )
-from repro.backends import numba_kernels
 from repro.core.config import EngineConfig
 from repro.core.engine import LightTrafficEngine
 from repro.gpu.kernels import fit_time_scale, relative_errors
@@ -30,8 +25,7 @@ from repro.graph import generators
 from repro.graph.partition import partition_by_range
 from repro.walks.state import WalkArrays
 
-NUMBA_INSTALLED = numba_kernels.NUMBA_AVAILABLE
-REAL_BACKENDS = (BACKEND_NUMBA, BACKEND_MULTIPROCESS)
+REAL_BACKENDS = (BACKEND_MULTIPROCESS,)
 SAMPLERS = ("uniform", "alias", "inverse")
 
 #: Run facts that must match the simulated baseline exactly.
@@ -43,12 +37,6 @@ IDENTITY_FIELDS = (
     "explicit_copies",
     "walk_batches_evicted",
 )
-
-
-def force_numba(monkeypatch):
-    """Exercise the numba kernels' pure-Python path when numba is absent."""
-    if not NUMBA_INSTALLED:
-        monkeypatch.setattr(numba_kernels, "NUMBA_AVAILABLE", True)
 
 
 def backend_config(backend, *, devices=1, **overrides):
@@ -90,10 +78,7 @@ def weighted_graph():
 
 class TestRegistry:
     def test_builtins_registered(self):
-        names = available_backends()
-        assert BACKEND_SIMULATED in names
-        assert BACKEND_NUMBA in names
-        assert BACKEND_MULTIPROCESS in names
+        assert available_backends() == ("multiprocess", "simulated")
 
     def test_unknown_backend_raises_value_error(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -103,21 +88,13 @@ class TestRegistry:
         backend = make_backend(BACKEND_SIMULATED)
         assert backend.name == BACKEND_SIMULATED
 
-    @pytest.mark.skipif(NUMBA_INSTALLED, reason="numba is installed here")
-    def test_numba_distinct_from_unknown_when_missing(self):
-        # Known-but-unavailable is BackendUnavailable, not ValueError.
-        with pytest.raises(BackendUnavailable, match="numba"):
-            make_backend(BACKEND_NUMBA)
-
 
 class TestConformanceMatrix:
     @pytest.mark.parametrize("sampler", SAMPLERS)
     @pytest.mark.parametrize("backend", REAL_BACKENDS)
     def test_run_facts_match_simulated(
-        self, backend, sampler, plain_graph, weighted_graph, monkeypatch
+        self, backend, sampler, plain_graph, weighted_graph
     ):
-        if backend == BACKEND_NUMBA:
-            force_numba(monkeypatch)
         graph = plain_graph if sampler == "uniform" else weighted_graph
         base = run_backend(graph, BACKEND_SIMULATED, sampler=sampler)
         real = run_backend(graph, backend, sampler=sampler)
@@ -126,31 +103,16 @@ class TestConformanceMatrix:
         assert real.backend == backend
 
     @pytest.mark.parametrize("backend", REAL_BACKENDS)
-    def test_sanitizer_clean(self, backend, plain_graph, monkeypatch):
-        if backend == BACKEND_NUMBA:
-            force_numba(monkeypatch)
+    def test_sanitizer_clean(self, backend, plain_graph):
         stats = run_backend(plain_graph, backend)
         assert stats.sanitizer is not None
         assert stats.sanitizer["clean"]
 
     @pytest.mark.parametrize("backend", REAL_BACKENDS)
-    def test_multi_device_migrations_match(
-        self, backend, plain_graph, monkeypatch
-    ):
-        if backend == BACKEND_NUMBA:
-            force_numba(monkeypatch)
+    def test_multi_device_migrations_match(self, backend, plain_graph):
         base = run_backend(plain_graph, BACKEND_SIMULATED, devices=2)
         real = run_backend(plain_graph, backend, devices=2)
         assert base.walks_migrated > 0
-        for field in IDENTITY_FIELDS:
-            assert getattr(real, field) == getattr(base, field), field
-
-    @pytest.mark.skipif(
-        not NUMBA_INSTALLED, reason="optional numba not installed"
-    )
-    def test_real_numba_jit_matches_simulated(self, plain_graph):
-        base = run_backend(plain_graph, BACKEND_SIMULATED)
-        real = run_backend(plain_graph, BACKEND_NUMBA)
         for field in IDENTITY_FIELDS:
             assert getattr(real, field) == getattr(base, field), field
 
@@ -180,9 +142,10 @@ class TestGating:
         with pytest.raises(ValueError, match="rng_mode"):
             EngineConfig(backend=BACKEND_MULTIPROCESS)
 
-    def test_unknown_backend_rejected_at_config(self):
+    @pytest.mark.parametrize("name", ["cuda", "numba"])
+    def test_unknown_backend_rejected_at_config(self, name):
         with pytest.raises(ValueError, match="unknown backend"):
-            EngineConfig(backend="cuda", rng_mode="counter")
+            EngineConfig(backend=name, rng_mode="counter")
 
     def test_subset_draw_sampler_rejected(self, weighted_graph):
         algorithm = UniformSampling(
@@ -250,15 +213,6 @@ class TestModelFitHelpers:
 
 
 class TestCliSurface:
-    def test_backend_numba_missing_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setattr(numba_kernels, "NUMBA_AVAILABLE", False)
-        rc = cli.main(["run", "--dataset", "uk-sim", "--backend", "numba"])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert "numba" in captured.err
-        assert "--backend multiprocess" in captured.err
-
     def test_backend_limited_to_lighttraffic(self, capsys):
         rc = cli.main(
             ["run", "--dataset", "uk-sim", "--system", "thunderrw",
@@ -267,15 +221,17 @@ class TestCliSurface:
         assert rc == 2
         assert "--backend" in capsys.readouterr().err
 
-    def test_rejects_unknown_backend_name(self, capsys):
-        rc = cli.main(["run", "--dataset", "uk-sim", "--backend", "cuda"])
+    @pytest.mark.parametrize("name", ["cuda", "numba"])
+    def test_rejects_unknown_backend_name(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--dataset", "uk-sim", "--backend", name])
         captured = capsys.readouterr()
-        assert rc == 2
+        assert exc.value.code == 2
         assert captured.out == ""
-        assert "'cuda'" in captured.err
-        # the hint must list every registered name so users can pick one
-        for name in available_backends():
-            assert name in captured.err
+        assert f"'{name}'" in captured.err
+        # the hint must list every backend so users can pick one
+        for backend in available_backends():
+            assert backend in captured.err
 
 
 class TestLifecycleAndLeaks:

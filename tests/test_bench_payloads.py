@@ -25,11 +25,6 @@ def test_quick_payload_matches_parent(target):
     runner, _ = harness.EXPERIMENTS[target]
     fresh = runner(seed=7, quick=True)
     golden = GOLDEN[target]
-    if target == "backends":
-        # Captured without the optional numba package; where it is
-        # installed that row carries a full run instead.
-        golden = [r for r in golden if r["backend"] != "numba"]
-        fresh = [r for r in fresh if r["backend"] != "numba"]
     assert len(fresh) == len(golden)
     for index, (want, got) in enumerate(zip(golden, fresh)):
         assert set(got) == set(want), (target, index)

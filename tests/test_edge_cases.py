@@ -1,13 +1,10 @@
 """Edge-case tests accumulated across modules."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import generators
-from repro.graph.analysis import walk_pressure_profile
-from repro.graph.partition import partition_by_range, partition_into
+from repro.graph.partition import partition_into
 from repro.gpu.memory import BlockPool
 
 
@@ -32,23 +29,6 @@ class TestLRUPool:
         pool.insert("b", 2)
         pool.lookup("zzz")
         assert pool.lru_victim() == "a"
-
-
-class TestHubPressure:
-    def test_star_hub_partition_dominates(self):
-        """The hub's partition carries almost all stationary walk mass —
-        the degenerate case where selective scheduling matters most."""
-        graph = generators.star(400)
-        pg = partition_by_range(graph, 512)  # hub gets its own partition
-        pressure = walk_pressure_profile(pg)
-        hub_partition = pg.find_partition(0)
-        assert pressure[hub_partition] > 0.4
-
-    def test_ring_pressure_uniform(self):
-        graph = generators.ring(64)
-        pg = partition_by_range(graph, 256)
-        pressure = walk_pressure_profile(pg)
-        assert pressure.max() < 2.5 / pg.num_partitions
 
 
 @given(requested=st.integers(1, 24), seed=st.integers(0, 4))

@@ -35,6 +35,7 @@ from repro.graph.csr import EDGE_ENTRY_BYTES, VERTEX_ENTRY_BYTES, CSRGraph
 from repro.graph.partition import GraphPartition, partition_by_range
 from repro.serve.batch import run_standalone
 from repro.serve.queries import UniformQuery
+from repro.serve.session import ServeSession
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +301,10 @@ class TestRangePartitioning:
             part.nbytes = 0  # type: ignore[misc]
         assert dataclasses.replace(part, weights=None).nbytes == 8 * 4 + 8 * 3
 
-    def test_two_standalone_queries_partition_the_graph_once(self, monkeypatch):
+    @pytest.fixture
+    def partition_calls(self, monkeypatch):
+        """Block sizes of every ``partition_by_range`` call the engine
+        module makes."""
         calls = []
         original = engine_module.partition_by_range
 
@@ -309,18 +313,38 @@ class TestRangePartitioning:
             return original(graph, block_bytes)
 
         monkeypatch.setattr(engine_module, "partition_by_range", counting)
+        return calls
+
+    def test_two_standalone_queries_partition_the_graph_once(
+        self, partition_calls
+    ):
         graph = generators.rmat(scale=8, edge_factor=4, seed=6)
         config = EngineConfig(partition_bytes=2_048)
         first = run_standalone(graph, UniformQuery(walks=6, length=5), 1, config)
         second = run_standalone(graph, UniformQuery(walks=6, length=5), 1, config)
-        assert len(calls) == 1
+        assert len(partition_calls) == 1
         assert np.array_equal(first.final_vertices, second.final_vertices)
         # Another block size is another partitioning.
         run_standalone(
             graph, UniformQuery(walks=6, length=5), 1,
             config.with_options(partition_bytes=4_096),
         )
-        assert calls == [2_048, 4_096]
+        assert partition_calls == [2_048, 4_096]
+
+    def test_session_and_standalone_query_partition_the_graph_once(
+        self, partition_calls
+    ):
+        graph = generators.rmat(scale=8, edge_factor=4, seed=6)
+        config = EngineConfig(partition_bytes=2_048)
+        session = ServeSession(graph, config, workers=2)
+        report = session.run([UniformQuery(walks=6, length=5)] * 2)
+        solo = run_standalone(graph, UniformQuery(walks=6, length=5), 1, config)
+        assert partition_calls == [2_048]
+        assert session.partitioned is engine_module.range_partition(
+            graph, 2_048
+        )
+        assert report.stats.queries_completed == 2
+        assert len(solo.final_vertices) == 6
 
 
 def test_kernel_coefficients_cached_across_runs(small_graph):

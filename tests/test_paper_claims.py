@@ -217,7 +217,7 @@ def elastic_rows(hetero=1.15, slowdown=0.97, failure_steps=4800,
 def backend_rows(multiprocess_steps=4800, multiprocess_speedup=3.4,
                  multiprocess_clean=True, quick=False):
     simulated = {
-        "backend": "simulated", "available": True, "total_steps": 4800,
+        "backend": "simulated", "total_steps": 4800,
         "iterations": 295, "total_time": 0.0062, "walks_migrated": 0,
         "sanitizer_clean": True, "overall_speedup": None, "quick": quick,
     }
@@ -227,7 +227,6 @@ def backend_rows(multiprocess_steps=4800, multiprocess_speedup=3.4,
              total_steps=multiprocess_steps,
              sanitizer_clean=multiprocess_clean,
              overall_speedup=multiprocess_speedup),
-        {"backend": "numba", "available": False, "quick": quick},
     ]
 
 
