@@ -29,7 +29,7 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -41,13 +41,14 @@ from repro.walks.reshuffle import group_order
 from repro.walks.state import WalkArrays
 
 
-@dataclass(frozen=True)
-class KernelRecord:
+class KernelRecord(NamedTuple):
     """Measured wall-clock of one walk-updating kernel invocation.
 
     Mirrors the inputs of :meth:`repro.gpu.kernels.KernelModel.update_time`
     so a bench can compute the analytic prediction for exactly this
-    invocation and compare it with ``seconds``.
+    invocation and compare it with ``seconds``.  A tuple, not a frozen
+    dataclass: one is built per kernel, and a served query's kernels step
+    one walk each.
     """
 
     partition: int
@@ -59,15 +60,7 @@ class KernelRecord:
     seconds: float
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "partition": self.partition,
-            "lanes": self.lanes,
-            "total_steps": self.total_steps,
-            "longest_run": self.longest_run,
-            "partition_nbytes": self.partition_nbytes,
-            "sampler": self.sampler,
-            "seconds": self.seconds,
-        }
+        return dict(zip(self._fields, self))
 
 
 @dataclass
@@ -214,16 +207,13 @@ class ExecutionBackend(abc.ABC):
         result: BatchRunResult,
         elapsed: float,
     ) -> None:
-        self.measured.walk_update_seconds += elapsed
-        self.measured.kernels.append(
+        measured = self.measured
+        measured.walk_update_seconds += elapsed
+        measured.kernels.append(
             KernelRecord(
-                partition=partition.index,
-                lanes=lanes,
-                total_steps=result.total_steps,
-                longest_run=result.longest_run,
-                partition_nbytes=partition.nbytes,
-                sampler=self._sampler_key,
-                seconds=elapsed,
+                partition.index, lanes, result.total_steps,
+                result.longest_run, partition.nbytes, self._sampler_key,
+                elapsed,
             )
         )
 

@@ -31,7 +31,7 @@ totals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Type
+from typing import Any, Callable, Dict, Mapping, Tuple, Type
 
 #: How the selected partition's graph data was served (GraphServed.mode).
 SERVED_HIT = "hit"
@@ -338,7 +338,9 @@ class EventBus:
     __slots__ = ("_handlers",)
 
     def __init__(self) -> None:
-        self._handlers: Dict[Type[EngineEvent], List[Callable]] = {}
+        #: handlers per event type, as a tuple rebuilt on (un)subscribe, so
+        #: an emit iterates a snapshot without copying it.
+        self._handlers: Dict[Type[EngineEvent], Tuple[Callable, ...]] = {}
 
     # ------------------------------------------------------------------
     # Subscription management
@@ -354,20 +356,31 @@ class EventBus:
             raise TypeError(f"not an EngineEvent type: {event_type!r}")
         if not callable(handler):
             raise TypeError("handler must be callable")
-        self._handlers.setdefault(event_type, []).append(handler)
+        self._handlers[event_type] = self._handlers.get(event_type, ()) + (
+            handler,
+        )
         return handler
 
     def unsubscribe(
         self, event_type: Type[EngineEvent], handler: Callable
     ) -> None:
-        handlers = self._handlers.get(event_type)
-        if not handlers or handler not in handlers:
+        if not self._drop(event_type, handler):
             raise KeyError(
                 f"handler not subscribed to {event_type.__name__}"
             )
-        handlers.remove(handler)
-        if not handlers:
+
+    def _drop(self, event_type: Type[EngineEvent], handler: Callable) -> bool:
+        """Remove the first registration of ``handler``; whether there was one."""
+        handlers = self._handlers.get(event_type, ())
+        if handler not in handlers:
+            return False
+        k = handlers.index(handler)
+        rest = handlers[:k] + handlers[k + 1 :]
+        if rest:
+            self._handlers[event_type] = rest
+        else:
             del self._handlers[event_type]
+        return True
 
     def attach(self, subscriber: Any) -> Any:
         """Bind every ``on_<event>`` method of ``subscriber``; returns it."""
@@ -388,11 +401,7 @@ class EventBus:
         for event_type, name in _HANDLER_NAMES:
             method = getattr(subscriber, name, None)
             if callable(method):
-                handlers = self._handlers.get(event_type)
-                if handlers and method in handlers:
-                    handlers.remove(method)
-                    if not handlers:
-                        del self._handlers[event_type]
+                self._drop(event_type, method)
 
     # ------------------------------------------------------------------
     # Emission
@@ -408,8 +417,5 @@ class EventBus:
 
     def emit(self, event: EngineEvent) -> None:
         """Deliver ``event`` to its subscribers (no-op when there are none)."""
-        handlers = self._handlers.get(type(event))
-        if handlers is None:
-            return
-        for handler in list(handlers):
+        for handler in self._handlers.get(type(event), ()):
             handler(event)

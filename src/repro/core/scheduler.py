@@ -116,7 +116,7 @@ class Scheduler:
         """Next partition to process, or ``None`` if no walks remain."""
         totals = (host.counts + device.counts) * self.owned
         if self.selective:
-            best = int(np.argmax(totals))
+            best = int(totals.argmax())
             return best if totals[best] > 0 else None
         live = np.flatnonzero(totals > 0)
         if live.size == 0:

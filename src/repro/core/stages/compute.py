@@ -171,7 +171,16 @@ class ComputeDispatcher:
             )
             ctx.sched(ctx.timeline.evict, ship_t, CAT_PATH_SHIP, 0.0)
 
-        active = contents.select(result.active)
+        # ``contents`` are views of the arena segment ``part_idx`` was
+        # popped from.  When every lane survives they go on uncopied: a
+        # survivor has left ``part_idx``, so the reshuffle below never
+        # inserts into that segment, and a make-room move or rebuild never
+        # writes an emptied segment it does not own.
+        survivors = result.active.nonzero()[0]
+        if survivors.size == len(contents):
+            active = contents
+        else:
+            active = contents.select(survivors)
         finished_now = len(contents) - len(active)
         ctx.finished += finished_now
         if finished_now:

@@ -47,13 +47,14 @@ class GraphServer:
     def serve(self, part_idx: int) -> ServeResult:
         ctx = self.ctx
         partition = ctx.pgraph.partitions[part_idx]
-        part_walks = ctx.partition_walks(part_idx)
 
         copy_t = 0.0
         if ctx.graph_pool.lookup(part_idx) is not None:
             mode = SERVED_HIT
             graph_t = ctx.graph_ready.get(part_idx, 0.0)
-        elif ctx.adaptive.should_zero_copy(partition.nbytes, part_walks):
+        elif ctx.adaptive.should_zero_copy(
+            partition.nbytes, ctx.partition_walks(part_idx)
+        ):
             mode = SERVED_ZERO_COPY
             graph_t = 0.0
         else:

@@ -59,6 +59,10 @@ class RecordingAlgorithm(RandomWalkAlgorithm):
         self.fixed_length = inner.fixed_length
         self.transition_sampler = inner.transition_sampler
         self.uses_subset_draws = inner.uses_subset_draws
+        #: whether ``inner`` has an ``observe`` of its own to forward to.
+        self._forward_observe = (
+            type(inner).observe is not RandomWalkAlgorithm.observe
+        )
         self.final_vertices = np.full(num_walks, -1, dtype=np.int64)
         self.steps_taken = np.zeros(num_walks, dtype=np.int64)
 
@@ -102,10 +106,12 @@ class RecordingAlgorithm(RandomWalkAlgorithm):
         ids: np.ndarray,
         terminated: np.ndarray,
     ) -> None:
-        self.inner.observe(vertices, ids, terminated)
+        if self._forward_observe:
+            self.inner.observe(vertices, ids, terminated)
         self.steps_taken[ids] += 1
-        if terminated.any():
-            self.final_vertices[ids[terminated]] = vertices[terminated]
+        ended = terminated.nonzero()[0]
+        if ended.size:
+            self.final_vertices[ids[ended]] = vertices[ended]
 
     def expected_total_steps(self, num_walks: int) -> Optional[float]:
         return self.inner.expected_total_steps(num_walks)
@@ -231,8 +237,9 @@ class CoalescedBatch(RandomWalkAlgorithm):
         terminated: np.ndarray,
     ) -> None:
         self.steps_taken[ids] += 1
-        if terminated.any():
-            self.final_vertices[ids[terminated]] = vertices[terminated]
+        ended = terminated.nonzero()[0]
+        if ended.size:
+            self.final_vertices[ids[ended]] = vertices[ended]
 
     # ------------------------------------------------------------------
     def lane_slice(self, index: int) -> slice:

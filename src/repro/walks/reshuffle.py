@@ -14,7 +14,11 @@ Two implementations are modeled:
 Both produce identical walk placements; they differ only in the modeled
 kernel time (see :meth:`repro.gpu.kernels.KernelModel.reshuffle_time`).
 Host-side, the grouping is the same counting sort (:func:`group_order`),
-and one :meth:`DeviceWalkPool.scatter_sorted` writes every frontier.
+and one :meth:`DeviceWalkPool.scatter_sorted` writes every frontier.  A
+payload of one walk, or of walks that all target one partition, has
+nothing to group: it goes to :meth:`DeviceWalkPool.append_walks` as is
+(a one-walk payload without the sort), which places it where the scatter
+would.
 """
 
 from __future__ import annotations
@@ -42,9 +46,14 @@ def group_order(partition_ids: np.ndarray) -> np.ndarray:
 
 def _runs(sorted_parts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(partition, start, stop)`` arrays of each run of equal ids."""
-    boundaries = np.flatnonzero(sorted_parts[1:] != sorted_parts[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    return sorted_parts[starts], starts, np.append(boundaries, sorted_parts.size)
+    changes = (sorted_parts[1:] != sorted_parts[:-1]).nonzero()[0]
+    # Run k spans [edges[k], edges[k + 1]): 0, every change + 1, the size.
+    edges = np.empty(changes.size + 2, dtype=np.intp)
+    edges[0] = 0
+    np.add(changes, 1, out=edges[1:-1])
+    edges[-1] = sorted_parts.size
+    starts = edges[:-1]
+    return sorted_parts[starts], starts, edges[1:]
 
 
 def group_by_partition(
@@ -114,23 +123,33 @@ class _BaseReshuffler:
 
         Returns ``(modeled_seconds, partitions_touched)``.  The grouping is
         a stable counting sort by partition — semantically what the
-        two-level local index produces after merging (Algorithm 1).
+        two-level local index produces after merging (Algorithm 1).  A
+        payload with one target (one walk needs no sort to know it) is one
+        append; the modeled seconds are the same either way.
         """
         n = len(walks)
         if n == 0:
             return 0.0, 0
-        if self._backend is not None:
-            order = self._backend.group_order(partition_ids)
+        if n == 1:
+            low = high = partition_ids[0]
         else:
-            order = group_order(partition_ids)
-        sorted_parts = partition_ids[order]
+            if self._backend is not None:
+                order = self._backend.group_order(partition_ids)
+            else:
+                order = group_order(partition_ids)
+            sorted_parts = partition_ids[order]
+            low, high = sorted_parts[0], sorted_parts[-1]
         # Guard against corrupted lookups: a negative id would silently wrap
         # into the last partition's counters.
-        if sorted_parts[0] < 0 or sorted_parts[-1] >= self.num_partitions:
+        if low < 0 or high >= self.num_partitions:
             raise ValueError(
                 f"partition ids out of range [0, {self.num_partitions}): "
-                f"min={sorted_parts[0]}, max={sorted_parts[-1]}"
+                f"min={low}, max={high}"
             )
+        if low == high:
+            # One target: the stable order is the payload's own.
+            pool.append_walks(int(low), walks)
+            return self.seconds_for(n), 1
         parts, starts, stops = _runs(sorted_parts)
         # Unsorted payload: the pool writes each walk to its slot via order.
         pool.scatter_sorted(

@@ -85,6 +85,41 @@ class TestSubscribe:
         with pytest.raises(KeyError):
             EventBus().unsubscribe(Reshuffled, print)
 
+    def test_unsubscribe_removes_one_registration(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(Reshuffled, seen.append)
+        bus.subscribe(Reshuffled, seen.append)
+        bus.unsubscribe(Reshuffled, seen.append)
+        bus.emit(Reshuffled(partition=0, walks=2))
+        assert len(seen) == 1
+
+    def test_delivery_reads_the_handlers_of_emit_time(self):
+        """A handler (un)subscribed while an event is delivered changes
+        the next emit, not the current one."""
+        bus = EventBus()
+        order = []
+
+        def late(event):
+            order.append("late")
+
+        def second(event):
+            order.append("second")
+
+        def first(event):
+            order.append("first")
+            bus.subscribe(WalkFinished, late)
+            bus.unsubscribe(WalkFinished, second)
+
+        bus.subscribe(WalkFinished, first)
+        bus.subscribe(WalkFinished, second)
+        bus.emit(WalkFinished(partition=0, count=1))
+        assert order == ["first", "second"]
+        order.clear()
+        bus.unsubscribe(WalkFinished, first)
+        bus.emit(WalkFinished(partition=0, count=1))
+        assert order == ["late"]
+
 
 class TestNoSubscriberFastPath:
     def test_emit_without_subscribers_is_noop(self):

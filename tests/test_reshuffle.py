@@ -224,3 +224,99 @@ class TestBoundsGuard:
         w = WalkArrays.fresh(np.array([1]))
         with pytest.raises(ValueError, match="out of range"):
             shuffler.reshuffle(pool, w, np.array([4]))
+
+
+# ----------------------------------------------------------------------
+# Payloads with one target skip the grouping; they must place walks
+# exactly as the sorted multi-group path does.
+# ----------------------------------------------------------------------
+def scatter_all(pool, walks, parts):
+    """The sorted multi-group path for any payload: one stable sort, the
+    runs of equal ids, one ``scatter_sorted``."""
+    order = np.argsort(parts, kind="stable")
+    sorted_parts = parts[order]
+    boundaries = np.flatnonzero(sorted_parts[1:] != sorted_parts[:-1]) + 1
+    starts = np.concatenate(([0], boundaries))
+    stops = np.append(boundaries, parts.size)
+    pool.scatter_sorted(
+        sorted_parts[starts], stops - starts, walks.vertices, walks.steps,
+        walks.ids, starts, stops, order,
+    )
+
+
+def observed_pool(partitions, history):
+    """A pool with a sanitizer bound and some walks already through it."""
+    from repro.analysis import Sanitizer
+
+    pool = DeviceWalkPool(partitions, batch_capacity=4, capacity_walks=10**6)
+    sanitizer = Sanitizer()
+    sanitizer.bind_shard(0, device=pool)
+    next_id = 10**6
+    for part, n, pop in history:
+        part %= partitions
+        pool.append_walks(part, WalkArrays.fresh(np.arange(n), next_id))
+        next_id += n
+        if pop:
+            pool.pop_preemptible(part)
+    return pool, sanitizer
+
+
+def pool_state(pool, sanitizer):
+    contents = [
+        (w.vertices.tolist(), w.steps.tolist(), w.ids.tolist())
+        for w in pool.iter_walks()
+    ]
+    trail = [sanitizer._render(*raw) for raw in sanitizer._trail]
+    return (
+        contents, pool.counts.tolist(), pool.head.tolist(),
+        pool.tail.tolist(), trail,
+    )
+
+
+@given(
+    partitions=st.integers(1, 8),
+    history=st.lists(
+        st.tuples(st.integers(0, 7), st.integers(1, 200), st.booleans()),
+        max_size=6,
+    ),
+    n=st.integers(1, 300),
+    spread=st.sampled_from([1, 1, 2, 8]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=120, deadline=None)
+def test_one_target_paths_match_the_sorted_path(
+    partitions, history, n, spread, seed
+):
+    """One walk, one target partition, or many: ``reshuffle`` leaves the
+    same contents in order, counts, head / tail and sanitizer trail as the
+    sorted scatter of the whole payload."""
+    rng = np.random.default_rng(seed)
+    if spread == 1 and rng.random() < 0.5:
+        n = 1
+    walks = WalkArrays(
+        rng.integers(0, 1000, size=n), rng.integers(0, 50, size=n),
+        np.arange(n),
+    )
+    first = int(rng.integers(0, partitions))
+    parts = (first + rng.integers(0, spread, size=n)) % partitions
+    parts = parts.astype(np.int8)
+    fast, fast_s = observed_pool(partitions, history)
+    sort, sort_s = observed_pool(partitions, history)
+    shuffler = TwoLevelReshuffler(KernelModel(RTX3090), partitions)
+    __, touched = shuffler.reshuffle(fast, walks, parts)
+    scatter_all(sort, walks, parts)
+    assert touched == np.unique(parts).size
+    assert pool_state(fast, fast_s) == pool_state(sort, sort_s)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_one_target_paths_keep_the_range_check(n, bad):
+    """A one-walk payload and a one-partition payload both refuse ids
+    below 0 or at P, and leave the pool untouched."""
+    pool = DeviceWalkPool(4, batch_capacity=4, capacity_walks=100)
+    shuffler = TwoLevelReshuffler(KernelModel(RTX3090), 4)
+    walks = WalkArrays.fresh(np.arange(n))
+    with pytest.raises(ValueError, match="out of range"):
+        shuffler.reshuffle(pool, walks, np.full(n, bad, dtype=np.int8))
+    assert pool.cached_walks == 0

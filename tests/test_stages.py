@@ -25,6 +25,7 @@ from repro.core.stages import (
     WalkLoader,
 )
 from repro.core.stats import CAT_GRAPH_LOAD, CAT_WALK_LOAD
+from repro.walks.state import WalkArrays
 
 
 _open_backends = []
@@ -38,9 +39,11 @@ def _close_backends():
         _open_backends.pop().close()
 
 
-def build_ctx(graph, config, num_walks=96, length=4):
+def build_ctx(graph, config, num_walks=96, length=4, algorithm=None):
     """A seeded StageContext plus an event recorder, no engine loop."""
-    engine = LightTrafficEngine(graph, PageRank(length=length), config)
+    if algorithm is None:
+        algorithm = PageRank(length=length)
+    engine = LightTrafficEngine(graph, algorithm, config)
     bus = EventBus()
     cluster = engine._build_cluster()
     rng = engine._make_rng()
@@ -174,8 +177,6 @@ class TestComputeDispatcher:
         assert ctx.device.cached_walks == reshuffled
 
     def test_empty_contents_noop(self, small_graph, tiny_config):
-        from repro.walks.state import WalkArrays
-
         ctx, events = build_ctx(small_graph, tiny_config)
         ComputeDispatcher(ctx).dispatch(
             0, WalkArrays.empty(), earliest=0.0, zero_copy=False
@@ -218,6 +219,79 @@ class TestComputeDispatcher:
             assert event.seconds > 0
             # evicted batches land back in the host pool
             assert ctx.host.counts[event.partition] > 0
+
+
+def pool_snapshot(ctx):
+    """Every live walk of both pools, per partition in order, plus the
+    arena's segment bookkeeping and the run counters."""
+    device = ctx.device
+    live = [
+        device._view(lo, hi)
+        for lo, hi in zip(device.head.tolist(), device.tail.tolist())
+    ]
+    return (
+        [(w.vertices.tolist(), w.steps.tolist(), w.ids.tolist()) for w in live],
+        [b.ids.tolist() for b in ctx.host.iter_walks()],
+        device.counts.tolist(), device.head.tolist(), device.tail.tolist(),
+        ctx.host.counts.tolist(), ctx.finished,
+    )
+
+
+def crowd(device, skip, first_id):
+    """Fill every segment but ``skip``'s to its capacity, so the next
+    insert anywhere else takes the make-room path."""
+    for part in range(device.num_partitions):
+        room = int(device.base[part] + device.cap[part] - device.tail[part])
+        if part != skip and room:
+            ids = np.arange(first_id, first_id + room)
+            device.append_walks(part, WalkArrays(ids % 7, ids % 5, ids))
+            first_id += room
+
+
+@pytest.mark.parametrize("pop", ["pop_all", "pop_preemptible"])
+@pytest.mark.parametrize("pool_walks", [None, 2000])
+@pytest.mark.parametrize("crowded", [False, True])
+def test_all_survivors_leave_the_state_of_a_copied_batch(
+    pop, pool_walks, crowded
+):
+    """Every lane survives its kernel, so the dispatch reshuffles the
+    popped arena views themselves.  The pools (frontier left in place by a
+    preemptive pop, a make-room rebuild and evictions included) and the
+    events end as if the batch had been a copy."""
+    from repro.algorithms import UniformSampling
+    from repro.core.config import EngineConfig
+    from repro.graph import generators
+
+    graph = generators.ring(300)
+    config = EngineConfig(
+        partition_bytes=512, batch_walks=8, graph_pool_partitions=4,
+        walk_pool_walks=pool_walks, seed=5,
+    )
+    ends = []
+    for copied in (False, True):
+        ctx, events = build_ctx(
+            graph, config, num_walks=600,
+            algorithm=UniformSampling(length=10_000),
+        )
+        part = first_populated(ctx)
+        for batch in ctx.host.pop_batches(part):
+            ctx.device.load_batch(part, batch)
+        held = int(ctx.device.counts[part])
+        if crowded:
+            crowd(ctx.device, part, first_id=10**6)
+        contents = getattr(ctx.device, pop)(part)
+        assert 0 < len(contents) <= held
+        if copied:
+            contents = contents.copy()
+        ComputeDispatcher(ctx).dispatch(
+            part, contents, earliest=0.0, zero_copy=False
+        )
+        assert not [e for e in events if isinstance(e, WalkFinished)]
+        ends.append((pool_snapshot(ctx), events))
+    assert ends[0] == ends[1]
+    if pop == "pop_preemptible":
+        # The frontier stayed where it was and kept its walks.
+        assert 0 < ends[0][0][2][part] < config.batch_walks
 
 
 class TestPreemptiveDispatcher:
