@@ -61,6 +61,18 @@ class WalkArrays:
             np.concatenate([c.ids for c in chunks]),
         )
 
+    @classmethod
+    def _wrap(
+        cls, vertices: np.ndarray, steps: np.ndarray, ids: np.ndarray
+    ) -> "WalkArrays":
+        """Arrays already validated as walk arrays (slices of checked ones,
+        say), wrapped without ``__init__``'s checks and casts."""
+        walks = cls.__new__(cls)
+        walks.vertices = vertices
+        walks.steps = steps
+        walks.ids = ids
+        return walks
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self.vertices.size
@@ -90,11 +102,11 @@ class WalkArrays:
         lo = 0
         for size in sizes:
             hi = lo + size
-            piece = WalkArrays.__new__(WalkArrays)
-            piece.vertices = self.vertices[lo:hi]
-            piece.steps = self.steps[lo:hi]
-            piece.ids = self.ids[lo:hi]
-            pieces.append(piece)
+            pieces.append(
+                WalkArrays._wrap(
+                    self.vertices[lo:hi], self.steps[lo:hi], self.ids[lo:hi]
+                )
+            )
             lo = hi
         return pieces
 
