@@ -44,13 +44,15 @@ class BatchRunResult:
 def uniform_neighbors(
     partition: GraphPartition,
     vertices: np.ndarray,
-    rng: np.random.Generator,
+    uniforms: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pick one uniform neighbor for each vertex (vectorized).
 
-    Returns ``(next_vertices, dead_end)`` where ``dead_end[i]`` marks
-    vertices with no out-edges (their ``next_vertices`` entry is the vertex
-    itself).  All ``vertices`` must lie inside ``partition``.
+    ``uniforms[i]`` is vertex ``i``'s draw in [0, 1), so a step takes it
+    from the one block it draws for all its decisions.  Returns
+    ``(next_vertices, dead_end)`` where ``dead_end[i]`` marks vertices with
+    no out-edges (their ``next_vertices`` entry is the vertex itself).  All
+    ``vertices`` must lie inside ``partition``.
     """
     offsets = partition.offsets
     local = vertices - partition.start
@@ -58,11 +60,10 @@ def uniform_neighbors(
     degrees = offsets[1:].take(local)
     degrees -= starts
     dead_end = degrees == 0
-    # rng.random() < 1.0 strictly, so floor(r * deg) <= deg - 1: the pick
-    # stays inside the vertex's own edges without a clamp.
-    pick = degrees.astype(np.float64)
-    pick *= rng.random(vertices.size)
-    edge = pick.astype(np.int64)
+    # A uniform is < 1.0 strictly, so floor(u * deg) <= deg - 1: the pick
+    # stays inside the vertex's own edges without a clamp.  The multiply
+    # casts the degrees to float64 itself.
+    edge = (uniforms * degrees).astype(np.int64)
     edge += starts
     # A dead end's edge is the next vertex's first, or one past the
     # partition's edges for its last vertex (clipped): read, then put back.
@@ -186,10 +187,9 @@ class RandomWalkAlgorithm(abc.ABC):
                 vertices, steps, ids, partition, rng, graph
             )
             steps += 1
-            running = ~terminated
             if idx is None:
                 vertices[:] = new_v
-                alive = running
+                alive = ~terminated
             else:
                 walks.vertices[idx] = new_v
                 walks.steps[idx] = steps
@@ -200,9 +200,9 @@ class RandomWalkAlgorithm(abc.ABC):
             self.observe(new_v, ids, terminated)
             # One unsigned compare: a vertex below ``start`` wraps high.
             offset = np.subtract(new_v, start, dtype=np.int64)
-            keep = offset.view(np.uint64) < width
-            keep &= running
-            survivors = keep.nonzero()[0]
+            in_part = offset.view(np.uint64) < width
+            # A lane survives inside and not terminated: True > False only.
+            survivors = (in_part > terminated).nonzero()[0]
             if survivors.size == 0:
                 break
             idx = survivors if idx is None else idx[survivors]

@@ -154,7 +154,9 @@ class Node2Vec(RandomWalkAlgorithm):
             )
         prev_table = self._prev_table(ids)
         prev = prev_table[ids]
-        new_v, dead_end = uniform_neighbors(partition, vertices, rng)
+        new_v, dead_end = uniform_neighbors(
+            partition, vertices, rng.random(vertices.size)
+        )
         pending = ~dead_end
         rounds = 0
         while pending.any() and rounds < self.max_reject_rounds:
@@ -165,7 +167,7 @@ class Node2Vec(RandomWalkAlgorithm):
             if pending.any():
                 re_idx = np.nonzero(pending)[0]
                 resampled, re_dead = uniform_neighbors(
-                    partition, vertices[re_idx], rng
+                    partition, vertices[re_idx], rng.random(re_idx.size)
                 )
                 new_v[re_idx] = resampled
                 pending[re_idx[re_dead]] = False

@@ -55,15 +55,22 @@ class PageRank(RandomWalkAlgorithm):
         rng: np.random.Generator,
         graph: Optional[CSRGraph],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        neighbor, dead_end = uniform_neighbors(partition, vertices, rng)
-        restart = rng.random(vertices.size) < self.restart_prob
+        # One block for the neighbour pick and the restart coin: the same
+        # stream as two ``random(n)`` calls.  The restart target stays a
+        # separate ``integers`` draw (a Generator's bounded integers are a
+        # different stream from its floats).
+        uniforms = rng.random((2, vertices.size))
+        neighbor, dead_end = uniform_neighbors(
+            partition, vertices, uniforms[0]
+        )
+        restart = uniforms[1] < self.restart_prob
         # Dead ends behave like a forced restart (dangling-vertex handling).
         restart |= dead_end
         random_targets = rng.integers(
             0, self._num_vertices, size=vertices.size, dtype=np.int64
         )
         new_v = np.where(restart, random_targets, neighbor)
-        terminated = steps + 1 >= self.length
+        terminated = steps >= self.length - 1
         return new_v, terminated
 
     def observe(

@@ -70,10 +70,17 @@ class PersonalizedPageRank(RandomWalkAlgorithm):
         rng: np.random.Generator,
         graph: Optional[CSRGraph],
     ) -> Tuple[np.ndarray, np.ndarray]:
-        stop = rng.random(vertices.size) < self.stop_prob
-        neighbor, dead_end = uniform_neighbors(partition, vertices, rng)
+        # One block for the stop coin and the neighbour pick: the same
+        # stream as two ``random(n)`` calls.
+        uniforms = rng.random((2, vertices.size))
+        stop = uniforms[0] < self.stop_prob
+        neighbor, dead_end = uniform_neighbors(
+            partition, vertices, uniforms[1]
+        )
         new_v = np.where(stop, vertices, neighbor)
-        terminated = stop | dead_end | (steps + 1 >= self.max_length)
+        terminated = steps >= self.max_length - 1
+        terminated |= stop
+        terminated |= dead_end
         return new_v, terminated
 
     def observe(

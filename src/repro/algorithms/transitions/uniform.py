@@ -31,7 +31,9 @@ class UniformTransition(TransitionSampler):
         vertices: np.ndarray,
         rng: np.random.Generator,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        return uniform_neighbors(partition, vertices, rng)
+        return uniform_neighbors(
+            partition, vertices, rng.random(vertices.size)
+        )
 
 
 register_sampler(SAMPLER_UNIFORM, UniformTransition)

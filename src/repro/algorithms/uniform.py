@@ -107,7 +107,9 @@ class UniformSampling(RandomWalkAlgorithm):
                 partition, vertices, rng
             )
         else:
-            new_v, dead_end = uniform_neighbors(partition, vertices, rng)
+            new_v, dead_end = uniform_neighbors(
+                partition, vertices, rng.random(vertices.size)
+            )
         terminated = steps >= self.length - 1
         terminated |= dead_end
         if self.paths is not None:

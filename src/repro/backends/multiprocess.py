@@ -213,7 +213,7 @@ class MultiprocessBackend(ExecutionBackend):
                 # Unweighted fast path: integer-only sampling over the whole
                 # graph is index-for-index what per-partition stepping does.
                 rng.set_context(active, steps)
-                nv, dead = uniform_neighbors(whole, v, rng)
+                nv, dead = uniform_neighbors(whole, v, rng.random(v.size))
             else:
                 assert impl is not None
                 nv = np.empty_like(v)

@@ -25,7 +25,15 @@ keys once per kernel (:meth:`CounterRNG.lane_keys`) and carries them with
 the lanes; the step hash is read from a module table grown on demand; the
 draw offset is a Python integer.  A context is ``lane key + step hash``,
 built once per round, and a draw is one in-place splitmix64 over a copy of
-it.
+it.  ``random((k, n))`` is a *draw block*: draws ``d .. d + k - 1`` of
+every lane in one splitmix64 pass, row ``j`` equal to the ``j``-th of
+``k`` consecutive ``random(n)`` calls (a NumPy ``Generator`` fills that
+shape row-major, so it is the same stream there too); a step that needs
+k uniforms per lane draws one block.  A one-lane context is a Python
+integer and its draws are hashed in Python integers: at one element every
+NumPy call costs more than the whole hash.  The path follows the lane
+count, so single-walk steps (served queries) take it and large kernels
+never do.
 
 Initialization draws (start-vertex selection) happen before any walk
 context exists and run once in a fixed order, so they fall back to an
@@ -35,7 +43,7 @@ ordinary seeded ``Generator``.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Optional
+from typing import Any, Optional, Union
 
 import numpy as np
 
@@ -43,13 +51,17 @@ import numpy as np
 #: (the one file allowed to touch ``np.random`` directly).
 FACTORY_MODULE_SUFFIX = "core/prng.py"
 
-#: splitmix64 constants.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+#: splitmix64 constants, as Python integers and as ``uint64``.
+_GAMMA_INT = 0x9E3779B97F4A7C15
+_MIX1_INT = 0xBF58476D1CE4E5B9
+_MIX2_INT = 0x94D049BB133111EB
+_GAMMA = np.uint64(_GAMMA_INT)
+_MIX1 = np.uint64(_MIX1_INT)
+_MIX2 = np.uint64(_MIX2_INT)
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
-_GAMMA_INT = 0x9E3779B97F4A7C15
+#: The 53-bit mantissa scale of :func:`_unit_floats`.
+_UNIT = 2.0 ** -53
 #: Added to a walk's step before hashing, so step ``s`` and walk id ``s``
 #: hash differently.
 _STEP_SALT = 0x632BE59BD9B4E019
@@ -126,8 +138,15 @@ def _unit_floats(x: np.ndarray) -> np.ndarray:
     """
     x >>= 11
     out = x.view(np.int64).astype(np.float64)
-    out *= 2.0 ** -53
+    out *= _UNIT
     return out
+
+
+def _mix(x: int) -> int:
+    """:func:`_finalize` on one Python integer in ``[0, 2**64)``."""
+    x = ((x ^ (x >> 30)) * _MIX1_INT) & _SEED_MASK
+    x = ((x ^ (x >> 27)) * _MIX2_INT) & _SEED_MASK
+    return x ^ (x >> 31)
 
 
 #: ``splitmix64(s + _STEP_SALT)`` for steps ``0 .. size - 1``; see
@@ -160,6 +179,14 @@ def _step_hashes(steps: np.ndarray) -> np.ndarray:
         return _step_table[index]
 
 
+def _step_hash(step: int) -> int:
+    """:func:`_step_hashes` of one step, as a Python integer."""
+    try:
+        return int(_step_table[step])
+    except IndexError:
+        return int(_step_hashes(np.array([step]))[0])
+
+
 class CounterRNG:
     """Per-walk counter-based RNG with a ``Generator``-compatible surface.
 
@@ -172,8 +199,9 @@ class CounterRNG:
 
     def __init__(self, seed: Optional[int]) -> None:
         self.seed = np.uint64((seed or 0) & _SEED_MASK)
-        #: ``lane key + step hash`` per context lane.
-        self._context: Optional[np.ndarray] = None
+        #: ``lane key + step hash`` per context lane; a Python int for one.
+        self._context: Union[None, int, np.ndarray] = None
+        self._lanes = 0
         self._draw = 0
         self._init_rng = np.random.default_rng(seed)
         #: lane key of walk id ``i`` at index ``i``; see :meth:`_cover`.
@@ -224,36 +252,77 @@ class CounterRNG:
         """Bind the walk lanes about to step (kernel loop hook).
 
         ``keys`` is ``lane_keys(ids)`` when the caller carries it already.
+        A one-lane context is kept as a Python integer and hashed in Python
+        integers: at one element a NumPy call costs more than the hash.
         """
         if keys is None:
             keys = self.lane_keys(ids)
-        self._context = keys + _step_hashes(steps)
+        if keys.size == 1:
+            key = int(keys[0]) + _step_hash(int(steps[0]))
+            self._context = key & _SEED_MASK
+            self._lanes = 1
+        else:
+            self._context = keys + _step_hashes(steps)
+            self._lanes = keys.size
         self._draw = 0
 
-    def _uint64(self, size: int) -> np.ndarray:
+    def _rows(self, size: Any, blocks: bool) -> Optional[int]:
+        """Draws per lane that ``size`` asks for: ``None`` for a flat ``n``
+        or ``(n,)`` (one draw), ``k`` for a ``(k, n)`` block if ``blocks``.
+        ``n`` must be the context's lane count."""
+        lanes = self._lanes
+        if size == lanes:
+            return None
+        shape = tuple(size) if isinstance(size, (tuple, list)) else (size,)
+        if shape and shape[-1] == lanes:
+            if len(shape) == 1:
+                return None
+            if len(shape) == 2 and blocks and shape[0] >= 0:
+                return int(shape[0])
+        raise ValueError(
+            f"counter draws must cover all {lanes} context lanes, "
+            f"got size={size!r}"
+        )
+
+    def _uint64(self, rows: Optional[int]) -> Any:
+        """The next draw of every lane (``rows`` is ``None``: a flat array)
+        or the next ``rows`` draws (a ``(rows, n)`` block), advancing the
+        draw offset past them; for a one-lane context a list of Python
+        integers, one per draw."""
         context = self._context
         if context is None:
             raise RuntimeError("CounterRNG draw without walk context")
-        if size != context.size:
-            raise ValueError(
-                f"counter draws must cover all {context.size} context "
-                f"lanes, got size={size}"
-            )
+        draw = self._draw
+        self._draw = draw + (1 if rows is None else rows)
         # splitmix64's leading ``+ gamma`` folds into the draw offset.
-        offset = ((self._draw + 1) * _GAMMA_INT) & _SEED_MASK
-        self._draw += 1
-        x = context + np.uint64(offset)
+        offsets = [
+            ((d + 1) * _GAMMA_INT) & _SEED_MASK for d in range(draw, self._draw)
+        ]
+        if isinstance(context, int):
+            return [_mix((context + off) & _SEED_MASK) for off in offsets]
+        if rows is None:
+            x = context + np.uint64(offsets[0])
+        else:
+            x = context + np.array(offsets, dtype=np.uint64)[:, None]
         _finalize(x, np.empty_like(x))
         return x
 
     # ------------------------------------------------------------------
     # Generator-compatible surface
     # ------------------------------------------------------------------
-    def random(self, size: int) -> np.ndarray:
-        """Uniform floats in [0, 1), one per context lane."""
+    def random(self, size: Any) -> np.ndarray:
+        """Uniform floats in [0, 1): one per context lane for ``n`` or
+        ``(n,)``; for ``(k, n)``, row ``j`` is what the ``j``-th of ``k``
+        consecutive ``random(n)`` calls would return, all hashed in one
+        pass."""
         if self._context is None:
             return self._init_rng.random(size)
-        return _unit_floats(self._uint64(size))
+        rows = self._rows(size, blocks=True)
+        raw = self._uint64(rows)
+        if isinstance(raw, list):
+            out = np.array([(x >> 11) * _UNIT for x in raw])
+            return out if rows is None else out.reshape(rows, 1)
+        return _unit_floats(raw)
 
     def integers(
         self,
@@ -272,12 +341,17 @@ class CounterRNG:
         span = int(high) - int(low)
         if span <= 0:
             raise ValueError("high must exceed low")
+        raw = self._uint64(self._rows(size, blocks=False))
         # Multiply-shift bounded mapping (negligible modulo bias for the
         # span sizes used here: vertex counts << 2^64).
-        scaled = _unit_floats(self._uint64(int(size)))
-        scaled *= span
-        out = scaled.astype(np.int64)
-        out += np.int64(low)
+        if isinstance(raw, list):
+            value = int((raw[0] >> 11) * _UNIT * span) + int(low)
+            out = np.array([value], dtype=np.int64)
+        else:
+            scaled = _unit_floats(raw)
+            scaled *= span
+            out = scaled.astype(np.int64)
+            out += np.int64(low)
         return out.astype(dtype, copy=False)
 
 

@@ -32,8 +32,9 @@ Tie-breaks are contract (``tests/test_scheduler.py`` has a brute-force oracle
 per rule): lowest partition index in (1), (2) ``min_walks`` and (4); pool
 insertion order in (2) FIFO / LRU and all of (3), its baseline included.
 ``np.argmin`` / ``np.argmax`` return the first extreme in candidate order.
-The graph pool answers "is it cached, and since when" with its ``resident``
-mask and use ``stamps`` (a :class:`BlockPool` keyed by partition).
+The graph pool answers "is it cached, and in which order" with its
+``resident`` mask and its ``key_order()`` array (a :class:`BlockPool` keyed
+by partition).
 """
 
 from __future__ import annotations
@@ -96,6 +97,8 @@ class Scheduler:
         if not owned.any():
             raise ValueError("owned mask selects no partition")
         self.owned: np.ndarray = owned
+        #: ``(pool order, skip, cached)`` of the last :meth:`_cached` call.
+        self._last_cached: Optional[tuple] = None
 
     def _resident(self, pool: BlockPool) -> np.ndarray:
         if pool.resident.size != self.num_partitions:
@@ -103,12 +106,25 @@ class Scheduler:
         return pool.resident
 
     def _cached(self, pool: BlockPool, skip: Optional[int]) -> np.ndarray:
-        """Owned cached partitions except ``skip``, in pool insertion order."""
-        mask = self._resident(pool) & self.owned
+        """Owned cached partitions except ``skip``, in pool insertion order.
+
+        Read-only, and reused while the pool's :meth:`BlockPool.key_order`
+        array (a new one after every change of the order), ``skip`` and
+        the owned mask stay: the preemptive stage asks again after each
+        kernel it fills in, usually over an unchanged pool.
+        """
+        self._resident(pool)
+        order = pool.key_order()
+        last = self._last_cached
+        if last is not None and last[0] is order and last[1] == skip:
+            return last[2]
+        keep = self.owned[order]
         if skip is not None:
-            mask[skip] = False
-        cached = mask.nonzero()[0]
-        return cached[pool.stamps[cached].argsort()]
+            keep &= order != skip
+        cached = order[keep]
+        cached.flags.writeable = False
+        self._last_cached = (order, skip, cached)
+        return cached
 
     def select_partition(
         self, host: HostWalkPool, device: DeviceWalkPool
@@ -139,7 +155,8 @@ class Scheduler:
             raise KeyError("no evictable graph partition")
         if self.eviction_policy in (self.EVICT_FIFO, self.EVICT_LRU):
             return int(cached[0])
-        cached.sort()  # ties go to the lowest index, not the oldest key
+        # Ties go to the lowest index, not the oldest key.
+        cached = np.sort(cached)
         totals = host.counts[cached] + device.counts[cached]
         return int(cached[np.argmin(totals)])
 

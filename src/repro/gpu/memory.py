@@ -11,9 +11,10 @@ pool* (block = batch size).  :class:`BlockPool` models that contract:
 * O(1) membership, plus iteration order = insertion order so a FIFO victim
   policy (the paper's baseline) is natural;
 * for integer keys ``0..num_keys-1`` (the graph pool: one key per
-  partition), a ``resident`` mask and per-key use ``stamps`` mirror that
-  order as arrays, so a policy decides with one mask AND and one
-  ``argsort`` of stamps instead of a pass over the keys.
+  partition), a ``resident`` mask says which keys are cached and
+  :meth:`BlockPool.key_order` holds that order as one array, rebuilt only
+  after the order changed, so a policy decides with a mask over it
+  instead of a pass over the keys.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ class BlockPool(Generic[K, V]):
     ``capacity`` counts blocks.  Values are whatever payload the caller
     associates with a cached block (a partition's arrays, a batch, ...).
     With ``num_keys``, keys are ints in ``[0, num_keys)``: ``resident[k]``
-    says whether ``k`` is cached, and ``stamps`` ranks the cached keys in
-    :meth:`keys` order (insertion, or recency under ``track_recency``).
-    Without it both arrays are empty.
+    says whether ``k`` is cached (without it the mask is empty), and
+    :meth:`key_order` is :meth:`keys` as an array (insertion order, or
+    recency under ``track_recency``).
     """
 
     def __init__(
@@ -67,8 +68,8 @@ class BlockPool(Generic[K, V]):
         self.track_recency = track_recency
         self._blocks: "OrderedDict[K, V]" = OrderedDict()
         self.resident = np.zeros(num_keys or 0, dtype=bool)
-        self.stamps = np.zeros(num_keys or 0, dtype=np.int64)
-        self._clock = 0
+        #: :meth:`keys` as an array; ``None`` once the order has changed.
+        self._order: Optional[np.ndarray] = None
         self.hits = 0
         self.misses = 0
         #: optional sanitizer hook, called after each mutation.
@@ -96,6 +97,21 @@ class BlockPool(Generic[K, V]):
         """Cached keys in insertion (FIFO) order."""
         return list(self._blocks.keys())
 
+    def key_order(self) -> np.ndarray:
+        """:meth:`keys` of an int-keyed pool as a read-only ``intp`` array.
+
+        Built once per change of that order (an insert, an evict, a hit
+        under ``track_recency``), not per call.
+        """
+        order = self._order
+        if order is None:
+            order = np.fromiter(
+                self._blocks, dtype=np.intp, count=len(self._blocks)
+            )
+            order.flags.writeable = False
+            self._order = order
+        return order
+
     # ------------------------------------------------------------------
     def lookup(self, key: K) -> Optional[V]:
         """Hit-counting membership probe; returns payload or ``None``."""
@@ -106,7 +122,7 @@ class BlockPool(Generic[K, V]):
             self.hits += 1
             if self.track_recency:
                 self._blocks.move_to_end(key)
-                self._stamp(cast(int, key))
+                self._order = None
         return value
 
     def peek(self, key: K) -> Optional[V]:
@@ -126,8 +142,8 @@ class BlockPool(Generic[K, V]):
             if not 0 <= slot < self.resident.size:
                 raise KeyError(f"{key!r} outside {self.name}'s key range")
             self.resident[slot] = True
-            self._stamp(slot)
         self._blocks[key] = value
+        self._order = None
         if self.observer is not None:
             self.observer.pool_inserted(self, key)
 
@@ -137,17 +153,12 @@ class BlockPool(Generic[K, V]):
             value = self._blocks.pop(key)
         except KeyError:
             raise KeyError(f"{key!r} not cached in {self.name}") from None
+        self._order = None
         if self.resident.size:
             self.resident[cast(int, key)] = False
         if self.observer is not None:
             self.observer.pool_evicted(self, key)
         return value
-
-    def _stamp(self, slot: int) -> None:
-        """Rank key ``slot`` last in :meth:`keys` order (keyed pools only)."""
-        if self.stamps.size:
-            self._clock += 1
-            self.stamps[slot] = self._clock
 
     def fifo_victim(self) -> K:
         """The oldest cached key (the paper's baseline eviction policy).

@@ -17,7 +17,10 @@ The *device* pool caches at most ``m_w`` walks in one struct-of-arrays
 arena (``vertices`` / ``steps`` / ``ids``) with a segment per partition:
 ``[base, base + cap)`` holds live walks ``[head, tail)``, and the tail is
 the write frontier.  A reshuffle fills every frontier with one scatter per
-array; only a segment about to overflow takes the Python make-room path.
+array: one ``searchsorted`` of the partition ids finds every run of the
+grouped payload, and ``tail`` / ``counts`` move as P-wide arrays, so the
+call's fixed cost does not grow with the partitions it writes.  Only a
+segment about to overflow takes the Python make-room path.
 An eviction copies every victim's oldest walks out with one gather
 (:meth:`DeviceWalkPool.evict_batch`).  Batch accounting is derived from
 walk counts — ``full = count // B`` completed batches, ``count % B`` in
@@ -176,6 +179,20 @@ class HostWalkPool:
             yield from queue
 
 
+def run_bounds(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Where each run of ``sorted_keys`` starts, plus the end.
+
+    ``keys`` are consecutive ids covering every value of ``sorted_keys``;
+    key ``keys[k]``'s run is ``[bounds[k], bounds[k + 1])``, empty when it
+    does not occur.  One ``searchsorted``: O(len(keys) log n), no pass over
+    the payload, provided ``keys`` does not widen its dtype.
+    """
+    bounds = np.empty(keys.size + 1, dtype=np.intp)
+    bounds[:-1] = sorted_keys.searchsorted(keys)
+    bounds[-1] = sorted_keys.size
+    return bounds
+
+
 #: Smallest segment a move or rebuild hands a partition, in walks.
 _MIN_SEGMENT = 128
 
@@ -204,15 +221,19 @@ class DeviceWalkPool:
         #: optional sanitizer hook (see :class:`DeviceObserver`).
         self.observer: Optional[DeviceObserver] = None
         self.counts = np.zeros(num_partitions, dtype=np.int64)
+        # Partition ids in the dtype of ``PartitionedGraph.lut``, so the
+        # run search never widens a payload of its keys.
+        self._part_ids = np.arange(
+            num_partitions, dtype=np.min_scalar_type(-num_partitions)
+        )
         self.head = self.tail = np.zeros(num_partitions, dtype=np.int64)
-        self._rebuild(self.counts[:0], self.counts[:0])  # segments at the floor
+        self._rebuild(np.zeros_like(self.counts))  # segments at the floor
 
-    def _rebuild(self, parts: np.ndarray, sizes: np.ndarray) -> None:
-        """New arrays with room for ``sizes[k]`` more walks in ``parts[k]``
-        for every group at once, each segment at 1.5x what it needs."""
+    def _rebuild(self, extra: np.ndarray) -> None:
+        """New arrays with room for ``extra[p]`` more walks in every
+        partition ``p`` at once, each segment at 1.5x what it needs."""
         live = self.tail - self.head
-        need = live.copy()
-        need[parts] += sizes
+        need = live + extra
         cap = np.maximum(need + need // 2, _MIN_SEGMENT)
         base = np.cumsum(cap) - cap
         self._end = int(cap.sum())
@@ -228,18 +249,18 @@ class DeviceWalkPool:
         self.base, self.cap = base, cap
         self.head, self.tail = base.copy(), base + live
 
-    def _make_room(self, parts: np.ndarray, sizes: np.ndarray) -> None:
-        """Give each segment ``parts[k]`` ``sizes[k]`` free tail slots.
+    def _make_room(self, extra: np.ndarray) -> None:
+        """Give every segment ``p`` ``extra[p]`` free tail slots (P-wide).
 
         A short segment is compacted in place when that copies no more
         walks than it frees, else moved to the arena end (the last segment
         grows where it is) at twice what it needs.  When the end is
-        reached, one rebuild reserves every group of the call: it moves
+        reached, one rebuild reserves every partition's extra: it moves
         segments this loop already made room in.
         """
-        ends = self.base[parts] + self.cap[parts]
-        for k in np.flatnonzero(self.tail[parts] + sizes > ends).tolist():
-            p, need = int(parts[k]), int(sizes[k])
+        short = (self.tail + extra > self.base + self.cap).nonzero()[0]
+        for p in short.tolist():
+            need = int(extra[p])
             head, tail, to, cap = (
                 int(a[p]) for a in (self.head, self.tail, self.base, self.cap)
             )
@@ -249,7 +270,7 @@ class DeviceWalkPool:
                     to = self._end
                 cap = max(2 * (live + need), _MIN_SEGMENT)
                 if to + cap > self.ids.size:
-                    self._rebuild(parts, sizes)
+                    self._rebuild(extra)
                     return
                 self._end = to + cap
                 self.base[p], self.cap[p] = to, cap
@@ -293,7 +314,9 @@ class DeviceWalkPool:
     ) -> None:
         n = ids.size
         if self.tail[p] + n > self.base[p] + self.cap[p]:
-            self._make_room(np.array([p]), np.array([n]))
+            extra = np.zeros_like(self.counts)
+            extra[p] = n
+            self._make_room(extra)
         tail = int(self.tail[p])
         self.vertices[tail : tail + n] = vertices
         self.steps[tail : tail + n] = steps
@@ -312,36 +335,42 @@ class DeviceWalkPool:
             self.observer.device_appended(self, (partition,), walks.ids)
 
     def scatter_sorted(
-        self, parts: np.ndarray, sizes: np.ndarray,
-        vertices: np.ndarray, steps: np.ndarray, ids: np.ndarray,
-        starts: np.ndarray, stops: np.ndarray, order: np.ndarray,
-    ) -> None:
-        """Bulk frontier insert of partition-grouped walks (reshuffle hot path).
+        self, walks: WalkArrays, order: np.ndarray, sorted_parts: np.ndarray
+    ) -> int:
+        """Bulk frontier insert of a partition-grouped payload (reshuffle
+        hot path); returns how many partitions it wrote.
 
-        ``order`` is a stable grouping of the unsorted payload: sorted
-        position ``j`` is walk ``order[j]``, and ``parts[k]`` (distinct)
-        receives sorted positions ``[starts[k], stops[k])``, slices that
-        tile the payload.  Same result as :meth:`append_walks` per group,
-        but one write per payload array, one count update and one observer
-        call.  The reshuffle sends a payload with one target to
-        :meth:`append_walks` instead."""
-        tail = self.tail[parts]
-        if (tail + sizes > self.base[parts] + self.cap[parts]).any():
-            self._make_room(parts, sizes)
-            tail = self.tail[parts]
-        # Sorted position j of group k goes to tail[k] + j - starts[k];
+        ``order`` is a stable grouping of the unsorted payload ``walks``:
+        sorted position ``j`` is walk ``order[j]``, bound for partition
+        ``sorted_parts[j]`` (ascending, every id in ``[0, P)``).  Same
+        result as :meth:`append_walks` per partition in ascending order,
+        after one :meth:`_make_room` for all of them, but with one write
+        per payload array and one observer call; the run bounds and the
+        frontier updates are P-wide (see the module docstring).  The
+        reshuffle sends a payload with one target to :meth:`append_walks`
+        instead."""
+        bounds = run_bounds(sorted_parts, self._part_ids)
+        starts = bounds[:-1]
+        sizes = bounds[1:] - starts
+        stop = self.tail + sizes
+        if (stop > self.base + self.cap).any():
+            self._make_room(sizes)
+            stop = self.tail + sizes
+        # Sorted position j of partition p goes to tail[p] + j - starts[p];
         # walk order[j] is the one at sorted position j.
-        by_rank = np.repeat(tail - starts, sizes)
+        by_rank = (self.tail - starts).repeat(sizes)
         by_rank += np.arange(by_rank.size)
         dest = np.empty_like(by_rank)
         dest[order] = by_rank
-        self.vertices[dest] = vertices
-        self.steps[dest] = steps
-        self.ids[dest] = ids
-        self.tail[parts] = tail + sizes
-        self.counts[parts] += sizes
+        self.vertices[dest] = walks.vertices
+        self.steps[dest] = walks.steps
+        self.ids[dest] = walks.ids
+        self.tail = stop
+        self.counts += sizes
         if self.observer is not None:
-            self.observer.device_appended(self, parts.tolist(), ids)
+            parts = sizes.nonzero()[0].tolist()
+            self.observer.device_appended(self, parts, walks.ids)
+        return int(np.count_nonzero(sizes))
 
     # ------------------------------------------------------------------
     # Batch load / fetch / evict

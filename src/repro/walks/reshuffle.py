@@ -14,11 +14,14 @@ Two implementations are modeled:
 Both produce identical walk placements; they differ only in the modeled
 kernel time (see :meth:`repro.gpu.kernels.KernelModel.reshuffle_time`).
 Host-side, the grouping is the same counting sort (:func:`group_order`),
-and one :meth:`DeviceWalkPool.scatter_sorted` writes every frontier.  A
-payload of one walk, or of walks that all target one partition, has
-nothing to group: it goes to :meth:`DeviceWalkPool.append_walks` as is
-(a one-walk payload without the sort), which places it where the scatter
-would.
+and one :meth:`DeviceWalkPool.scatter_sorted` takes the stable order and
+the sorted partition ids and writes every frontier: it finds each
+partition's run with one ``searchsorted`` against ``0 .. P-1`` and
+updates the frontiers P-wide, so its cost does not follow the number of
+partitions touched.  A payload of one walk, or of walks that all target
+one partition, has nothing to group: it goes to
+:meth:`DeviceWalkPool.append_walks` as is (a one-walk payload without the
+sort), which places it where the scatter would.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from repro.core.units import Seconds
 from repro.gpu.kernels import DIRECT_WRITE, TWO_LEVEL, KernelModel
-from repro.walks.pool import DeviceWalkPool
+from repro.walks.pool import DeviceWalkPool, run_bounds
 from repro.walks.state import WalkArrays
 
 
@@ -44,18 +47,6 @@ def group_order(partition_ids: np.ndarray) -> np.ndarray:
     return np.argsort(partition_ids, kind="stable")
 
 
-def _runs(sorted_parts: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(partition, start, stop)`` arrays of each run of equal ids."""
-    changes = (sorted_parts[1:] != sorted_parts[:-1]).nonzero()[0]
-    # Run k spans [edges[k], edges[k + 1]): 0, every change + 1, the size.
-    edges = np.empty(changes.size + 2, dtype=np.intp)
-    edges[0] = 0
-    np.add(changes, 1, out=edges[1:-1])
-    edges[-1] = sorted_parts.size
-    starts = edges[:-1]
-    return sorted_parts[starts], starts, edges[1:]
-
-
 def group_by_partition(
     walks: WalkArrays, partition_ids: np.ndarray
 ) -> Dict[int, WalkArrays]:
@@ -64,20 +55,25 @@ def group_by_partition(
     ``partition_ids[i]`` is the partition that ``walks[i]`` now belongs to
     (``findPartition`` of Algorithm 1).  Uses the stable counting sort
     :func:`group_order`, matching what the two-level local index produces
-    after merge; the groups are views of one sorted copy.
+    after merge, and the device pool's run bounds; the groups are views of
+    one sorted copy.
     """
     if partition_ids.shape != (len(walks),):
         raise ValueError("partition_ids must align with walks")
     if not len(walks):
         return {}
     order = group_order(partition_ids)
+    sorted_parts = partition_ids[order]
+    low = int(sorted_parts[0])
+    keys = np.arange(low, int(sorted_parts[-1]) + 1, dtype=sorted_parts.dtype)
+    bounds = run_bounds(sorted_parts, keys).tolist()
     ordered = walks.select(order)
-    parts, starts, stops = (a.tolist() for a in _runs(partition_ids[order]))
     return {
-        part: WalkArrays(
+        low + k: WalkArrays(
             ordered.vertices[lo:hi], ordered.steps[lo:hi], ordered.ids[lo:hi]
         )
-        for part, lo, hi in zip(parts, starts, stops)
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        if lo < hi
     }
 
 
@@ -150,13 +146,10 @@ class _BaseReshuffler:
             # One target: the stable order is the payload's own.
             pool.append_walks(int(low), walks)
             return self.seconds_for(n), 1
-        parts, starts, stops = _runs(sorted_parts)
         # Unsorted payload: the pool writes each walk to its slot via order.
-        pool.scatter_sorted(
-            parts, stops - starts, walks.vertices, walks.steps, walks.ids,
-            starts, stops, order,
+        return self.seconds_for(n), pool.scatter_sorted(
+            walks, order, sorted_parts
         )
-        return self.seconds_for(n), parts.size
 
 
 class TwoLevelReshuffler(_BaseReshuffler):

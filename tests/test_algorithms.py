@@ -21,7 +21,7 @@ class TestUniformNeighbors:
     def test_picks_valid_neighbors(self, small_graph, rng):
         part = whole_graph_partition(small_graph)
         vertices = rng.integers(0, small_graph.num_vertices, size=200)
-        nxt, dead = uniform_neighbors(part, vertices, rng)
+        nxt, dead = uniform_neighbors(part, vertices, rng.random(200))
         assert not dead.any()  # preprocessed graphs have no dead ends
         for v, n in zip(vertices[:50], nxt[:50]):
             assert small_graph.has_edge(int(v), int(n))
@@ -29,14 +29,16 @@ class TestUniformNeighbors:
     def test_dead_end_marked(self, rng):
         g = from_edges([(0, 1)], num_vertices=2)  # vertex 1 is a sink
         part = whole_graph_partition(g)
-        nxt, dead = uniform_neighbors(part, np.array([1]), rng)
+        nxt, dead = uniform_neighbors(part, np.array([1]), rng.random(1))
         assert dead.tolist() == [True]
         assert nxt.tolist() == [1]  # stays put
 
     def test_roughly_uniform(self, rng):
         g = generators.star(4)
         part = whole_graph_partition(g)
-        nxt, __ = uniform_neighbors(part, np.zeros(8000, dtype=np.int64), rng)
+        nxt, __ = uniform_neighbors(
+            part, np.zeros(8000, dtype=np.int64), rng.random(8000)
+        )
         freq = np.bincount(nxt, minlength=5)[1:] / 8000
         assert np.all(np.abs(freq - 0.25) < 0.03)
 

@@ -2,15 +2,19 @@
 
 ``reference_advance`` below is the previous
 :meth:`~repro.algorithms.base.RandomWalkAlgorithm.advance_in_partition`
-body, and ``reference_uniform_neighbors`` the previous
-:func:`~repro.algorithms.base.uniform_neighbors`, both kept verbatim as
-the oracle: every round gathers the lanes still stepping through an index
-into the batch, and the counter RNG is bound with ``set_context(ids,
-steps)``.  The current loop steps round 1 in place on the batch's own
-arrays and carries per-lane RNG keys between rounds; on random small
-graphs, batches, algorithms and RNG modes both must leave the same walk
-arrays, return the same :class:`BatchRunResult`, make the same ``observe``
-calls and record the same application state.
+body, ``reference_uniform_neighbors`` the previous
+:func:`~repro.algorithms.base.uniform_neighbors`, and the
+``reference_*_step`` functions the previous ``step_once`` bodies of
+uniform sampling, PageRank and PPR, which drew one ``random(n)`` per
+decision; all are kept verbatim as the oracle: every round gathers the
+lanes still stepping through an index into the batch, and the counter RNG
+is bound with ``set_context(ids, steps)``.  The current loop steps round 1
+in place on the batch's own arrays and carries per-lane RNG keys between
+rounds, and PageRank and PPR draw one ``(2, n)`` block per step; on random
+small graphs, batches, algorithms and RNG modes both must leave the same
+walk arrays, return the same :class:`BatchRunResult`, make the same
+``observe`` calls, record the same application state and, for the
+sequential RNG, leave its stream at the same position.
 """
 
 from contextlib import ExitStack
@@ -26,8 +30,6 @@ from repro.algorithms import (
     PageRank,
     PersonalizedPageRank,
     UniformSampling,
-    pagerank,
-    ppr,
     uniform,
 )
 from repro.algorithms.base import BatchRunResult
@@ -46,6 +48,43 @@ def reference_uniform_neighbors(partition, vertices, rng):
     safe = np.where(dead_end, 0, starts + np.minimum(pick, degrees - 1))
     next_vertices = partition.targets[safe]
     return np.where(dead_end, vertices, next_vertices), dead_end
+
+
+def reference_uniform_step(self, vertices, steps, ids, partition, rng, graph):
+    """``UniformSampling.step_once`` on an unweighted graph."""
+    new_v, dead_end = reference_uniform_neighbors(partition, vertices, rng)
+    terminated = steps >= self.length - 1
+    terminated |= dead_end
+    if self.paths is not None:
+        self.paths[ids, steps + 1] = new_v
+    return new_v, terminated
+
+
+def reference_pagerank_step(self, vertices, steps, ids, partition, rng, graph):
+    neighbor, dead_end = reference_uniform_neighbors(partition, vertices, rng)
+    restart = rng.random(vertices.size) < self.restart_prob
+    restart |= dead_end
+    random_targets = rng.integers(
+        0, self._num_vertices, size=vertices.size, dtype=np.int64
+    )
+    new_v = np.where(restart, random_targets, neighbor)
+    terminated = steps + 1 >= self.length
+    return new_v, terminated
+
+
+def reference_ppr_step(self, vertices, steps, ids, partition, rng, graph):
+    stop = rng.random(vertices.size) < self.stop_prob
+    neighbor, dead_end = reference_uniform_neighbors(partition, vertices, rng)
+    new_v = np.where(stop, vertices, neighbor)
+    terminated = stop | dead_end | (steps + 1 >= self.max_length)
+    return new_v, terminated
+
+
+REFERENCE_STEPS = (
+    (UniformSampling, reference_uniform_step),
+    (PageRank, reference_pagerank_step),
+    (PersonalizedPageRank, reference_ppr_step),
+)
 
 
 def reference_advance(algorithm, partition, walks, rng, graph=None):
@@ -148,12 +187,8 @@ def new_advance(algorithm, partition, walks, rng, graph):
 
 def parent_advance(algorithm, partition, walks, rng, graph):
     with ExitStack() as stack:
-        for module in (uniform, pagerank, ppr):
-            stack.enter_context(
-                mock.patch.object(
-                    module, "uniform_neighbors", reference_uniform_neighbors
-                )
-            )
+        for cls, step in REFERENCE_STEPS:
+            stack.enter_context(mock.patch.object(cls, "step_once", step))
         return reference_advance(algorithm, partition, walks, rng, graph)
 
 
@@ -286,7 +321,7 @@ def test_dead_end_at_the_partition_end_reads_one_past_its_edges():
     last = np.full(4, partition.stop - 1)
     assert partition.offsets[-2] == partition.targets.size
     next_vertices, dead_end = uniform.uniform_neighbors(
-        partition, last, CounterRNG(1)
+        partition, last, np.random.default_rng(1).random(4)
     )
     assert dead_end.all()
     assert np.array_equal(next_vertices, last)

@@ -135,8 +135,8 @@ def test_pool_never_exceeds_capacity(capacity, ops):
 )
 @settings(max_examples=80, deadline=None)
 def test_keyed_pool_arrays_mirror_the_keys(capacity, track_recency, ops):
-    """Property: ``resident`` is the cached-key set and ``stamps`` rank the
-    cached keys in ``keys()`` order (insertion, or recency on hit)."""
+    """Property: ``resident`` is the cached-key set and ``key_order()`` is
+    ``keys()`` (insertion, or recency on hit) as a read-only array."""
     pool = BlockPool(capacity, track_recency=track_recency, num_keys=13)
     for op, key in ops:
         if op == "insert" and key not in pool and not pool.is_full:
@@ -147,8 +147,8 @@ def test_keyed_pool_arrays_mirror_the_keys(capacity, track_recency, ops):
             pool.lookup(key)
         keys = pool.keys()
         assert pool.resident.nonzero()[0].tolist() == sorted(keys)
-        cached = np.array(keys, dtype=np.int64)
-        assert cached[pool.stamps[cached].argsort()].tolist() == keys
+        order = pool.key_order()
+        assert order.tolist() == keys and not order.flags.writeable
 
 
 def test_keyed_pool_rejects_keys_out_of_range():
@@ -160,12 +160,14 @@ def test_keyed_pool_rejects_keys_out_of_range():
 
 
 @pytest.mark.parametrize("track_recency", [False, True])
-def test_keyed_pool_stamps_follow_recency_only_when_tracked(track_recency):
+def test_keyed_pool_order_follows_recency_only_when_tracked(track_recency):
     pool = BlockPool(3, track_recency=track_recency, num_keys=4)
     for key in (2, 0, 3):
         pool.insert(key, key)
+    before = pool.key_order()
     pool.lookup(2)
     order = [2, 0, 3] if not track_recency else [0, 3, 2]
     assert pool.keys() == order
-    cached = np.array([0, 2, 3])
-    assert cached[pool.stamps[cached].argsort()].tolist() == order
+    assert pool.key_order().tolist() == order
+    # The cached array is reused until the order changes.
+    assert (pool.key_order() is before) == (not track_recency)

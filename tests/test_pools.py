@@ -301,15 +301,9 @@ class ArenaModel:
         walks = self.fresh(len(targets))
         targets = np.asarray(targets, dtype=np.int64)
         order = np.argsort(targets, kind="stable")
-        sorted_parts = targets[order]
-        boundaries = np.flatnonzero(sorted_parts[1:] != sorted_parts[:-1]) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.append(boundaries, len(targets))
-        parts = sorted_parts[starts]
-        self.pool.scatter_sorted(
-            parts, stops - starts, walks.vertices, walks.steps, walks.ids,
-            starts, stops, order,
-        )
+        touched = self.pool.scatter_sorted(walks, order, targets[order])
+        parts = np.unique(targets)
+        assert touched == parts.size
         first = self.next_id - len(targets)
         for offset, part in enumerate(targets.tolist()):
             self.fifo[part].append(first + offset)

@@ -541,3 +541,192 @@ def test_walk_id_past_the_tenant_table_raises():
     rng = four_lane_rngs()["tenant"]
     with pytest.raises(ValueError, match="walk id 4 outside"):
         rng.lane_keys(np.array([0, 4]))
+
+
+# ----------------------------------------------------------------------
+# Draw blocks: a step draws ``random((k, n))`` once instead of k
+# ``random(n)`` calls.  Both generators must make that the same stream.
+# ----------------------------------------------------------------------
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, MASK),
+    k=st.integers(0, 5),
+    n=st.integers(1, 70),
+    before=st.integers(0, 3),
+)
+def test_generator_block_is_consecutive_draws(seed, k, n, before):
+    """``Generator.random((k, n))`` fills row-major: the same values as k
+    consecutive ``random(n)`` calls, and the stream goes on from there."""
+    block, calls = np.random.default_rng(seed), np.random.default_rng(seed)
+    block.random(before)
+    calls.random(before)
+    want = np.array([calls.random(n) for __ in range(k)]).reshape(k, n)
+    assert np.array_equal(block.random((k, n)), want)
+    assert np.array_equal(block.random(3), calls.random(3))
+
+
+@st.composite
+def block_cases(draw):
+    lanes = draw(st.sampled_from([1, 1, 2]) | st.integers(1, 40))
+    seed = draw(st.integers(0, MASK))
+    tenant = draw(st.booleans())
+    ids = draw(
+        st.lists(st.integers(0, 3 * lanes), min_size=lanes, max_size=lanes)
+    )
+    tables = None
+    if tenant:
+        table = 3 * lanes + 1
+        tables = tuple(
+            np.array(
+                draw(st.lists(st.integers(0, MASK), min_size=table,
+                              max_size=table)),
+                dtype=np.uint64,
+            )
+            for __ in range(2)
+        )
+    steps = draw(
+        st.lists(
+            st.integers(0, 127) | st.integers(128, 3000),
+            min_size=lanes, max_size=lanes,
+        )
+    )
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["random", "integers"]),
+                st.integers(0, 4),
+                st.integers(1, 10**9),
+            ),
+            min_size=1, max_size=6,
+        )
+    )
+    return seed, tables, np.array(ids), np.array(steps), ops
+
+
+def block_disagreement(case):
+    """Run ``case``'s draws twice: blocks as asked, and every block of k
+    rows as k consecutive ``random(n)`` calls.  Each value must also equal
+    the three-hash formula at its draw index.  The first difference."""
+    seed, tables, ids, steps, ops = case
+    rngs = []
+    for __ in range(2):
+        if tables is None:
+            rng = CounterRNG(seed)
+        else:
+            rng = TenantCounterRNG(seed, *tables)
+        rng.set_context(ids, steps)
+        rngs.append(rng)
+    blocks, calls = rngs
+    if tables is None:
+        seeds, locals_ = np.uint64(seed), ids
+    else:
+        seeds, locals_ = tables[0][ids], tables[1][ids]
+    index = 0
+    n = ids.size
+    for op, k, span in ops:
+        if op == "integers":
+            bounds = (-7, span - 7)
+            got = blocks.integers(*bounds, size=n)
+            want = calls.integers(*bounds, size=n)
+            formula = [oracle_draw(op, bounds, seeds, locals_, steps, index)]
+            index += 1
+        elif k == 0:
+            got, want = blocks.random((n,)), calls.random(n)
+            formula = [oracle_draw(op, None, seeds, locals_, steps, index)]
+            index += 1
+        else:
+            got = blocks.random((k, n))
+            want = np.array([calls.random(n) for __ in range(k)])
+            formula = [
+                oracle_draw(op, None, seeds, locals_, steps, index + j)
+                for j in range(k)
+            ]
+            index += k
+        formula = np.array(formula).reshape(got.shape)
+        if got.dtype != want.dtype or not np.array_equal(got, want):
+            return f"{op} k={k}: block {got} != calls {want}"
+        if not np.array_equal(got, formula):
+            return f"{op} k={k}: {got} != formula {formula}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=block_cases())
+def test_counter_block_is_consecutive_draws(case):
+    """``CounterRNG.random((k, n))`` equals k consecutive ``random(n)``
+    draws of one context, interleaved with ``integers``: the vector path,
+    the one-lane path, a tenant table and steps past the step table."""
+    with initial_step_table():
+        assert block_disagreement(case) is None
+
+
+BLOCK_CASES = [
+    (5, None, np.array([3]), np.array([900]),
+     [("random", 2, 1), ("random", 0, 1), ("integers", 0, 1000)]),
+    (5, None, np.array([3, 8, 1]), np.array([0, 2, 900]),
+     [("random", 2, 1), ("random", 0, 1), ("integers", 0, 1000)]),
+]
+
+
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=["one-lane", "vector"])
+def test_a_block_that_does_not_advance_the_offset_is_caught(case, monkeypatch):
+    """A mutant that moves the draw offset by one after a k-row block
+    repeats draws; the block check must tell it apart on both paths."""
+    assert block_disagreement(case) is None
+    uint64 = CounterRNG._uint64
+
+    def stuck(self, rows):
+        draw = self._draw
+        out = uint64(self, rows)
+        self._draw = draw + 1
+        return out
+
+    monkeypatch.setattr(CounterRNG, "_uint64", stuck)
+    assert block_disagreement(case) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, MASK),
+    wid=st.integers(0, 5000),
+    step=st.integers(0, 3000),
+    spans=st.lists(
+        st.tuples(st.integers(-(10**6), 10**6), st.integers(1, 2**40)),
+        min_size=1, max_size=5,
+    ),
+)
+def test_one_lane_integers_equal_the_vector_path(seed, wid, step, spans):
+    """A one-lane context hashes in Python integers; each draw must equal
+    the same lane's draw in a vector context, over random spans."""
+    one, many = CounterRNG(seed), CounterRNG(seed)
+    one.set_context(np.array([wid]), np.array([step]))
+    many.set_context(np.array([wid, wid + 1]), np.array([step, 0]))
+    for low, span in spans:
+        got = one.integers(low, low + span, size=1)
+        want = many.integers(low, low + span, size=2)[:1]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(one.random(1), many.random(2)[:1])
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+def test_counter_rng_takes_generator_shapes(lanes):
+    """``(n,)`` for both draws and ``(k, n)`` for ``random``, as a NumPy
+    ``Generator`` takes them; any other size raises ``ValueError``."""
+    rng = CounterRNG(2)
+    ids, steps = np.arange(lanes), np.zeros(lanes, dtype=np.int32)
+    rng.set_context(ids, steps)
+    flat = rng.random(lanes)
+    ints = rng.integers(0, 50, size=lanes)
+    block = rng.random((2, lanes))
+    rng.set_context(ids, steps)
+    assert np.array_equal(rng.random((lanes,)), flat)
+    assert np.array_equal(rng.integers(0, 50, size=(lanes,)), ints)
+    assert np.array_equal(rng.random([2, lanes]), block)
+    assert block.shape == (2, lanes)
+    assert rng.random((0, lanes)).shape == (0, lanes)
+    for size in [lanes + 1, (lanes + 1,), (2, lanes + 1), (1, 2, lanes), ()]:
+        with pytest.raises(ValueError, match="context lanes"):
+            rng.random(size)
+    for size in [(2, lanes), (lanes + 1,)]:
+        with pytest.raises(ValueError, match="context lanes"):
+            rng.integers(0, 50, size=size)

@@ -227,21 +227,27 @@ class TestBoundsGuard:
 
 
 # ----------------------------------------------------------------------
-# Payloads with one target skip the grouping; they must place walks
-# exactly as the sorted multi-group path does.
+# Every reshuffle path against a per-group oracle: room for every group
+# at once, then one ``append_walks`` per partition in ascending order.
 # ----------------------------------------------------------------------
-def scatter_all(pool, walks, parts):
-    """The sorted multi-group path for any payload: one stable sort, the
-    runs of equal ids, one ``scatter_sorted``."""
-    order = np.argsort(parts, kind="stable")
-    sorted_parts = parts[order]
-    boundaries = np.flatnonzero(sorted_parts[1:] != sorted_parts[:-1]) + 1
-    starts = np.concatenate(([0], boundaries))
-    stops = np.append(boundaries, parts.size)
-    pool.scatter_sorted(
-        sorted_parts[starts], stops - starts, walks.vertices, walks.steps,
-        walks.ids, starts, stops, order,
-    )
+def append_per_group(pool, walks, parts):
+    """What :meth:`DeviceWalkPool.scatter_sorted` promises, one partition
+    at a time: one ``_make_room`` for every group when any overflows, an
+    ``append_walks`` per group in partition order (the stable order within
+    it), and one observer record of the whole payload."""
+    groups = sorted(set(parts.tolist()))
+    extra = np.zeros(pool.num_partitions, dtype=np.int64)
+    for part in groups:
+        extra[part] = np.count_nonzero(parts == part)
+    if (pool.tail + extra > pool.base + pool.cap).any():
+        pool._make_room(extra)
+    observer, pool.observer = pool.observer, None
+    for part in groups:
+        pool.append_walks(part, walks.select(np.flatnonzero(parts == part)))
+    pool.observer = observer
+    if observer is not None:
+        observer.device_appended(pool, groups, walks.ids)
+    return len(groups)
 
 
 def observed_pool(partitions, history):
@@ -273,23 +279,38 @@ def pool_state(pool, sanitizer):
     )
 
 
-@given(
-    partitions=st.integers(1, 8),
-    history=st.lists(
-        st.tuples(st.integers(0, 7), st.integers(1, 200), st.booleans()),
-        max_size=6,
-    ),
-    n=st.integers(1, 300),
-    spread=st.sampled_from([1, 1, 2, 8]),
-    seed=st.integers(0, 2**16),
-)
-@settings(max_examples=120, deadline=None)
-def test_one_target_paths_match_the_sorted_path(
-    partitions, history, n, spread, seed
-):
-    """One walk, one target partition, or many: ``reshuffle`` leaves the
-    same contents in order, counts, head / tail and sanitizer trail as the
-    sorted scatter of the whole payload."""
+@st.composite
+def reshuffle_cases(draw):
+    """A pool history over up to 300 partitions and a payload for it.
+
+    Histories fill a few segments past their floor of 128 walks, so the
+    payload's groups overflow them: a compaction, a move to the arena end,
+    growth in place and a rebuild each occur over the examples."""
+    partitions = draw(st.integers(1, 300))
+    history = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 299), st.integers(1, 400), st.booleans()
+            ),
+            max_size=8,
+        )
+    )
+    n = draw(st.integers(1, 600))
+    spread = draw(st.sampled_from([1, 1, 2, 8, 300]))
+    seed = draw(st.integers(0, 2**16))
+    # Hot targets: the history's partitions, where segments are fullest.
+    hot = draw(st.booleans())
+    return partitions, history, n, spread, seed, hot
+
+
+@given(case=reshuffle_cases())
+@settings(max_examples=200, deadline=None)
+def test_one_target_paths_match_the_sorted_path(case):
+    """One walk, one target partition, or many, over up to 300 partitions:
+    ``reshuffle`` leaves the same contents in order, counts, head / tail and
+    sanitizer trail as the per-group oracle, and reports the partitions
+    it wrote."""
+    partitions, history, n, spread, seed, hot = case
     rng = np.random.default_rng(seed)
     if spread == 1 and rng.random() < 0.5:
         n = 1
@@ -297,16 +318,60 @@ def test_one_target_paths_match_the_sorted_path(
         rng.integers(0, 1000, size=n), rng.integers(0, 50, size=n),
         np.arange(n),
     )
-    first = int(rng.integers(0, partitions))
-    parts = (first + rng.integers(0, spread, size=n)) % partitions
-    parts = parts.astype(np.int8)
+    if hot and history:
+        firsts = [part % partitions for part, __, __ in history]
+        parts = np.array(firsts)[rng.integers(0, len(firsts), size=n)]
+    else:
+        first = int(rng.integers(0, partitions))
+        parts = (first + rng.integers(0, spread, size=n)) % partitions
+    # Keys in the dtype of PartitionedGraph.lut for this P.
+    parts = parts.astype(np.min_scalar_type(-partitions))
     fast, fast_s = observed_pool(partitions, history)
-    sort, sort_s = observed_pool(partitions, history)
+    oracle, oracle_s = observed_pool(partitions, history)
     shuffler = TwoLevelReshuffler(KernelModel(RTX3090), partitions)
     __, touched = shuffler.reshuffle(fast, walks, parts)
-    scatter_all(sort, walks, parts)
-    assert touched == np.unique(parts).size
-    assert pool_state(fast, fast_s) == pool_state(sort, sort_s)
+    assert touched == append_per_group(oracle, walks, parts)
+    assert pool_state(fast, fast_s) == pool_state(oracle, oracle_s)
+
+
+def test_the_oracle_cases_reach_every_make_room_path(monkeypatch):
+    """The widened property above is only as strong as its histories: on
+    fixed cases of its shape the scatter compacts, moves, grows the last
+    segment in place and rebuilds."""
+    taken = set()
+    make_room = DeviceWalkPool._make_room
+    rebuild = DeviceWalkPool._rebuild
+
+    def watched_make_room(self, extra):
+        ends = self.base + self.cap
+        for p in np.flatnonzero(self.tail + extra > ends).tolist():
+            live = int(self.tail[p] - self.head[p])
+            fits = live + int(extra[p]) <= self.cap[p]
+            if fits and self.head[p] - self.base[p] >= live:
+                taken.add("compact")
+            elif self.base[p] + self.cap[p] == self._end:
+                taken.add("grow in place")
+            else:
+                taken.add("move")
+        make_room(self, extra)
+
+    def watched_rebuild(self, extra):
+        if extra.any():
+            taken.add("rebuild")
+        rebuild(self, extra)
+
+    monkeypatch.setattr(DeviceWalkPool, "_make_room", watched_make_room)
+    monkeypatch.setattr(DeviceWalkPool, "_rebuild", watched_rebuild)
+    cases = [
+        # Partition 0 compacts behind its popped head; 299 is the last
+        # segment and grows where it is.
+        (300, [(0, 101, True), (299, 120, False)], 100, 2, 1, True),
+        (300, [(5, 120, False), (9, 120, False)], 60, 2, 2, True),  # move
+        (3, [(0, 120, False), (1, 120, False)], 200, 2, 3, True),  # rebuild
+    ]
+    for case in cases:
+        test_one_target_paths_match_the_sorted_path.hypothesis.inner_test(case)
+    assert taken == {"compact", "move", "grow in place", "rebuild"}, taken
 
 
 @pytest.mark.parametrize("n", [1, 3])

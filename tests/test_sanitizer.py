@@ -727,11 +727,10 @@ class TestResidencyAtTheWrite:
         scatter_sorted = DeviceWalkPool.scatter_sorted
         device_appended = Sanitizer.device_appended
 
-        def counted_scatter(self, parts, *payload):
+        def counted_scatter(self, walks, order, sorted_parts):
             calls["scatter"] += 1
-            calls["groups"] += len(parts)
             before = calls["observed"]
-            scatter_sorted(self, parts, *payload)
+            calls["groups"] += scatter_sorted(self, walks, order, sorted_parts)
             assert calls["observed"] == before + 1
 
         def counted_appended(self, pool, parts, ids):

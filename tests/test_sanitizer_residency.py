@@ -93,14 +93,7 @@ class Cluster:
             return
         targets = (first_part + np.arange(n)) % PARTITIONS
         order = np.argsort(targets, kind="stable")
-        grouped = targets[order]
-        boundaries = np.nonzero(grouped[1:] != grouped[:-1])[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        stops = np.concatenate([boundaries, [n]])
-        self.devices[shard].scatter_sorted(
-            grouped[starts], stops - starts,
-            walks.vertices, walks.steps, walks.ids, starts, stops, order,
-        )
+        self.devices[shard].scatter_sorted(walks, order, targets[order])
 
     def drain(self, shard: int, part: int) -> List[WalkArrays]:
         """``StageContext.release_partition``'s pool part."""

@@ -343,3 +343,48 @@ def test_walk_evict_matches_oracle(state):
             counts[expect] = 0
             expect = evict_choice(counts, is_owned, order, protect, selective)
         assert got.tolist() == drained, selective
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=SIZES,
+    policy=st.sampled_from(POLICIES),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "evict", "lookup", "mask", "none"]),
+            st.integers(0, 7),
+            st.none() | st.integers(0, 7),
+        ),
+        max_size=30,
+    ),
+)
+def test_one_scheduler_answers_as_a_fresh_one(n, policy, ops):
+    """A scheduler reuses its list of cached partitions while the pool's
+    order, the skipped partition and the owned mask stay the same.  Across
+    inserts, evictions, LRU hits, re-masking and changing skips, its
+    victims and preemptive picks equal those of a fresh scheduler."""
+    counts = np.random.default_rng(n).integers(0, 9, size=(2, n))
+    host = HostWalkPool(n, 4)
+    device = DeviceWalkPool(n, 4, capacity_walks=10_000)
+    host.counts[:], device.counts[:] = counts
+    pool = BlockPool(n, track_recency=policy == "lru", num_keys=n)
+    sched = Scheduler(n, True, True, policy)
+    owned = None
+    for op, key, skip in ops:
+        key %= n
+        skip = None if skip is None else skip % n
+        if op == "insert" and key not in pool and not pool.is_full:
+            pool.insert(key, key)
+        elif op == "evict" and key in pool:
+            pool.evict(key)
+        elif op == "lookup":
+            pool.lookup(key)
+        elif op == "mask":
+            owned = np.arange(n) % 2 == key % 2  # key itself is owned
+            sched.set_owned(owned)
+        fresh = Scheduler(n, True, True, policy, owned=owned)
+        for call in (
+            lambda s: s.graph_victim(pool, host, device, skip),
+            lambda s: s.pick_preemptive_partition(pool, host, device, skip),
+        ):
+            assert outcome(lambda: call(sched)) == outcome(lambda: call(fresh))
