@@ -58,19 +58,6 @@ class TransitionSampler(abc.ABC):
             state = self._states[partition.index] = self._build(partition)
         return state
 
-    def prepared_state(self, partition: GraphPartition) -> Any:
-        """Public accessor for the cached per-partition build state.
-
-        Execution backends replay transition kernels outside
-        :meth:`sample` and need the same tables (builds are
-        deterministic, so equal partitions yield bit-identical state).
-        """
-        return self.prepare(partition)
-
-    def reset(self) -> None:
-        """Drop cached per-partition state (e.g. when the graph changes)."""
-        self._states.clear()
-
     def consume_fallbacks(self) -> int:
         """Return and clear the saturation count since the last call."""
         count = self.fallbacks

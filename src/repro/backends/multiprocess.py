@@ -33,7 +33,7 @@ from repro.algorithms.transitions import SAMPLER_UNIFORM, make_sampler
 from repro.algorithms.transitions.base import TransitionSampler
 from repro.backends.base import ExecutionBackend, require_lockstep_algorithm
 from repro.core.config import EngineConfig
-from repro.core.prng import CounterRNG
+from repro.core.prng import CounterRNG, lane_key_table
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphPartition, PartitionedGraph
 from repro.walks.state import WalkArrays
@@ -159,14 +159,17 @@ class MultiprocessBackend(ExecutionBackend):
             for w in range(self._workers)
             if edges[w + 1] > edges[w]
         ]
+        # One lane-key table for the run, built before the fork.
+        rng = CounterRNG(self._seed, lane_key_table(self._seed, n))
         can_fork = "fork" in multiprocessing.get_all_start_methods()
         if len(ranges) <= 1 or not can_fork:
             for lo, hi in ranges:
-                self._precompute_range(lo, hi)
+                self._precompute_range(lo, hi, rng)
             return
         mp = multiprocessing.get_context("fork")
         procs = [
-            mp.Process(target=self._precompute_range, args=r) for r in ranges
+            mp.Process(target=self._precompute_range, args=(lo, hi, rng))
+            for lo, hi in ranges
         ]
         for proc in procs:
             proc.start()
@@ -178,7 +181,7 @@ class MultiprocessBackend(ExecutionBackend):
                 f"multiprocess backend workers failed (exit codes {failures})"
             )
 
-    def _precompute_range(self, lo: int, hi: int) -> None:
+    def _precompute_range(self, lo: int, hi: int, rng: CounterRNG) -> None:
         """Walk ids ``[lo, hi)`` to termination, writing path/term tables.
 
         Runs in a forked worker (or in-process): reads and writes only the
@@ -188,7 +191,6 @@ class MultiprocessBackend(ExecutionBackend):
         assert self._starts is not None and self._offsets is not None
         assert self._targets is not None and self._p_bounds is not None
         path, term = self._path, self._term
-        rng = CounterRNG(self._seed)
         impl: Optional[TransitionSampler] = (
             make_sampler(self._sampler_name) if self._weighted else None
         )

@@ -161,25 +161,27 @@ class LightTrafficEngine:
         self.ship_link = resolve_interconnect(config.ship_interconnect)
 
     # ------------------------------------------------------------------
-    def _make_rng(self) -> Any:
-        """The run's RNG (sequential stream or counter-based Philox)."""
+    def _make_rng(self, num_walks: int) -> Any:
+        """The run's RNG (sequential stream or counter-based Philox).
+
+        A counter RNG keys walk ids ``0 .. num_walks - 1``: by the run's
+        seed, or by the table an algorithm brings in ``lane_table`` (a
+        coalesced serve batch keys each lane as its query's standalone
+        run does).
+        """
         cfg = self.config
         if cfg.rng_mode == "counter":
-            from repro.core.prng import CounterRNG, TenantCounterRNG
+            from repro.core.prng import CounterRNG, lane_key_table
 
             if getattr(self.algorithm, "uses_subset_draws", False):
                 raise ValueError(
                     "rng_mode='counter' does not support algorithms with "
                     "subset redraws (node2vec, rejection-sampled weights)"
                 )
-            # Coalesced serve batches carry per-lane (query seed, local
-            # walk id) tables so every query replays bit-identically to
-            # its standalone run regardless of batching.
-            lanes = getattr(self.algorithm, "tenant_lanes", None)
-            if lanes is not None:
-                lane_seeds, lane_locals = lanes
-                return TenantCounterRNG(cfg.seed, lane_seeds, lane_locals)
-            return CounterRNG(cfg.seed)
+            keys = getattr(self.algorithm, "lane_table", None)
+            if keys is None:
+                keys = lane_key_table(cfg.seed, num_walks)
+            return CounterRNG(cfg.seed, keys)
         return seeded_rng(cfg.seed)
 
     def _make_backend(self) -> Any:
@@ -357,7 +359,7 @@ class LightTrafficEngine:
         multi = cfg.devices > 1
         cluster = self._build_cluster()
         bus = self.bus if self.bus is not None else EventBus()
-        rng = self._make_rng()
+        rng = self._make_rng(num_walks)
         # One backend shared by every shard: the kernels are partition-
         # local, so a single bound instance (and a single trajectory
         # precompute) serves all devices.

@@ -19,11 +19,13 @@ Draw ``d`` of walk ``w`` at step ``s`` is ``splitmix64(key)`` with::
     key = (seed + splitmix64(w)) + splitmix64(s + salt) + d * gamma  (mod 2**64)
 
 and each term is computed where it changes: the *lane key* ``seed +
-splitmix64(w)`` is constant for a walk's life, so each RNG keeps a per-run
-table of them indexed by walk id, and the kernel loop gathers its lanes'
-keys once per kernel (:meth:`CounterRNG.lane_keys`) and carries them with
-the lanes; the step hash is read from a module table grown on demand; the
-draw offset is a Python integer.  A context is ``lane key + step hash``,
+splitmix64(w)`` is constant for a walk's life, so each RNG holds one table
+of them for exactly its run's walk ids ``0 .. N - 1``, built once by the
+caller that knows the keying (:func:`lane_key_table`), and the kernel
+loop gathers its lanes' keys once per kernel
+(:meth:`CounterRNG.lane_keys`) and carries them with the lanes; the step
+hash is read from a module table grown on demand; the draw offset is a
+Python integer.  A context is ``lane key + step hash``,
 built once per round, and a draw is one in-place splitmix64 over a copy of
 it.  ``random((k, n))`` is a *draw block*: draws ``d .. d + k - 1`` of
 every lane in one splitmix64 pass, row ``j`` equal to the ``j``-th of
@@ -65,9 +67,6 @@ _UNIT = 2.0 ** -53
 #: Added to a walk's step before hashing, so step ``s`` and walk id ``s``
 #: hash differently.
 _STEP_SALT = 0x632BE59BD9B4E019
-#: Walk ids from here on are hashed per kernel instead of kept in a
-#: :class:`CounterRNG`'s lane-key table (which would then pass 32 MiB).
-_LANE_TABLE_LIMIT = 1 << 22
 
 
 def derive_seed(seed: Optional[int], stream: str) -> int:
@@ -187,61 +186,54 @@ def _step_hash(step: int) -> int:
         return int(_step_hashes(np.array([step]))[0])
 
 
+def lane_key_table(seed: Optional[int], count: int) -> np.ndarray:
+    """Lane keys ``seed + splitmix64(i)`` of walk ids ``i = 0 .. count - 1``.
+
+    An engine run's table.  A coalesced serve batch concatenates one per
+    member query, each keyed by the query's seed over its local walk ids,
+    so every lane hashes what its query's standalone run hashes.  Built in
+    place: :func:`splitmix64` would copy the ids first.
+    """
+    keys = np.arange(count, dtype=np.uint64)
+    keys += _GAMMA
+    _finalize(keys, np.empty_like(keys))
+    keys += np.uint64((seed or 0) & _SEED_MASK)
+    return keys
+
+
 class CounterRNG:
     """Per-walk counter-based RNG with a ``Generator``-compatible surface.
 
-    Draws require a context (set by the kernel loop); every draw within one
-    context must cover *all* context lanes (``size == len(ids)``), which is
-    how the vectorized algorithms already behave.  Subset draws (e.g.
-    node2vec's rejection rounds) are unsupported — the engine rejects
-    ``rng_mode="counter"`` for such algorithms up front.
+    ``keys`` is the run's lane-key table, the key of walk id ``i`` at
+    index ``i`` (:func:`lane_key_table`); it is fixed, and an id outside it
+    raises ``ValueError``.  ``seed`` seeds the context-free fallback
+    generator.  Draws require a context (set by the kernel loop); every
+    draw within one context must cover *all* context lanes (``size ==
+    len(ids)``), which is how the vectorized algorithms already behave.
+    Subset draws (e.g. node2vec's rejection rounds) are unsupported — the
+    engine rejects ``rng_mode="counter"`` for such algorithms up front.
     """
 
-    def __init__(self, seed: Optional[int]) -> None:
-        self.seed = np.uint64((seed or 0) & _SEED_MASK)
+    def __init__(self, seed: Optional[int], keys: np.ndarray) -> None:
         #: ``lane key + step hash`` per context lane; a Python int for one.
         self._context: Union[None, int, np.ndarray] = None
         self._lanes = 0
         self._draw = 0
         self._init_rng = np.random.default_rng(seed)
-        #: lane key of walk id ``i`` at index ``i``; see :meth:`_cover`.
-        self._keys = np.empty(0, dtype=np.uint64)
+        self._keys = keys
 
     # ------------------------------------------------------------------
     def lane_keys(self, ids: np.ndarray) -> np.ndarray:
-        """``seed + splitmix64(id)`` per walk: its key for life.
-
-        One gather from the lane-key table.  A negative id or one past the
-        table goes to :meth:`_cover`, which raises ``ValueError`` for it or
-        makes the table cover it.
-        """
+        """The lane key of each walk id: one gather from the table."""
         ids = np.asarray(ids, dtype=np.int64)
         # One reduction checks both ends: as uint64 a negative id is huge.
         if ids.size and ids.view(np.uint64).max() >= self._keys.size:
-            return self._cover(ids)
+            bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
+            raise ValueError(
+                f"walk id {bad} outside the lane-key table "
+                f"({self._keys.size} walks)"
+            )
         return self._keys.take(ids)
-
-    def _cover(self, ids: np.ndarray) -> np.ndarray:
-        """Lane keys of ``ids``, some of them past the table.
-
-        The table is rebuilt to cover the largest id, at least doubling:
-        8 bytes per walk id when the first call holds the run's largest
-        (an engine run's first kernel usually does), and O(log ids)
-        rebuilds whatever the order.  Ids of ``_LANE_TABLE_LIMIT`` and
-        above are hashed per call instead.
-        """
-        low, top = int(ids.min()), int(ids.max())
-        if low < 0:
-            raise ValueError(f"negative walk id {low} has no lane key")
-        if top >= _LANE_TABLE_LIMIT:
-            keys = splitmix64(ids)
-            keys += self.seed
-            return keys
-        size = min(max(top + 1, 2 * self._keys.size), _LANE_TABLE_LIMIT)
-        keys = splitmix64(np.arange(size, dtype=np.uint64))
-        keys += self.seed
-        self._keys = keys
-        return keys.take(ids)
 
     def set_context(
         self,
@@ -355,45 +347,7 @@ class CounterRNG:
         return out.astype(dtype, copy=False)
 
 
-class TenantCounterRNG(CounterRNG):
-    """Counter RNG whose key space is partitioned per tenant (per query).
-
-    The serving front-end coalesces walks of many independent queries
-    into one engine run.  Bit-identical replay per *query* requires each
-    lane to hash exactly the key it would hash in a standalone
-    ``CounterRNG(query_seed)`` run: ``(query_seed, local_walk_id, step,
-    draw)``.  This subclass takes two side tables indexed by the coalesced
-    run's *global* walk id — the owning query's seed and the walk's id
-    local to that query — and folds them once into the lane-key table,
-    ``query_seed + splitmix64(local_walk_id)``, so a global walk's lane
-    key is the same one gather as in the base class.  The table is fixed:
-    an id past it has no owning query and raises ``ValueError``.
-    Context-free initialization draws keep the base-class fallback
-    generator; the coalesced wrapper never uses it (start vertices are
-    drawn per query from each query's own seeded stream).
-    """
-
-    def __init__(
-        self,
-        seed: Optional[int],
-        lane_seeds: np.ndarray,
-        lane_locals: np.ndarray,
-    ) -> None:
-        super().__init__(seed)
-        lane_seeds = np.asarray(lane_seeds, dtype=np.uint64)
-        lane_locals = np.asarray(lane_locals, dtype=np.uint64)
-        if lane_seeds.shape != lane_locals.shape:
-            raise ValueError(
-                "lane_seeds and lane_locals must have identical shapes"
-            )
-        self._keys = splitmix64(lane_locals)
-        self._keys += lane_seeds
-
-    def _cover(self, ids: np.ndarray) -> np.ndarray:
-        """The fixed table holds every walk of the run; nothing else."""
-        low, top = int(ids.min()), int(ids.max())
-        bad = low if low < 0 else top
-        raise ValueError(
-            f"walk id {bad} outside the tenant lane table "
-            f"({self._keys.size} lanes)"
-        )
+#: Alias of :class:`CounterRNG`, kept only because the frozen
+#: ``benchmarks/perf`` tracing table resolves
+#: ``repro.core.prng.TenantCounterRNG`` by name.
+TenantCounterRNG = CounterRNG

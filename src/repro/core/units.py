@@ -1,7 +1,7 @@
 """Unit-of-measure aliases threaded through the cost stack.
 
 Everything this reproduction produces is analytic cost math — seconds,
-cycles, bytes, cache lines, walk counts, link packets — flowing between
+cycles, bytes, walk counts — flowing between
 the :mod:`repro.gpu` cost models, the simulated timeline and the
 scheduler.  A silently-mixed unit (cycles added to seconds, bytes
 compared to walk counts) corrupts every downstream figure without any
@@ -12,14 +12,13 @@ alias:
 * mypy treats them as distinct types, so an annotated function cannot
   return a raw expression without the author asserting its unit.
 
-Conversions between dimensions are spelled out by the helpers at the
-bottom — :func:`seconds_from_cycles` is the blessed cycles→seconds
-boundary (next to :meth:`repro.gpu.device.DeviceSpec.cycles_to_seconds`).
+The one conversion between dimensions is spelled out at the bottom:
+:func:`seconds_from_cycles` is the blessed cycles→seconds boundary (next
+to :meth:`repro.gpu.device.DeviceSpec.cycles_to_seconds`).
 """
 
 from __future__ import annotations
 
-import math
 from typing import NewType
 
 # ---------------------------------------------------------------------------
@@ -38,14 +37,8 @@ Bytes = NewType("Bytes", int)
 #: Fractional byte quantities (per-walk averages, scaled traffic).
 BytesF = NewType("BytesF", float)
 
-#: PCIe cache-line counts (zero-copy traffic granularity).
-CacheLines = NewType("CacheLines", int)
-
 #: Walk counts (pool sizes, batch sizes, migration payloads).
 Walks = NewType("Walks", int)
-
-#: Peer-link packet counts (P2P transfer granularity).
-Packets = NewType("Packets", int)
 
 # ---------------------------------------------------------------------------
 # Derived quantities
@@ -63,7 +56,7 @@ StepsPerSecond = NewType("StepsPerSecond", float)
 
 
 # ---------------------------------------------------------------------------
-# Blessed conversions (the only sanctioned dimension boundaries)
+# Blessed conversion (the only sanctioned dimension boundary)
 # ---------------------------------------------------------------------------
 
 def seconds_from_cycles(cycles: float, clock_hz: float) -> Seconds:
@@ -76,27 +69,3 @@ def seconds_from_cycles(cycles: float, clock_hz: float) -> Seconds:
         raise ValueError("clock_hz must be positive")
     return Seconds(cycles / clock_hz)
 
-
-def seconds_from_bytes(nbytes: float, bandwidth: float) -> Seconds:
-    """Transfer time of ``nbytes`` at ``bandwidth`` bytes/second."""
-    if bandwidth <= 0:
-        raise ValueError("bandwidth must be positive")
-    return Seconds(nbytes / bandwidth)
-
-
-def cache_lines_from_bytes(nbytes: int, cacheline_bytes: int) -> CacheLines:
-    """Whole cache lines covering ``nbytes`` (zero-copy granularity)."""
-    if cacheline_bytes < 1:
-        raise ValueError("cacheline_bytes must be >= 1")
-    if nbytes < 0:
-        raise ValueError("nbytes must be non-negative")
-    return CacheLines(-(-nbytes // cacheline_bytes))
-
-
-def packets_from_bytes(nbytes: int, packet_bytes: int) -> Packets:
-    """Whole link packets covering ``nbytes`` (P2P granularity)."""
-    if packet_bytes < 1:
-        raise ValueError("packet_bytes must be >= 1")
-    if nbytes < 0:
-        raise ValueError("nbytes must be non-negative")
-    return Packets(math.ceil(nbytes / packet_bytes))

@@ -9,12 +9,13 @@ in a standalone run of its own query — and it holds because
 
 * start vertices are computed *per query* from that query's own derived
   seed (``seeded_rng(query_seed)`` is bit-identical to the fallback
-  generator a standalone ``CounterRNG(query_seed)`` run would use), and
+  generator of a standalone counter run seeded with ``query_seed``), and
 * stepping randomness is keyed per lane by ``(query_seed,
-  local_walk_id, step, draw)`` through
-  :class:`~repro.core.prng.TenantCounterRNG`, which the engine
-  instantiates when it sees the batch's :attr:`CoalescedBatch.tenant_lanes`
-  tables — the same key a standalone counter run hashes.
+  local_walk_id, step, draw)``: the batch builds its counter RNG's
+  lane-key table, :attr:`CoalescedBatch.lane_table`, from one
+  :func:`~repro.core.prng.lane_key_table` per member query, and the
+  engine keys the run by it — the same key a standalone counter run
+  hashes.
 
 :func:`run_standalone` is both the reference implementation the parity
 suite compares against and the execution path for non-coalescible
@@ -31,14 +32,12 @@ import numpy as np
 from repro.algorithms.base import RandomWalkAlgorithm
 from repro.core.config import EngineConfig
 from repro.core.engine import LightTrafficEngine
-from repro.core.prng import seeded_rng
+from repro.core.prng import lane_key_table, seeded_rng
 from repro.core.stats import RunStats
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphPartition, PartitionedGraph
 from repro.serve.queries import WalkQuery
 from repro.walks.state import WalkArrays
-
-_SEED_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 class RecordingAlgorithm(RandomWalkAlgorithm):
@@ -52,6 +51,10 @@ class RecordingAlgorithm(RandomWalkAlgorithm):
     the final vertex at termination — so trajectories are untouched.
     """
 
+    #: whether ``on_start`` and ``observe`` reach ``inner``'s application
+    #: state (visit counts); :class:`CoalescedBatch` turns it off.
+    forwards_aggregates = True
+
     def __init__(self, inner: RandomWalkAlgorithm, num_walks: int) -> None:
         self.inner = inner
         self.name = inner.name
@@ -59,9 +62,11 @@ class RecordingAlgorithm(RandomWalkAlgorithm):
         self.fixed_length = inner.fixed_length
         self.transition_sampler = inner.transition_sampler
         self.uses_subset_draws = inner.uses_subset_draws
-        #: whether ``inner`` has an ``observe`` of its own to forward to.
+        #: whether ``observe`` forwards: aggregates are on and ``inner``
+        #: has an ``observe`` of its own.
         self._forward_observe = (
-            type(inner).observe is not RandomWalkAlgorithm.observe
+            self.forwards_aggregates
+            and type(inner).observe is not RandomWalkAlgorithm.observe
         )
         self.final_vertices = np.full(num_walks, -1, dtype=np.int64)
         self.steps_taken = np.zeros(num_walks, dtype=np.int64)
@@ -85,7 +90,8 @@ class RecordingAlgorithm(RandomWalkAlgorithm):
         return self.inner.start_vertices(graph, num_walks, rng)
 
     def on_start(self, walks: WalkArrays, graph: CSRGraph) -> None:
-        self.inner.on_start(walks, graph)
+        if self.forwards_aggregates:
+            self.inner.on_start(walks, graph)
 
     def step_once(
         self,
@@ -117,19 +123,22 @@ class RecordingAlgorithm(RandomWalkAlgorithm):
         return self.inner.expected_total_steps(num_walks)
 
 
-class CoalescedBatch(RandomWalkAlgorithm):
+class CoalescedBatch(RecordingAlgorithm):
     """One shared frontier batch executing several compatible queries.
 
     ``entries`` pairs every member query with its derived seed; the
     head query's algorithm instance provides the step semantics (the
-    batch key guarantees all members agree on them).  The inner
-    algorithm's *aggregate* hooks (``on_start``/``observe``) are not
-    delegated: the inner instance never saw ``start_vertices``, so its
-    application state (e.g. PPR visit counts) is uninitialized, and the
-    serve path's observable outcome is the per-walk record, not the
-    aggregate.  Trajectories are unaffected — ``observe`` never feeds
-    back into stepping.
+    batch key guarantees all members agree on them), and the batch
+    records every lane's outcome as :class:`RecordingAlgorithm` does.
+    The inner algorithm's *aggregate* hooks (``on_start``/``observe``)
+    are not forwarded: the inner instance never saw ``start_vertices``,
+    so its application state (e.g. PPR visit counts) is uninitialized,
+    and the serve path's observable outcome is the per-walk record, not
+    the aggregate.  Trajectories are unaffected — ``observe`` never
+    feeds back into stepping.
     """
+
+    forwards_aggregates = False
 
     def __init__(
         self,
@@ -147,55 +156,27 @@ class CoalescedBatch(RandomWalkAlgorithm):
                     "all queries of a coalesced batch must share one "
                     "batch key"
                 )
-        self.entries = list(entries)
-        self.vertex_types = vertex_types
-        self.inner = head.make_algorithm(graph, vertex_types)
-        if self.inner.uses_subset_draws:
+        inner = head.make_algorithm(graph, vertex_types)
+        if inner.uses_subset_draws:
             raise ValueError(
                 f"query kind {head.kind!r} cannot be coalesced: its "
                 f"algorithm redraws lane subsets"
             )
-        self.name = self.inner.name
-        self.carries_walk_id = self.inner.carries_walk_id
-        self.fixed_length = self.inner.fixed_length
-        self.transition_sampler = self.inner.transition_sampler
-        self.uses_subset_draws = False
+        self.entries = list(entries)
+        self.vertex_types = vertex_types
         counts = [query.walks for query, _ in self.entries]
         self.total_walks = int(sum(counts))
+        super().__init__(inner, self.total_walks)
         self.offsets = np.concatenate(
             ([0], np.cumsum(np.asarray(counts, dtype=np.int64)))
         )
-        with np.errstate(over="ignore"):
-            lane_seeds = np.concatenate(
-                [
-                    np.full(
-                        query.walks,
-                        np.uint64(seed) & _SEED_MASK,
-                        dtype=np.uint64,
-                    )
-                    for query, seed in self.entries
-                ]
-            )
-        lane_locals = np.concatenate(
-            [
-                np.arange(query.walks, dtype=np.uint64)
-                for query, _ in self.entries
-            ]
+        #: the counter RNG's lane keys, ``query_seed + splitmix64(local
+        #: walk id)`` per lane; the engine's ``_make_rng`` keys the run by it.
+        self.lane_table = np.concatenate(
+            [lane_key_table(seed, query.walks) for query, seed in self.entries]
         )
-        #: the engine's ``_make_rng`` hook: per-global-lane (query seed,
-        #: local walk id) tables keying the TenantCounterRNG.
-        self.tenant_lanes = (lane_seeds, lane_locals)
-        self.final_vertices = np.full(self.total_walks, -1, dtype=np.int64)
-        self.steps_taken = np.zeros(self.total_walks, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    @property
-    def bytes_per_walk(self) -> int:
-        return self.inner.bytes_per_walk
-
-    def consume_sampler_fallbacks(self) -> int:
-        return self.inner.consume_sampler_fallbacks()
-
     def start_vertices(
         self, graph: CSRGraph, num_walks: int, rng: np.random.Generator
     ) -> np.ndarray:
@@ -217,31 +198,6 @@ class CoalescedBatch(RandomWalkAlgorithm):
             )
         return np.concatenate(parts)
 
-    def step_once(
-        self,
-        vertices: np.ndarray,
-        steps: np.ndarray,
-        ids: np.ndarray,
-        partition: GraphPartition,
-        rng: np.random.Generator,
-        graph: Optional[CSRGraph],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        return self.inner.step_once(
-            vertices, steps, ids, partition, rng, graph
-        )
-
-    def observe(
-        self,
-        vertices: np.ndarray,
-        ids: np.ndarray,
-        terminated: np.ndarray,
-    ) -> None:
-        self.steps_taken[ids] += 1
-        ended = terminated.nonzero()[0]
-        if ended.size:
-            self.final_vertices[ids[ended]] = vertices[ended]
-
-    # ------------------------------------------------------------------
     def lane_slice(self, index: int) -> slice:
         """Global-lane slice of the ``index``-th member query."""
         return slice(

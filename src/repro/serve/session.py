@@ -186,9 +186,6 @@ class _Submission:
     query: WalkQuery
     worker: int
 
-    def sort_key(self) -> Tuple[float, int]:
-        return (self.arrival, self.order)
-
 
 class ServeSession:
     """Closed/open-loop walk-serving session over one resident graph."""

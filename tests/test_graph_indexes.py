@@ -28,7 +28,7 @@ from repro.algorithms.metapath import MetapathWalk
 from repro.baselines.inmemory_cpu import whole_graph_partition
 from repro.core import engine as engine_module
 from repro.core.config import EngineConfig
-from repro.core.prng import CounterRNG
+from repro.core.prng import CounterRNG, lane_key_table
 from repro.gpu import kernels
 from repro.graph import generators
 from repro.graph.csr import EDGE_ENTRY_BYTES, VERTEX_ENTRY_BYTES, CSRGraph
@@ -192,7 +192,7 @@ class TestDerivedSlot:
 def make_rng(mode, seed, ids, steps):
     if mode == "sequential":
         return np.random.default_rng(seed)
-    rng = CounterRNG(seed)
+    rng = CounterRNG(seed, lane_key_table(seed, ids.size))
     rng.set_context(ids, steps)
     return rng
 

@@ -33,7 +33,7 @@ from repro.algorithms import (
     uniform,
 )
 from repro.algorithms.base import BatchRunResult
-from repro.core.prng import CounterRNG, TenantCounterRNG
+from repro.core.prng import CounterRNG, lane_key_table
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import GraphPartition
 from repro.walks.state import WalkArrays
@@ -146,11 +146,13 @@ def make_rng(name, seed, num_walks):
     if name == "sequential":
         return np.random.default_rng(seed)
     if name == "counter":
-        return CounterRNG(seed)
-    tables = np.random.default_rng(seed).integers(
-        0, 2**63, size=(2, num_walks), dtype=np.uint64
+        return CounterRNG(seed, lane_key_table(seed, num_walks))
+    # A coalesced batch's table: two queries, each keyed by its own seed.
+    half = num_walks // 2
+    keys = np.concatenate(
+        [lane_key_table(seed + 1, half), lane_key_table(seed + 2, num_walks - half)]
     )
-    return TenantCounterRNG(seed, tables[0], tables[1])
+    return CounterRNG(seed, keys)
 
 
 def run_kernel(advance, case):

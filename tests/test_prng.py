@@ -18,12 +18,29 @@ from repro.core.engine import run_walks
 from repro.core import prng
 from repro.core.prng import (
     CounterRNG,
-    TenantCounterRNG,
     derive_seed,
+    lane_key_table,
     seeded_rng,
     splitmix64,
 )
 from repro.graph import generators
+from repro.serve.batch import CoalescedBatch
+from repro.serve.queries import UniformQuery
+
+
+def counter(seed, walks=64):
+    """A counter RNG keying walk ids ``0 .. walks - 1`` by ``seed``."""
+    return CounterRNG(seed, lane_key_table(seed, walks))
+
+
+RING = generators.ring(8)
+
+
+def batch_table(members):
+    """A coalesced batch's lane-key table, one ``(query seed, walks)``
+    pair per member query."""
+    entries = [(UniformQuery(walks=walks, length=4), seed) for seed, walks in members]
+    return CoalescedBatch(RING, entries).lane_table
 
 
 class TestSplitmix:
@@ -87,7 +104,7 @@ class TestDeriveSeed:
 
 class TestCounterRNG:
     def make(self, seed=1, n=8):
-        rng = CounterRNG(seed)
+        rng = counter(seed, n)
         rng.set_context(
             np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int32)
         )
@@ -114,7 +131,7 @@ class TestCounterRNG:
 
     def test_per_walk_independence(self):
         """A walk's draw is a function of its id, not its lane position."""
-        rng = CounterRNG(3)
+        rng = counter(3)
         rng.set_context(
             np.array([5, 9], dtype=np.int64), np.zeros(2, dtype=np.int32)
         )
@@ -124,7 +141,7 @@ class TestCounterRNG:
         assert both[1] == alone[0]
 
     def test_step_changes_stream(self):
-        rng = CounterRNG(3)
+        rng = counter(3)
         rng.set_context(np.array([1], dtype=np.int64), np.array([0], dtype=np.int32))
         a = rng.random(1)
         rng.set_context(np.array([1], dtype=np.int64), np.array([1], dtype=np.int32))
@@ -146,12 +163,12 @@ class TestCounterRNG:
             self.make().integers(5, 5, size=8)
 
     def test_no_context_falls_back(self):
-        rng = CounterRNG(1)
+        rng = counter(1)
         assert rng.random(4).shape == (4,)
         assert rng.integers(0, 10, size=4).shape == (4,)
 
     def test_uniformity_rough(self):
-        rng = CounterRNG(11)
+        rng = counter(11, 20000)
         rng.set_context(
             np.arange(20000, dtype=np.int64), np.zeros(20000, dtype=np.int32)
         )
@@ -283,7 +300,7 @@ def oracle_splitmix64(x):
 
 
 def oracle_uint64(seeds, ids, steps, draw):
-    """``seeds`` is one seed per lane (a tenant's) or a scalar."""
+    """``seeds`` is one seed per lane or a scalar."""
     with np.errstate(over="ignore"):
         key = (
             seeds
@@ -320,34 +337,44 @@ def initial_step_table():
 INITIAL_STEP_TABLE = prng._step_table[:128].copy()
 
 
+SEEDS = st.sampled_from([None, 0, 1, MASK]) | st.integers(0, MASK)
+
+
+@st.composite
+def lane_tables(draw, min_walks=1):
+    """A run's or a coalesced batch's lane-key table, and per walk id the
+    seed and the local id the oracle hashes: ``seed`` and the id itself
+    for a run, the member query's seed and the id within that query for a
+    batch."""
+    if not draw(st.booleans()):
+        seed = draw(SEEDS)
+        walks = draw(st.integers(min_walks, 3 * min_walks + 8))
+        seeds = np.full(walks, (seed or 0) & MASK, dtype=np.uint64)
+        return lane_key_table(seed, walks), seeds, np.arange(walks)
+    members = draw(
+        st.lists(
+            st.tuples(st.sampled_from([0, MASK]) | st.integers(0, MASK),
+                      st.integers(1, 12)),
+            min_size=1, max_size=4,
+        )
+    )
+    short = min_walks - sum(walks for __, walks in members)
+    if short > 0:
+        members[-1] = (members[-1][0], members[-1][1] + short)
+    sizes = [walks for __, walks in members]
+    seeds = np.repeat(np.array([seed for seed, __ in members], dtype=np.uint64), sizes)
+    locals_ = np.concatenate([np.arange(walks) for walks in sizes])
+    return batch_table(members), seeds, locals_
+
+
 @st.composite
 def rng_cases(draw):
     lanes = draw(st.integers(1, 40))
-    seed = draw(st.sampled_from([None, 0, 1, MASK]) | st.integers(0, MASK))
-    tenant = draw(st.booleans())
-    if tenant:
-        table = draw(st.integers(lanes, 3 * lanes))
-        ids = draw(
-            st.lists(st.integers(0, table - 1), min_size=lanes, max_size=lanes)
-        )
-        lane_seeds = draw(
-            st.lists(
-                st.sampled_from([0, MASK]) | st.integers(0, MASK),
-                min_size=table, max_size=table,
-            )
-        )
-        lane_locals = draw(
-            st.lists(st.integers(0, 2**63), min_size=table, max_size=table)
-        )
-        tables = (
-            np.array(lane_seeds, dtype=np.uint64),
-            np.array(lane_locals, dtype=np.uint64),
-        )
-    else:
-        ids = draw(
-            st.lists(st.integers(0, 2**62), min_size=lanes, max_size=lanes)
-        )
-        tables = None
+    seed = draw(SEEDS)
+    keys, seeds, locals_ = draw(lane_tables(min_walks=lanes))
+    ids = draw(
+        st.lists(st.integers(0, keys.size - 1), min_size=lanes, max_size=lanes)
+    )
     # Past the 128-entry initial table: the first such context grows it.
     steps = draw(
         st.lists(
@@ -369,21 +396,16 @@ def rng_cases(draw):
         )
     )
     return (
-        seed, tables, np.array(ids, dtype=np.int64),
+        seed, (keys, seeds, locals_), np.array(ids, dtype=np.int64),
         np.array(steps, dtype=step_dtype), np.array(subset, dtype=bool), draws,
     )
 
 
 def disagreement(case):
     """Bind every context form of ``case``; the first draw that differs."""
-    seed, tables, ids, steps, subset, draws = case
-    if tables is None:
-        rng = CounterRNG(seed)
-        seeds = np.uint64((seed or 0) & MASK)
-        locals_ = ids
-    else:
-        rng = TenantCounterRNG(seed, *tables)
-        seeds, locals_ = tables[0][ids], tables[1][ids]
+    seed, (keys, seeds, locals_), ids, steps, subset, draws = case
+    rng = CounterRNG(seed, keys)
+    seeds, locals_ = seeds[ids], locals_[ids]
     lane = np.flatnonzero(subset)
     contexts = {
         "set_context(ids, steps)": (np.arange(ids.size), None),
@@ -391,13 +413,12 @@ def disagreement(case):
         "subset set_context(ids, steps)": (lane, None),
         "subset set_context(ids, steps, keys)": (lane, "keys"),
     }
-    keys = rng.lane_keys(ids)
+    lane_keys = rng.lane_keys(ids)
     for form, (sel, with_keys) in contexts.items():
         if sel.size == 0:
             continue
-        lane_seeds = seeds if np.ndim(seeds) == 0 else seeds[sel]
         rng.set_context(
-            ids[sel], steps[sel], keys[sel] if with_keys else None
+            ids[sel], steps[sel], lane_keys[sel] if with_keys else None
         )
         for index, (kind, low, span) in enumerate(draws):
             bounds = (low, low + span)
@@ -406,7 +427,7 @@ def disagreement(case):
             else:
                 got = rng.integers(*bounds, size=sel.size)
             want = oracle_draw(
-                kind, bounds, lane_seeds, locals_[sel], steps[sel], index
+                kind, bounds, seeds[sel], locals_[sel], steps[sel], index
             )
             if got.dtype != want.dtype or not np.array_equal(got, want):
                 return f"{form}: draw {index} ({kind}) {got} != {want}"
@@ -434,7 +455,8 @@ def stale_step_table(steps):
 
 
 MUTANT_CASE = (
-    7, None, np.array([3, 2**40], dtype=np.int64),
+    7, (lane_key_table(7, 8), np.full(8, 7, dtype=np.uint64), np.arange(8)),
+    np.array([3, 7], dtype=np.int64),
     np.array([5, 700], dtype=np.int32), np.array([False, True]),
     [("random", 0, 1), ("integers", 0, 1000)],
 )
@@ -451,7 +473,7 @@ def test_step_hash_mutants_are_told_apart(mutant, monkeypatch):
 
 def test_step_table_grows_past_its_initial_size():
     with initial_step_table():
-        rng = CounterRNG(1)
+        rng = counter(1)
         rng.set_context(np.array([4]), np.array([5000], dtype=np.int32))
         assert prng._step_table.size > 5000
         want = oracle_draw(
@@ -461,74 +483,74 @@ def test_step_table_grows_past_its_initial_size():
 
 
 # ----------------------------------------------------------------------
-# Lane keys: one gather from a per-RNG table.
+# Lane keys: one gather from the run's table, fixed at construction.
 # ----------------------------------------------------------------------
-@contextmanager
-def lane_table(limit):
-    """Hash ids from ``limit`` on per call instead of tabling them."""
-    saved = prng._LANE_TABLE_LIMIT
-    prng._LANE_TABLE_LIMIT = limit
-    try:
-        yield
-    finally:
-        prng._LANE_TABLE_LIMIT = saved
-
-
 @settings(max_examples=150, deadline=None)
 @given(
-    seed=st.sampled_from([None, 0, MASK]) | st.integers(0, MASK),
+    table=lane_tables(),
     calls=st.lists(
-        st.lists(st.integers(0, 5000), max_size=30), min_size=1, max_size=6
+        st.lists(st.integers(0, 10**6), max_size=30), min_size=1, max_size=6
     ),
-    limit=st.sampled_from([1 << 22, 1024, 1]),
 )
-def test_counter_lane_keys_are_seed_plus_hash(seed, calls, limit):
-    """Every call equals ``seed + splitmix64(id)``, whether the ids are in
-    the table, make it grow, or lie past the table limit."""
-    rng = CounterRNG(seed)
-    with lane_table(limit):
-        for call in calls:
-            ids = np.array(call, dtype=np.int64)
-            want = np.uint64((seed or 0) & MASK) + oracle_splitmix64(ids)
-            got = rng.lane_keys(ids)
-            assert got.dtype == np.uint64 and np.array_equal(got, want)
-    assert rng._keys.size <= 2 * max(max(c, default=0) for c in calls) + 1
+def test_counter_lane_keys_are_seed_plus_hash(table, calls):
+    """Walk id ``i`` keys as ``seed + splitmix64(i)`` in a run's table and
+    as ``query_seed + splitmix64(local id)`` in a coalesced batch's, over
+    any sequence of calls."""
+    keys, seeds, locals_ = table
+    rng = CounterRNG(5, keys)
+    for call in calls:
+        ids = np.array(call, dtype=np.int64) % keys.size
+        want = seeds[ids] + oracle_splitmix64(locals_[ids])
+        got = rng.lane_keys(ids)
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), size=st.integers(1, 60))
-def test_tenant_lane_keys_are_query_seed_plus_local_hash(data, size):
-    seeds = np.array(
-        data.draw(st.lists(st.integers(0, MASK), min_size=size, max_size=size)),
-        dtype=np.uint64,
+@given(data=st.data())
+def test_tenant_lane_keys_are_query_seed_plus_local_hash(data):
+    """In a coalesced batch's table, a walk keys as its member query's
+    seed plus the hash of its id within that query."""
+    members = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, MASK), st.integers(1, 20)),
+            min_size=1, max_size=6,
+        )
     )
-    locals_ = np.array(
-        data.draw(st.lists(st.integers(0, 2**40), min_size=size, max_size=size)),
-        dtype=np.uint64,
+    sizes = [walks for __, walks in members]
+    seeds = np.repeat(
+        np.array([seed for seed, __ in members], dtype=np.uint64), sizes
     )
-    rng = TenantCounterRNG(5, seeds, locals_)
+    locals_ = np.concatenate([np.arange(walks) for walks in sizes])
+    rng = CounterRNG(5, batch_table(members))
     ids = np.array(
-        data.draw(st.lists(st.integers(0, size - 1), max_size=40)),
+        data.draw(st.lists(st.integers(0, seeds.size - 1), max_size=40)),
         dtype=np.int64,
     )
     want = seeds[ids] + oracle_splitmix64(locals_[ids])
     assert np.array_equal(rng.lane_keys(ids), want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=SEEDS, walks=st.integers(1, 200))
+def test_one_member_batch_table_is_the_run_table(seed, walks):
+    """A query coalesced alone keys its walks as its standalone run does:
+    the serve parity contract at the level of one table."""
+    batch = batch_table([((seed or 0) & MASK, walks)])
+    assert np.array_equal(batch, lane_key_table(seed, walks))
+
+
 def four_lane_rngs():
-    tenant = TenantCounterRNG(
-        3, np.arange(4, dtype=np.uint64), np.arange(4, dtype=np.uint64)
-    )
-    counter = CounterRNG(3)
-    counter.lane_keys(np.arange(4))  # the table covers ids 0..3
-    return {"counter": counter, "tenant": tenant}
+    return {
+        "counter": CounterRNG(3, lane_key_table(3, 4)),
+        "tenant": CounterRNG(3, batch_table([(3, 1), (8, 3)])),
+    }
 
 
 @pytest.mark.parametrize("kind", ["counter", "tenant"])
 @pytest.mark.parametrize("ids", [[-1], [2, -1], [-(2**62), 3]])
 def test_negative_walk_id_has_no_lane_key(kind, ids):
     """A negative id used to read the last tenant lane's key (or hash as a
-    huge uint64); both classes now refuse it, on both entry points."""
+    huge uint64); every table now refuses it, on both entry points."""
     rng = four_lane_rngs()[kind]
     ids = np.array(ids, dtype=np.int64)
     with pytest.raises(ValueError, match="walk id"):
@@ -537,10 +559,16 @@ def test_negative_walk_id_has_no_lane_key(kind, ids):
         rng.set_context(ids, np.zeros(ids.size, dtype=np.int32))
 
 
-def test_walk_id_past_the_tenant_table_raises():
-    rng = four_lane_rngs()["tenant"]
+@pytest.mark.parametrize("kind", ["counter", "tenant"])
+def test_walk_id_past_the_table_raises(kind):
+    """A run's table holds its ids ``0 .. N - 1`` and no more: an id past
+    it raises instead of growing the table."""
+    rng = four_lane_rngs()[kind]
     with pytest.raises(ValueError, match="walk id 4 outside"):
         rng.lane_keys(np.array([0, 4]))
+    with pytest.raises(ValueError, match="walk id 9 outside"):
+        rng.set_context(np.array([9]), np.zeros(1, dtype=np.int32))
+    assert rng.lane_keys(np.arange(4)).size == 4
 
 
 # ----------------------------------------------------------------------
@@ -569,21 +597,11 @@ def test_generator_block_is_consecutive_draws(seed, k, n, before):
 def block_cases(draw):
     lanes = draw(st.sampled_from([1, 1, 2]) | st.integers(1, 40))
     seed = draw(st.integers(0, MASK))
-    tenant = draw(st.booleans())
+    table = draw(lane_tables(min_walks=lanes))
     ids = draw(
-        st.lists(st.integers(0, 3 * lanes), min_size=lanes, max_size=lanes)
+        st.lists(st.integers(0, table[0].size - 1), min_size=lanes,
+                 max_size=lanes)
     )
-    tables = None
-    if tenant:
-        table = 3 * lanes + 1
-        tables = tuple(
-            np.array(
-                draw(st.lists(st.integers(0, MASK), min_size=table,
-                              max_size=table)),
-                dtype=np.uint64,
-            )
-            for __ in range(2)
-        )
     steps = draw(
         st.lists(
             st.integers(0, 127) | st.integers(128, 3000),
@@ -600,27 +618,21 @@ def block_cases(draw):
             min_size=1, max_size=6,
         )
     )
-    return seed, tables, np.array(ids), np.array(steps), ops
+    return seed, table, np.array(ids), np.array(steps), ops
 
 
 def block_disagreement(case):
     """Run ``case``'s draws twice: blocks as asked, and every block of k
     rows as k consecutive ``random(n)`` calls.  Each value must also equal
     the three-hash formula at its draw index.  The first difference."""
-    seed, tables, ids, steps, ops = case
+    seed, (keys, seeds, locals_), ids, steps, ops = case
     rngs = []
     for __ in range(2):
-        if tables is None:
-            rng = CounterRNG(seed)
-        else:
-            rng = TenantCounterRNG(seed, *tables)
+        rng = CounterRNG(seed, keys)
         rng.set_context(ids, steps)
         rngs.append(rng)
     blocks, calls = rngs
-    if tables is None:
-        seeds, locals_ = np.uint64(seed), ids
-    else:
-        seeds, locals_ = tables[0][ids], tables[1][ids]
+    seeds, locals_ = seeds[ids], locals_[ids]
     index = 0
     n = ids.size
     for op, k, span in ops:
@@ -655,15 +667,16 @@ def block_disagreement(case):
 def test_counter_block_is_consecutive_draws(case):
     """``CounterRNG.random((k, n))`` equals k consecutive ``random(n)``
     draws of one context, interleaved with ``integers``: the vector path,
-    the one-lane path, a tenant table and steps past the step table."""
+    the one-lane path, a batch table and steps past the step table."""
     with initial_step_table():
         assert block_disagreement(case) is None
 
 
+RUN_TABLE = (lane_key_table(5, 9), np.full(9, 5, dtype=np.uint64), np.arange(9))
 BLOCK_CASES = [
-    (5, None, np.array([3]), np.array([900]),
+    (5, RUN_TABLE, np.array([3]), np.array([900]),
      [("random", 2, 1), ("random", 0, 1), ("integers", 0, 1000)]),
-    (5, None, np.array([3, 8, 1]), np.array([0, 2, 900]),
+    (5, RUN_TABLE, np.array([3, 8, 1]), np.array([0, 2, 900]),
      [("random", 2, 1), ("random", 0, 1), ("integers", 0, 1000)]),
 ]
 
@@ -698,7 +711,7 @@ def test_a_block_that_does_not_advance_the_offset_is_caught(case, monkeypatch):
 def test_one_lane_integers_equal_the_vector_path(seed, wid, step, spans):
     """A one-lane context hashes in Python integers; each draw must equal
     the same lane's draw in a vector context, over random spans."""
-    one, many = CounterRNG(seed), CounterRNG(seed)
+    one, many = counter(seed, 5002), counter(seed, 5002)
     one.set_context(np.array([wid]), np.array([step]))
     many.set_context(np.array([wid, wid + 1]), np.array([step, 0]))
     for low, span in spans:
@@ -712,7 +725,7 @@ def test_one_lane_integers_equal_the_vector_path(seed, wid, step, spans):
 def test_counter_rng_takes_generator_shapes(lanes):
     """``(n,)`` for both draws and ``(k, n)`` for ``random``, as a NumPy
     ``Generator`` takes them; any other size raises ``ValueError``."""
-    rng = CounterRNG(2)
+    rng = counter(2)
     ids, steps = np.arange(lanes), np.zeros(lanes, dtype=np.int32)
     rng.set_context(ids, steps)
     flat = rng.random(lanes)

@@ -46,7 +46,7 @@ def build_ctx(graph, config, num_walks=96, length=4, algorithm=None):
     engine = LightTrafficEngine(graph, algorithm, config)
     bus = EventBus()
     cluster = engine._build_cluster()
-    rng = engine._make_rng()
+    rng = engine._make_rng(num_walks)
     backend = engine._make_backend()
     _open_backends.append(backend)
     shard = engine._build_shard(0, cluster, rng, num_walks, bus, backend)
